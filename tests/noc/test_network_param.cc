@@ -113,5 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
                       NetParamCase{4, 4, 2, 2, true},
                       NetParamCase{4, 4, 1, 4, true},
                       NetParamCase{4, 4, 8, 1, true},
+                      NetParamCase{4, 4, 16, 4, true},
                       NetParamCase{3, 5, 4, 3, true}),
     caseName);
