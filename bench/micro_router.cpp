@@ -70,15 +70,19 @@ BENCHMARK(BM_LpaSelect)->Arg(2)->Arg(6)->Arg(16);
 void
 BM_ArbiterPick(benchmark::State &state)
 {
-    Arbiter arb(static_cast<unsigned>(state.range(0)));
-    std::vector<std::int64_t> ranks(
-        static_cast<std::size_t>(state.range(0)));
-    for (std::size_t i = 0; i < ranks.size(); ++i)
+    const auto n = static_cast<unsigned>(state.range(0));
+    Arbiter arb(n);
+    std::vector<std::int64_t> ranks(n);
+    ReqMask req;
+    for (unsigned i = 0; i < n; ++i) {
         ranks[i] = static_cast<std::int64_t>(i % 5);
+        req.set(i);
+    }
     for (auto _ : state)
-        benchmark::DoNotOptimize(arb.pick(ranks));
+        benchmark::DoNotOptimize(
+            arb.pick(req, [&](unsigned i) { return ranks[i]; }));
 }
-BENCHMARK(BM_ArbiterPick)->Arg(6)->Arg(30);
+BENCHMARK(BM_ArbiterPick)->Arg(6)->Arg(30)->Arg(80);
 
 void
 BM_RouterTickLoaded(benchmark::State &state)
@@ -96,33 +100,42 @@ BM_RouterTickLoaded(benchmark::State &state)
     router.attach(PortLocal, &in_l, &out_l);
     router.attach(PortEast, &in_e, &out_e);
 
+    // Both feeding ports act like real upstream routers: one flit per
+    // cycle at most, and only into a VC they hold a credit for.
+    Link *feeds[] = {&in_w, &in_l};
+    std::vector<unsigned> credits[2];
+    for (auto &c : credits)
+        c.assign(params.numVcs, params.vcDepth);
+
     Cycle now = 0;
-    unsigned i = 0;
+    unsigned seq = 0;
     for (auto _ : state) {
         // Keep both input ports fed with competing lock packets.
-        for (Link *link : {&in_w, &in_l}) {
-            const unsigned seq = i++;
+        for (unsigned k = 0; k < 2; ++k) {
+            for (unsigned vc : feeds[k]->takeCredits(now))
+                ++credits[k][vc];
+            const unsigned vc = seq++ % params.numVcs;
+            if (credits[k][vc] == 0)
+                continue;
+            --credits[k][vc];
             auto pkt = makePacket(MsgType::LockTry, 0, 1, 0x80);
-            pkt->priority = makePriority(
-                stamping, PriorityClass::LockTry,
-                1 + (seq % 128), seq % 16);
+            pkt->priority = makePriority(stamping, PriorityClass::LockTry,
+                                         1 + (seq % 128), seq % 16);
             Flit f;
-            f.pkt = pkt;
+            f.pkt = std::move(pkt);
             f.type = FlitType::HeadTail;
-            f.vc = seq % params.numVcs;
-            // Respect buffer space: drop when the VC is full.
-            if (router.vc(link == &in_w ? PortWest : PortLocal,
-                          f.vc).fifo.size() < params.vcDepth)
-                link->sendFlit(f, now);
+            f.vc = vc;
+            feeds[k]->sendFlit(std::move(f), now);
         }
         router.tick(now);
         while (auto f = out_e.takeFlit(now))
             out_e.sendCredit(f->vc, now);
         ++now;
     }
-    state.counters["flits/cycle"] = benchmark::Counter(
+    // One benchmark iteration is one router tick.
+    state.counters["flits/tick"] = benchmark::Counter(
         static_cast<double>(router.stats().flitsRouted),
-        benchmark::Counter::kIsRate);
+        benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RouterTickLoaded)->Arg(0)->Arg(1);
 

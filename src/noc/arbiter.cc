@@ -5,39 +5,17 @@
 namespace ocor
 {
 
-int
-Arbiter::pick(std::span<const std::int64_t> ranks)
+Arbiter::Arbiter(unsigned num_inputs) : numInputs_(num_inputs)
 {
-    if (ranks.size() != numInputs_)
-        ocor_panic("Arbiter: %zu ranks for %u inputs", ranks.size(),
-                   numInputs_);
-
-    std::int64_t best = -1;
-    for (auto r : ranks)
-        best = r > best ? r : best;
-    if (best < 0)
-        return -1;
-
-    // Round-robin among the max-rank candidates, starting at the
-    // pointer so ties rotate fairly.
-    for (unsigned off = 0; off < numInputs_; ++off) {
-        unsigned idx = (pointer_ + off) % numInputs_;
-        if (ranks[idx] == best) {
-            pointer_ = (idx + 1) % numInputs_;
-            return static_cast<int>(idx);
-        }
-    }
-    return -1; // unreachable
+    if (num_inputs == 0 || num_inputs > ReqMask::capacity)
+        ocor_panic("Arbiter: %u inputs (must be in [1, %u])", num_inputs,
+                   ReqMask::capacity);
 }
 
-int
-Arbiter::grantSingle(unsigned idx)
+void
+Arbiter::badInput(unsigned idx) const
 {
-    if (idx >= numInputs_)
-        ocor_panic("Arbiter: grantSingle(%u) with %u inputs", idx,
-                   numInputs_);
-    pointer_ = (idx + 1) % numInputs_;
-    return static_cast<int>(idx);
+    ocor_panic("Arbiter: request from input %u of %u", idx, numInputs_);
 }
 
 LpaResult

@@ -6,31 +6,50 @@
  * carries per-VC credits in the reverse direction. Bandwidth is one
  * flit per cycle; credits are not bandwidth limited (a credit wire
  * per VC).
+ *
+ * Both directions are fixed-capacity rings. Credit flow control bounds
+ * what is ever in flight: per downstream VC, upstream credits plus
+ * flits on the wire plus buffered flits plus credits on the wire make
+ * exactly vcDepth, so neither ring holds more than numVcs x vcDepth
+ * entries (a dropped flit's synthesized credit replaces the flit).
  */
 
 #ifndef OCOR_NOC_LINK_HH
 #define OCOR_NOC_LINK_HH
 
-#include <deque>
+#include <memory>
 #include <optional>
 #include <set>
-#include <utility>
-#include <vector>
+#include <span>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "noc/fault.hh"
 #include "noc/flit.hh"
+#include "noc/params.hh"
+#include "noc/ring.hh"
 
 namespace ocor
 {
 
 class CheckerRegistry;
 
-/** One-cycle (configurable) pipelined channel between two agents. */
+/** One-cycle (configurable) pipelined channel between two agents.
+ * The state polled every cycle comes first in the object. */
 class Link
 {
   public:
-    explicit Link(unsigned latency = 1) : latency_(latency) {}
+    /** In-flight bound of a link between default-configured agents. */
+    static constexpr unsigned defaultCapacity =
+        NocParams{}.numVcs * NocParams{}.vcDepth;
+
+    /**
+     * @p capacity bounds the flits and, separately, the credits in
+     * flight (numVcs x vcDepth of the downstream buffer); exceeding
+     * it panics.
+     */
+    explicit Link(unsigned latency = 1,
+                  unsigned capacity = defaultCapacity);
 
     /**
      * Attach the fault oracle (may be null / inactive: zero-overhead
@@ -49,48 +68,104 @@ class Link
      * wire-level flit conservation ledger. */
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
-    /** Upstream puts a flit on the wire during cycle @p now. */
-    void sendFlit(const Flit &flit, Cycle now);
+    /** Upstream puts a flit on the wire during cycle @p now (pass an
+     * rvalue to hand over the packet reference without a copy). */
+    void sendFlit(Flit flit, Cycle now);
 
     /** Downstream takes the flit arriving at cycle @p now, if any. */
-    std::optional<Flit> takeFlit(Cycle now);
+    std::optional<Flit>
+    takeFlit(Cycle now)
+    {
+        if (flitAt_ > now)
+            return std::nullopt;
+        if (flitAt_ < now)
+            ocor_panic("Link: flit missed its delivery cycle");
+        std::optional<Flit> f(std::move(flits_.front().flit));
+        flits_.pop();
+        flitAt_ = flits_.empty() ? neverCycle : flits_.front().at;
+        if (check_)
+            flitDelivered();
+        return f;
+    }
 
     /** Downstream returns a credit for VC @p vc during cycle @p now. */
-    void sendCredit(unsigned vc, Cycle now);
+    void sendCredit(unsigned vc, Cycle now) { pushCredit(vc, now + latency_); }
 
-    /** Upstream collects all credits arriving at cycle @p now. */
-    std::vector<unsigned> takeCredits(Cycle now);
+    /**
+     * Upstream collects all credits arriving at cycle @p now, in send
+     * order. The span views storage owned by the link and stays valid
+     * until the next takeCredits() call.
+     */
+    std::span<const unsigned>
+    takeCredits(Cycle now)
+    {
+        std::size_t n = 0;
+        while (creditAt_ <= now) {
+            if (creditAt_ < now)
+                ocor_panic("Link: credit missed its delivery cycle");
+            arrived_[n++] = credits_.front().vc;
+            credits_.pop();
+            creditAt_ = credits_.empty() ? neverCycle : credits_.front().at;
+        }
+        return {arrived_.get(), n};
+    }
 
     unsigned latency() const { return latency_; }
     bool idle() const { return flits_.empty() && credits_.empty(); }
 
     /**
-     * O(1) event-core due tests. Arrival cycles are monotone within
-     * each queue (sendFlit keeps them strictly increasing even under
-     * fault jitter; credits are stamped now + latency with monotone
-     * now), so the front entry is the earliest and a front check is
-     * exact, not heuristic.
+     * O(1) due tests, polled by the receiving agents every cycle.
+     * Arrival cycles are monotone within each queue (sendFlit keeps
+     * them strictly increasing even under fault jitter; credits are
+     * stamped now + latency with monotone now), so the front entry is
+     * the earliest and a front check is exact, not heuristic. The
+     * front arrivals are kept in the link itself so a poll is one
+     * load.
      */
-    bool flitDue(Cycle now) const
-    {
-        return !flits_.empty() && flits_.front().first <= now;
-    }
-    bool creditDue(Cycle now) const
-    {
-        return !credits_.empty() && credits_.front().first <= now;
-    }
+    bool flitDue(Cycle now) const { return flitAt_ <= now; }
+    bool creditDue(Cycle now) const { return creditAt_ <= now; }
 
     /** Flits ever put on the wire (dropped ones included): the
      * utilization numerator sampled by interval telemetry. */
     std::uint64_t flitsCarried() const { return flitsCarried_; }
 
   private:
+    struct WireFlit
+    {
+        Cycle at = 0;
+        Flit flit;
+    };
+    struct WireCredit
+    {
+        Cycle at = 0;
+        unsigned vc = 0;
+    };
+
+    void
+    pushCredit(unsigned vc, Cycle at)
+    {
+        if (credits_.full())
+            creditOverflow();
+        if (credits_.empty())
+            creditAt_ = at;
+        credits_.push({at, vc});
+    }
+
+    [[noreturn]] void creditOverflow() const;
+    void flitDelivered();
+
+    /** Arrival of the front flit / credit (neverCycle = none). */
+    Cycle flitAt_ = neverCycle;
+    Cycle creditAt_ = neverCycle;
+    Ring<WireFlit> flits_;
+    Ring<WireCredit> credits_;
+
     unsigned latency_;
     CheckerRegistry *check_ = nullptr;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
-    std::deque<std::pair<Cycle, Flit>> flits_;
-    std::deque<std::pair<Cycle, unsigned>> credits_;
+    /** takeCredits() result storage, one slot per credit ring slot. */
+    std::unique_ptr<unsigned[]> arrived_;
 
     // --- fault injection (inert unless fault_ is active) -----------
     FaultInjector *fault_ = nullptr;

@@ -31,7 +31,8 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
 
     unsigned next_link_id = 0;
     auto new_link = [&]() {
-        links_.push_back(std::make_unique<Link>(params.linkLatency));
+        links_.push_back(std::make_unique<Link>(
+            params.linkLatency, params.numVcs * params.vcDepth));
         if (fault)
             links_.back()->setFaultInjector(fault, next_link_id);
         ++next_link_id;

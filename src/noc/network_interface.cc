@@ -1,7 +1,7 @@
 #include "noc/network_interface.hh"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 
 #include "check/checker_registry.hh"
 #include "common/log.hh"
@@ -14,11 +14,14 @@ namespace ocor
 
 NetworkInterface::NetworkInterface(NodeId id, const NocParams &params,
                                    const OcorConfig &ocor)
-    : id_(id), params_(params), ocor_(ocor), sendArb_(params.numVcs)
+    : id_(id), params_(params), ocor_(ocor), sendArb_(params.numVcs),
+      reassembly_(params.numVcs)
 {
     outVcs_.resize(params.numVcs);
     for (auto &vc : outVcs_)
         vc.credits = params.vcDepth;
+    if (params.vcDepth > 0)
+        creditedVcs_ = (std::uint32_t{1} << params.numVcs) - 1;
 }
 
 void
@@ -127,10 +130,7 @@ NetworkInterface::idle() const
         return false;
     if (!outstanding_.empty())
         return false; // a retransmission may still be due
-    for (const auto &vc : outVcs_)
-        if (vc.pkt)
-            return false;
-    return reassembly_.empty();
+    return activeVcs_ == 0 && reassembling_ == 0;
 }
 
 void
@@ -158,19 +158,23 @@ NetworkInterface::ejectIncoming(Cycle now)
     // the NI consumes it immediately and returns the credit.
     while (auto flit = fromRouter_->takeFlit(now)) {
         fromRouter_->sendCredit(flit->vc, now);
+        if (flit->vc >= reassembly_.size())
+            ocor_panic("NI %u: bad flit vc %u", id_, flit->vc);
+        RxPacket &rx = reassembly_[flit->vc];
         if (flit->isHead()) {
-            if (reassembly_.count(flit->vc))
+            if (rx.pkt)
                 ocor_panic("NI %u: head over unfinished packet", id_);
-            reassembly_[flit->vc] = {flit->pkt, false};
-        }
-        auto it = reassembly_.find(flit->vc);
-        if (it == reassembly_.end())
+            rx.pkt = std::move(flit->pkt);
+            rx.corrupt = false;
+            ++reassembling_;
+        } else if (!rx.pkt) {
             ocor_panic("NI %u: flit without head", id_);
-        it->second.corrupt |= flit->corrupted;
+        }
+        rx.corrupt |= flit->corrupted;
         if (flit->isTail()) {
-            RxPacket rx = it->second;
-            reassembly_.erase(it);
-            deliverMeshPacket(rx.pkt, rx.corrupt, now);
+            const PacketPtr pkt = std::move(rx.pkt);
+            --reassembling_;
+            deliverMeshPacket(pkt, rx.corrupt, now);
         }
     }
 }
@@ -227,27 +231,33 @@ NetworkInterface::deliverMeshPacket(const PacketPtr &pkt, bool corrupt,
 void
 NetworkInterface::assignVcs(Cycle now)
 {
-    // Hand free VCs to the highest-rank waiting packets. FIFO order
-    // among equal ranks (stable scan).
-    for (auto &vc : outVcs_) {
-        if (vc.pkt)
-            continue;
+    // Hand free VCs, lowest first, to the highest-rank waiting
+    // packets. FIFO order among equal ranks (stable scan).
+    std::uint32_t free =
+        ~activeVcs_ & ((std::uint32_t{1} << params_.numVcs) - 1);
+    for (; free != 0 && !injectQueue_.empty(); free &= free - 1) {
+        const auto v = static_cast<unsigned>(std::countr_zero(free));
         std::int64_t best = -1;
         std::size_t best_idx = 0;
         for (std::size_t i = 0; i < injectQueue_.size(); ++i) {
-            if (injectQueue_[i].ready > now)
+            QueuedPacket &q = injectQueue_[i];
+            if (q.ready > now)
                 continue;
-            auto rank = static_cast<std::int64_t>(
-                priorityRank(ocor_, injectQueue_[i].pkt->priority));
-            if (rank > best) {
-                best = rank;
+            if (q.rank < 0)
+                q.rank = static_cast<std::int64_t>(
+                    priorityRank(ocor_, q.pkt->priority));
+            if (q.rank > best) {
+                best = q.rank;
                 best_idx = i;
             }
         }
         if (best < 0)
             break;
-        vc.pkt = injectQueue_[best_idx].pkt;
+        ActiveVc &vc = outVcs_[v];
+        vc.pkt = std::move(injectQueue_[best_idx].pkt);
+        vc.rank = best;
         vc.nextFlit = 0;
+        activeVcs_ |= std::uint32_t{1} << v;
         injectQueue_.erase(injectQueue_.begin()
                            + static_cast<std::ptrdiff_t>(best_idx));
     }
@@ -259,51 +269,43 @@ NetworkInterface::sendOneFlit(Cycle now)
     if (!toRouter_)
         return;
 
-    std::array<std::int64_t, 16> rank_buf;
-    auto ranks = std::span<std::int64_t>(rank_buf.data(),
-                                         params_.numVcs);
-    bool any = false;
-    for (unsigned v = 0; v < params_.numVcs; ++v) {
-        ranks[v] = -1;
-        const auto &vc = outVcs_[v];
-        if (!vc.pkt || vc.credits == 0)
-            continue;
-        ranks[v] = static_cast<std::int64_t>(
-            priorityRank(ocor_, vc.pkt->priority));
-        any = true;
-    }
-    if (!any)
+    const std::uint32_t ready = activeVcs_ & creditedVcs_;
+    if (ready == 0)
         return;
-    int winner = sendArb_.pick(ranks);
-    if (winner < 0)
-        return;
+    const auto v = static_cast<unsigned>(sendArb_.pick(
+        ReqMask(ready), [&](unsigned i) { return outVcs_[i].rank; }));
+    const std::uint32_t vbit = std::uint32_t{1} << v;
 
-    auto &vc = outVcs_[static_cast<unsigned>(winner)];
+    auto &vc = outVcs_[v];
     Flit flit;
-    flit.pkt = vc.pkt;
     flit.index = vc.nextFlit;
     flit.type = flitTypeFor(vc.nextFlit, vc.pkt->numFlits);
-    flit.vc = static_cast<unsigned>(winner);
+    flit.vc = v;
+    const bool tail = flit.isTail();
 
     if (flit.isHead())
         vc.pkt->networkEnter = now;
+    if (tail) {
+        ++stats_.packetsInjected;
+        if (isLockProtocol(vc.pkt->type))
+            ++stats_.lockPacketsInjected;
+        // The tail takes over the VC's packet reference.
+        flit.pkt = std::move(vc.pkt);
+        vc.nextFlit = 0;
+        activeVcs_ &= ~vbit;
+    } else {
+        flit.pkt = vc.pkt;
+        ++vc.nextFlit;
+    }
 
-    toRouter_->sendFlit(flit, now);
-    --vc.credits;
-    ++vc.nextFlit;
+    toRouter_->sendFlit(std::move(flit), now);
+    if (--vc.credits == 0)
+        creditedVcs_ &= ~vbit;
     ++stats_.flitsInjected;
     // The NI's injection VCs are "port NumPorts" in the credit
     // ledger: a pseudo-port that can never clash with a router port.
     if (check_)
-        check_->onTraversal(id_, NumPorts, flit.vc, now);
-
-    if (flit.isTail()) {
-        ++stats_.packetsInjected;
-        if (isLockProtocol(vc.pkt->type))
-            ++stats_.lockPacketsInjected;
-        vc.pkt.reset();
-        vc.nextFlit = 0;
-    }
+        check_->onTraversal(id_, NumPorts, v, now);
 }
 
 void
@@ -317,7 +319,8 @@ NetworkInterface::tick(Cycle now)
             auto &vc = outVcs_[v];
             if (vc.credits >= params_.vcDepth)
                 ocor_panic("NI %u: credit overflow", id_);
-            ++vc.credits;
+            if (vc.credits++ == 0)
+                creditedVcs_ |= std::uint32_t{1} << v;
             if (check_)
                 check_->onCreditReturn(id_, NumPorts, v, now);
         }
@@ -338,14 +341,8 @@ NetworkInterface::tickEvent(Cycle now)
                (!loopback_.empty() && loopback_.front().first <= now) ||
                (!injectQueue_.empty() &&
                 injectQueue_.front().ready <= now);
-    if (!due) {
-        for (const auto &vc : outVcs_) {
-            if (vc.pkt && vc.credits > 0) {
-                due = true;
-                break;
-            }
-        }
-    }
+    if (!due)
+        due = (activeVcs_ & creditedVcs_) != 0;
     if (!due && fault_ && fault_->active() &&
         fault_->config().retransmit) {
         for (const auto &[seq, o] : outstanding_) {

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -136,10 +137,7 @@ class NetworkInterface
             w = std::min(w, loopback_.front().first);
         if (!injectQueue_.empty())
             w = std::min(w, injectQueue_.front().ready);
-        for (const auto &vc : outVcs_)
-            if (vc.pkt)
-                return std::min(w, now + 1);
-        if (!reassembly_.empty())
+        if (activeVcs_ != 0 || reassembling_ != 0)
             return std::min(w, now + 1);
         for (const auto &[seq, o] : outstanding_)
             w = std::min(w, o.deadline);
@@ -181,25 +179,36 @@ class NetworkInterface
     {
         PacketPtr pkt;
         Cycle ready = 0; ///< earliest cycle the head may leave
+        /** Table-1 rank, read from the header on the first
+         * VC-assignment scan that sees the packet ready (-1 = not yet:
+         * inject() must not decode a header the one-hot checker is
+         * about to reject). */
+        std::int64_t rank = -1;
     };
     std::deque<QueuedPacket> injectQueue_;
 
     struct ActiveVc
     {
         PacketPtr pkt;       ///< null when the VC is free
+        std::int64_t rank = 0;
         unsigned nextFlit = 0;
         unsigned credits = 0;
     };
     std::vector<ActiveVc> outVcs_;
+    /** Bit v: VC v holds a packet / has a credit left. */
+    std::uint32_t activeVcs_ = 0;
+    std::uint32_t creditedVcs_ = 0;
     Arbiter sendArb_;
 
-    /** Reassembly of incoming packets, keyed by VC. */
+    /** Reassembly of incoming packets, one slot per VC (null pkt =
+     * no packet in progress on that VC). */
     struct RxPacket
     {
         PacketPtr pkt;
         bool corrupt = false; ///< any flit corrupted in flight
     };
-    std::map<unsigned, RxPacket> reassembly_;
+    std::vector<RxPacket> reassembly_;
+    unsigned reassembling_ = 0; ///< slots with a packet in progress
 
     /** Same-node loopback (src == dst), 1-cycle latency. */
     std::deque<std::pair<Cycle, PacketPtr>> loopback_;

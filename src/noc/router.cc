@@ -1,5 +1,6 @@
 #include "noc/router.hh"
 
+#include <bit>
 #include <utility>
 
 #include "check/checker_registry.hh"
@@ -10,20 +11,47 @@
 namespace ocor
 {
 
+namespace
+{
+
+constexpr std::uint32_t
+bit(unsigned v)
+{
+    return std::uint32_t{1} << v;
+}
+
+/** Call @p fn(v) for every set bit of @p mask, in ascending order. */
+template <class Fn>
+void
+forEachBit(std::uint32_t mask, Fn &&fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<unsigned>(std::countr_zero(mask)));
+}
+
+/** One arbiter of @p inputs inputs per router port. */
+std::array<Arbiter, NumPorts>
+perPort(unsigned inputs)
+{
+    static_assert(NumPorts == 5);
+    return {Arbiter(inputs), Arbiter(inputs), Arbiter(inputs),
+            Arbiter(inputs), Arbiter(inputs)};
+}
+
+} // namespace
+
 Router::Router(NodeId id, const MeshShape &mesh,
                const NocParams &params, const OcorConfig &ocor)
-    : id_(id), mesh_(mesh), params_(params), ocor_(ocor)
+    : id_(id), mesh_(mesh), params_(params), ocor_(ocor),
+      nvc_(params.numVcs), depth_(params.vcDepth),
+      vaArb_(perPort(NumPorts * params.numVcs)),
+      saLocalArb_(perPort(params.numVcs)), saGlobalArb_(perPort(NumPorts)),
+      slots_(NumPorts * params.numVcs * params.vcDepth)
 {
-    if (params.numVcs > maxVcs)
-        ocor_panic("Router: numVcs %u exceeds %u", params.numVcs,
-                   maxVcs);
-    inputs_.assign(NumPorts, InputUnit(params.numVcs));
-    outputs_.assign(NumPorts, OutputUnit(params.numVcs, params.vcDepth));
-    for (unsigned p = 0; p < NumPorts; ++p) {
-        vaArb_.emplace_back(NumPorts * params.numVcs);
-        saLocalArb_.emplace_back(params.numVcs);
-        saGlobalArb_.emplace_back(NumPorts);
-    }
+    if (nvc_ == 0 || nvc_ > maxVcs)
+        ocor_panic("Router: numVcs %u not in [1, %u]", nvc_, maxVcs);
+    credits_.fill(depth_);
+    freeOutVcs_.fill(bit(nvc_) - 1);
 }
 
 void
@@ -35,33 +63,36 @@ Router::attach(unsigned port, Link *in_link, Link *out_link)
     outLinks_[port] = out_link;
 }
 
-unsigned
-Router::occupancy() const
-{
-    unsigned n = 0;
-    for (const auto &in : inputs_)
-        for (const auto &vc : in.vcs)
-            n += static_cast<unsigned>(vc.fifo.size());
-    return n;
-}
-
-std::int64_t
-Router::headRank(const VcState &vc) const
-{
-    const auto &pkt = vc.front().flit.pkt;
-    auto rank =
-        static_cast<std::int64_t>(priorityRank(ocor_, pkt->priority));
-    if (testInvertArb_)
-        rank = (std::int64_t{1} << 20) - rank;
-    return rank;
-}
-
 void
 Router::testSwapVcFlits(unsigned port, unsigned v)
 {
-    auto &fifo = inputs_[port].vcs[v].fifo;
-    if (fifo.size() >= 2)
-        std::swap(fifo[0], fifo[1]);
+    const unsigned i = port * nvc_ + v;
+    VcMeta &m = vcs_[i];
+    if (m.count < 2)
+        return;
+    const unsigned next = m.head + 1 == depth_ ? 0 : m.head + 1;
+    std::swap(slots_[i * depth_ + m.head], slots_[i * depth_ + next]);
+    frontChanged(i, frontSlot(i).arrival);
+}
+
+void
+Router::frontChanged(unsigned i, Cycle arrival)
+{
+    vcs_[i].frontArrival = arrival;
+    inPipeline_[i / nvc_] |= bit(i % nvc_);
+}
+
+void
+Router::headAtFront(unsigned i, const Flit &head)
+{
+    const Packet &pkt = *head.pkt;
+    VcMeta &m = vcs_[i];
+    m.outPort = static_cast<std::uint8_t>(xyRoute(mesh_, id_, pkt.dst));
+    m.rank = static_cast<std::int64_t>(priorityRank(ocor_, pkt.priority));
+    if (testInvertArb_)
+        m.rank = (std::int64_t{1} << 20) - m.rank;
+    m.lock = isLockProtocol(pkt.type);
+    freshHead_[i / nvc_] |= bit(i % nvc_);
 }
 
 void
@@ -69,12 +100,14 @@ Router::acceptCredits(unsigned p, Cycle now)
 {
     // Credits returning from downstream.
     for (unsigned vc : outLinks_[p]->takeCredits(now)) {
-        if (vc >= params_.numVcs)
+        if (vc >= nvc_)
             ocor_panic("router %u: bad credit vc %u", id_, vc);
-        auto &state = outputs_[p].vcs[vc];
-        if (state.credits >= params_.vcDepth)
+        const unsigned o = p * nvc_ + vc;
+        if (credits_[o] >= depth_)
             ocor_panic("router %u: credit overflow", id_);
-        ++state.credits;
+        // A held VC regaining its first slot makes its owner ready.
+        if (credits_[o]++ == 0 && (freeOutVcs_[p] & bit(vc)) == 0)
+            creditOk_[owner_[o] / nvc_] |= bit(owner_[o] % nvc_);
         if (check_)
             check_->onCreditReturn(id_, p, vc, now);
     }
@@ -85,158 +118,98 @@ Router::acceptFlits(unsigned p, Cycle now)
 {
     // Flits arriving from upstream.
     while (auto flit = inLinks_[p]->takeFlit(now)) {
-        auto &vc = inputs_[p].vcs[flit->vc];
-        if (vc.fifo.size() >= params_.vcDepth)
-            ocor_panic("router %u: VC overflow p=%u vc=%u",
-                       id_, p, flit->vc);
-        // A head landing at the front of an empty VC is a fresh VA
-        // candidate (an empty VC cannot be mid-packet: outVc is
-        // reset when the previous tail traverses, so front-is-head
-        // implies unallocated).
-        if (vc.fifo.empty() && flit->isHead()) {
-            ++vaPending_;
-            ++vaPendingPort_[p];
+        const unsigned v = flit->vc;
+        if (v >= nvc_)
+            ocor_panic("router %u: bad flit vc %u", id_, v);
+        const unsigned i = p * nvc_ + v;
+        VcMeta &m = vcs_[i];
+        if (m.count >= depth_)
+            ocor_panic("router %u: VC overflow p=%u vc=%u", id_, p, v);
+        unsigned tail = m.head + m.count;
+        if (tail >= depth_)
+            tail -= depth_;
+        Slot &s = slots_[i * depth_ + tail];
+        s.flit = std::move(*flit);
+        s.arrival = now;
+        if (m.count++ == 0) {
+            nonEmpty_[p] |= bit(v);
+            frontChanged(i, now);
+            // An empty VC cannot be mid-packet while unallocated: the
+            // previous tail freed it, so a head here starts the next
+            // packet.
+            if (s.flit.isHead())
+                headAtFront(i, s.flit);
         }
-        vc.fifo.push_back({*flit, now});
         ++buffered_;
         if (check_)
-            check_->onVcPush(id_, p, flit->vc, *flit, now);
+            check_->onVcPush(id_, p, v, s.flit, now);
     }
 }
 
 void
-Router::deliverIncoming(Cycle now)
+Router::grantVc(unsigned op, unsigned i, Cycle now)
 {
-    for (unsigned p = 0; p < NumPorts; ++p) {
-        if (outLinks_[p])
-            acceptCredits(p, now);
-        if (inLinks_[p])
-            acceptFlits(p, now);
+    const auto ovc =
+        static_cast<unsigned>(std::countr_zero(freeOutVcs_[op]));
+    const unsigned o = op * nvc_ + ovc;
+    freeOutVcs_[op] &= ~bit(ovc);
+    owner_[o] = static_cast<std::uint8_t>(i);
+    vcs_[i].outVc = static_cast<std::int8_t>(ovc);
+    vaReq_[op].set(i, false);
+    --vaCount_[op];
+    if (credits_[o] > 0)
+        creditOk_[i / nvc_] |= bit(i % nvc_);
+    ++stats_.vaGrants;
+    if (trace_) {
+        const Packet &pkt = *frontPacket(i);
+        trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now, id_,
+                       invalidThread, 0, pkt.id,
+                       static_cast<std::uint32_t>(pkt.type), op);
     }
 }
 
 void
 Router::vcAllocation(Cycle now)
 {
-    // Collect head flits needing RC + VA into a per-output request
-    // mask over the flattened candidate index port * numVcs + vc.
-    const unsigned nvc = params_.numVcs;
-
-    std::array<unsigned, NumPorts> reqCount{};
-    std::array<unsigned, NumPorts> soleReq{};
-    auto ranks = std::span<std::int64_t>(vaRanks_.data(),
-                                         NumPorts * nvc);
-
-    // The ranks array is only read by the contested loop below, which
-    // rewrites every entry before each pick; this pass just tallies
-    // requesters, so ports with no unallocated head can be skipped
-    // outright.
+    // Heads past their one-cycle RC stage join the requesters of the
+    // output their cached route names (branch-free: the outcome is
+    // data dependent and would mispredict).
     for (unsigned p = 0; p < NumPorts; ++p) {
-        if (vaPendingPort_[p] == 0)
-            continue;
-        for (unsigned v = 0; v < nvc; ++v) {
-            auto &vc = inputs_[p].vcs[v];
-            if (vc.empty())
-                continue;
-            const auto &bf = vc.front();
-            if (!bf.flit.isHead())
-                continue;
-            // Stage-1 eligibility: one cycle after arrival.
-            if (bf.arrival + 1 > now)
-                continue;
-            if (!vc.routed) {
-                vc.outPort = xyRoute(mesh_, id_, bf.flit.pkt->dst);
-                vc.routed = true;
-            }
-            if (vc.outVc >= 0)
-                continue; // already allocated
-            ++reqCount[vc.outPort];
-            soleReq[vc.outPort] = p * nvc + v;
-        }
+        forEachBit(freshHead_[p], [&](unsigned v) {
+            const unsigned i = p * nvc_ + v;
+            const VcMeta &m = vcs_[i];
+            const bool ok = m.frontArrival < now;
+            freshHead_[p] &= ~(std::uint32_t{ok} << v);
+            vaReq_[m.outPort].set(i, ok);
+            vaCount_[m.outPort] += ok;
+        });
     }
 
     for (unsigned op = 0; op < NumPorts; ++op) {
-        if (reqCount[op] == 0)
+        if (vaCount_[op] == 0 || freeOutVcs_[op] == 0)
             continue;
-        if (reqCount[op] == 1) {
-            // Single-requester fast path: no competition, so skip
-            // the rank scan. grantSingle advances the round-robin
-            // pointer exactly as the full arbitration would.
-            int ovc = outputs_[op].findFreeVc();
-            if (ovc < 0)
-                continue;
-            unsigned idx = soleReq[op];
-            vaArb_[op].grantSingle(idx);
-            outputs_[op].vcs[ovc].allocated = true;
-            inputs_[idx / nvc].vcs[idx % nvc].outVc = ovc;
-            --vaPending_;
-            --vaPendingPort_[idx / nvc];
-            ++saPending_;
-            ++saPendingPort_[idx / nvc];
-            ++stats_.vaGrants;
-            if (trace_) {
-                const auto &pkt =
-                    *inputs_[idx / nvc].vcs[idx % nvc].front().flit.pkt;
-                trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now,
-                               id_, invalidThread, 0, pkt.id,
-                               static_cast<std::uint32_t>(pkt.type),
-                               op);
-            }
+        if (vaCount_[op] == 1) {
+            // No competition: skip the rank scan; grantSingle moves
+            // the pointer exactly as pick would.
+            const auto sole =
+                static_cast<unsigned>(vaReq_[op].firstFrom(0));
+            vaArb_[op].grantSingle(sole);
+            grantVc(op, sole, now);
             continue;
         }
         // Grant free output VCs to requesters in rank order; the
         // arbiter's pointer rotates ties.
-        while (reqCount[op] > 0 && outputs_[op].findFreeVc() >= 0) {
-            for (unsigned p = 0; p < NumPorts; ++p) {
-                if (vaPendingPort_[p] == 0) {
-                    // No unallocated head on this port: nothing can
-                    // be requesting, only the -1 fill is needed.
-                    for (unsigned v = 0; v < nvc; ++v)
-                        ranks[p * nvc + v] = -1;
-                    continue;
-                }
-                for (unsigned v = 0; v < nvc; ++v) {
-                    auto &vc = inputs_[p].vcs[v];
-                    bool requesting = !vc.empty() && vc.routed &&
-                        vc.outPort == op && vc.outVc < 0 &&
-                        vc.front().flit.isHead() &&
-                        vc.front().arrival + 1 <= now;
-                    ranks[p * nvc + v] =
-                        requesting ? headRank(vc) : -1;
-                }
-            }
-            int winner = vaArb_[op].pick(ranks);
-            if (winner < 0)
-                break;
+        while (vaCount_[op] > 0 && freeOutVcs_[op] != 0) {
+            const auto w = static_cast<unsigned>(vaArb_[op].pick(
+                vaReq_[op], [&](unsigned i) { return vcs_[i].rank; }));
             if (check_ && check_->wantsArbitration()) {
-                std::vector<const Packet *> cands(NumPorts * nvc,
+                std::vector<const Packet *> cands(NumPorts * nvc_,
                                                   nullptr);
-                for (unsigned i = 0; i < NumPorts * nvc; ++i)
-                    if (ranks[i] >= 0)
-                        cands[i] = inputs_[i / nvc].vcs[i % nvc]
-                                       .front().flit.pkt.get();
-                check_->onArbGrant(id_, "va", cands,
-                                   static_cast<unsigned>(winner),
-                                   now);
+                vaReq_[op].forEach(
+                    [&](unsigned i) { cands[i] = frontPacket(i); });
+                check_->onArbGrant(id_, "va", cands, w, now);
             }
-            unsigned wp = static_cast<unsigned>(winner) / nvc;
-            unsigned wv = static_cast<unsigned>(winner) % nvc;
-            int ovc = outputs_[op].findFreeVc();
-            outputs_[op].vcs[ovc].allocated = true;
-            inputs_[wp].vcs[wv].outVc = ovc;
-            --vaPending_;
-            --vaPendingPort_[wp];
-            ++saPending_;
-            ++saPendingPort_[wp];
-            ++stats_.vaGrants;
-            if (trace_) {
-                const auto &pkt = *inputs_[wp].vcs[wv].front().flit.pkt;
-                trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now,
-                               id_, invalidThread, 0, pkt.id,
-                               static_cast<std::uint32_t>(pkt.type),
-                               op);
-            }
-            --reqCount[op];
+            grantVc(op, w, now);
         }
     }
 }
@@ -244,161 +217,138 @@ Router::vcAllocation(Cycle now)
 void
 Router::switchAllocation(Cycle now)
 {
-    const unsigned nvc = params_.numVcs;
-
     // Local stage: per input port, pick the best ready VC (the LPA of
-    // Figure 9, modeled by rank arbitration).
-    struct Candidate
-    {
-        bool valid = false;
-        unsigned inVc = 0;
-        std::int64_t rank = -1;
-        unsigned outPort = 0;
-    };
-    std::array<Candidate, NumPorts> local{};
+    // Figure 9, modeled by rank arbitration). A VC is ready when it
+    // holds a downstream VC with a free slot and its front flit is
+    // out of the pipeline.
+    std::array<unsigned, NumPorts> localVc{};
+    std::array<std::int64_t, NumPorts> localRank{};
+    std::array<std::uint32_t, NumPorts> portsFor{}; // per output port
+    std::uint32_t outs = 0; // output ports with a local winner
+    const Cycle stages = params_.routerStages;
 
     for (unsigned p = 0; p < NumPorts; ++p) {
-        // Ports with no allocated VC can have no local candidate
-        // (count would stay 0 below): skip the scan.
-        if (saPendingPort_[p] == 0)
+        const std::uint32_t cand = creditOk_[p] & nonEmpty_[p];
+        if (cand == 0)
             continue;
-        auto ranks = std::span<std::int64_t>(saLocalRanks_.data(),
-                                             nvc);
-        unsigned count = 0, lastV = 0;
-        for (unsigned v = 0; v < nvc; ++v) {
-            ranks[v] = -1;
-            auto &vc = inputs_[p].vcs[v];
-            if (vc.empty() || !vc.routed || vc.outVc < 0)
-                continue;
-            const auto &bf = vc.front();
-            if (bf.arrival + params_.routerStages > now)
-                continue; // still in the pipeline
-            auto &ovc = outputs_[vc.outPort].vcs[vc.outVc];
-            if (ovc.credits == 0)
-                continue; // no downstream buffer space
-            ranks[v] = headRank(vc);
-            ++count;
-            lastV = v;
-        }
-        if (count == 0)
+        const unsigned base = p * nvc_;
+        forEachBit(cand & inPipeline_[p], [&](unsigned v) {
+            const bool out = vcs_[base + v].frontArrival + stages <= now;
+            inPipeline_[p] &= ~(std::uint32_t{out} << v);
+        });
+        const std::uint32_t ready = cand & ~inPipeline_[p];
+        if (ready == 0)
             continue;
+        const bool contested = (ready & (ready - 1)) != 0;
         // Lone ready VC: bypass the rank arbitration (pointer still
         // advances identically).
-        int winner = count == 1 ? saLocalArb_[p].grantSingle(lastV)
-                                : saLocalArb_[p].pick(ranks);
-        if (winner >= 0) {
-            if (count > 1 && check_ && check_->wantsArbitration()) {
-                std::vector<const Packet *> cands(nvc, nullptr);
-                for (unsigned v = 0; v < nvc; ++v)
-                    if (ranks[v] >= 0)
-                        cands[v] =
-                            inputs_[p].vcs[v].front().flit.pkt.get();
-                check_->onArbGrant(id_, "sa-local", cands,
-                                   static_cast<unsigned>(winner),
-                                   now);
-            }
-            auto &vc = inputs_[p].vcs[winner];
-            local[p] = {true, static_cast<unsigned>(winner),
-                        ranks[winner], vc.outPort};
+        const int winner =
+            !contested
+                ? saLocalArb_[p].grantSingle(
+                      static_cast<unsigned>(std::countr_zero(ready)))
+                : saLocalArb_[p].pick(ReqMask(ready), [&](unsigned v) {
+                      return vcs_[base + v].rank;
+                  });
+        const auto w = static_cast<unsigned>(winner);
+        if (contested && check_ && check_->wantsArbitration()) {
+            std::vector<const Packet *> cands(nvc_, nullptr);
+            forEachBit(ready, [&](unsigned v) {
+                cands[v] = frontPacket(base + v);
+            });
+            check_->onArbGrant(id_, "sa-local", cands, w, now);
         }
+        const VcMeta &m = vcs_[base + w];
+        localVc[p] = w;
+        localRank[p] = m.rank;
+        portsFor[m.outPort] |= bit(p);
+        outs |= bit(m.outPort);
     }
 
-    // Global stage: per output port, pick among input-port winners.
-    for (unsigned op = 0; op < NumPorts; ++op) {
-        auto &ranks = saGlobalRanks_;
-        unsigned count = 0, lastP = 0;
-        for (unsigned p = 0; p < NumPorts; ++p) {
-            ranks[p] = -1;
-            if (local[p].valid && local[p].outPort == op) {
-                ranks[p] = local[p].rank;
-                ++count;
-                lastP = p;
-            }
-        }
-        if (count == 0)
-            continue;
-        int winner = count == 1 ? saGlobalArb_[op].grantSingle(lastP)
-                                : saGlobalArb_[op].pick(ranks);
-        if (winner < 0)
-            continue;
+    // Global stage: per output port, in port order, pick among the
+    // input-port winners.
+    forEachBit(outs, [&](unsigned op) {
+        const std::uint32_t ports = portsFor[op];
+        const auto count = static_cast<unsigned>(std::popcount(ports));
+        const int winner =
+            count == 1
+                ? saGlobalArb_[op].grantSingle(
+                      static_cast<unsigned>(std::countr_zero(ports)))
+                : saGlobalArb_[op].pick(
+                      ReqMask(ports),
+                      [&](unsigned p) { return localRank[p]; });
+        const auto p = static_cast<unsigned>(winner);
         if (count > 1 && check_ && check_->wantsArbitration()) {
             std::vector<const Packet *> cands(NumPorts, nullptr);
-            for (unsigned pp = 0; pp < NumPorts; ++pp)
-                if (local[pp].valid && local[pp].outPort == op)
-                    cands[pp] = inputs_[pp].vcs[local[pp].inVc]
-                                    .front().flit.pkt.get();
-            check_->onArbGrant(id_, "sa-global", cands,
-                               static_cast<unsigned>(winner), now);
+            forEachBit(ports, [&](unsigned pp) {
+                cands[pp] = frontPacket(pp * nvc_ + localVc[pp]);
+            });
+            check_->onArbGrant(id_, "sa-global", cands, p, now);
         }
-        if (count > 1)
-            for (unsigned p = 0; p < NumPorts; ++p)
-                if (local[p].valid && local[p].outPort == op &&
-                    p != static_cast<unsigned>(winner))
-                    ++stats_.saConflictLosses;
+        stats_.saConflictLosses += count - 1;
+        traverse(op, p, localVc[p], localRank[p], now);
+    });
+}
 
-        // Switch traversal for the winner.
-        unsigned p = static_cast<unsigned>(winner);
-        auto &vc = inputs_[p].vcs[local[p].inVc];
-        BufferedFlit bf = vc.fifo.front();
-        vc.fifo.pop_front();
-        --buffered_;
-        if (check_)
-            check_->onVcPop(id_, p, local[p].inVc, bf.flit, now);
+void
+Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
+                 Cycle now)
+{
+    const unsigned i = p * nvc_ + v;
+    VcMeta &m = vcs_[i];
+    Flit out = std::move(frontSlot(i).flit);
+    m.head = m.head + 1 == depth_ ? 0 : m.head + 1;
+    --m.count;
+    --buffered_;
+    if (m.count > 0)
+        frontChanged(i, frontSlot(i).arrival);
+    else
+        nonEmpty_[p] &= ~bit(v);
+    if (check_)
+        check_->onVcPop(id_, p, v, out, now);
 
-        Flit out = bf.flit;
-        out.vc = static_cast<unsigned>(vc.outVc);
+    if (!outLinks_[op])
+        ocor_panic("router %u: traversal to unattached port %u", id_,
+                   op);
+    const auto ovc = static_cast<unsigned>(m.outVc);
+    out.vc = ovc;
+    const bool isHead = out.isHead();
+    const bool isTail = out.isTail();
+    // The link now owns the packet reference; the packet itself lives
+    // on, so the trace below may still read it.
+    const Packet *pkt = out.pkt.get();
+    outLinks_[op]->sendFlit(std::move(out), now);
+    if (--credits_[op * nvc_ + ovc] == 0)
+        creditOk_[p] &= ~bit(v);
+    if (check_)
+        check_->onTraversal(id_, op, ovc, now);
 
-        if (!outLinks_[op])
-            ocor_panic("router %u: traversal to unattached port %u",
-                       id_, op);
-        outLinks_[op]->sendFlit(out, now);
-        auto &ovc = outputs_[op].vcs[vc.outVc];
-        --ovc.credits;
-        if (check_)
-            check_->onTraversal(id_, op, out.vc, now);
+    // Return the freed buffer slot upstream.
+    if (inLinks_[p])
+        inLinks_[p]->sendCredit(v, now);
 
-        // Return the freed buffer slot upstream.
-        if (inLinks_[p])
-            inLinks_[p]->sendCredit(local[p].inVc, now);
+    ++stats_.saGrants;
+    ++stats_.flitsRouted;
+    if (m.lock)
+        ++stats_.lockFlitsRouted;
+    if (trace_ && isHead)
+        trace_->record(TraceCat::Noc, TraceEv::SaGrant, now, id_,
+                       invalidThread, 0, pkt->id,
+                       static_cast<std::uint32_t>(pkt->type),
+                       static_cast<std::uint32_t>(rank));
 
-        ++stats_.saGrants;
-        ++stats_.flitsRouted;
-        if (isLockProtocol(out.pkt->type))
-            ++stats_.lockFlitsRouted;
-        if (trace_ && out.isHead())
-            trace_->record(
-                TraceCat::Noc, TraceEv::SaGrant, now, id_,
-                invalidThread, 0, out.pkt->id,
-                static_cast<std::uint32_t>(out.pkt->type),
-                static_cast<std::uint32_t>(local[p].rank));
-
-        if (out.isTail()) {
-            ovc.allocated = false; // VC reusable by the next packet
-            vc.reset();
-            --saPending_;
-            --saPendingPort_[p];
-            // Anything left in the FIFO is the next packet, so its
-            // head is now at the front awaiting VA.
-            if (!vc.fifo.empty()) {
-                ++vaPending_;
-                ++vaPendingPort_[p];
-            }
-        }
+    if (isTail) {
+        freeOutVcs_[op] |= bit(ovc); // VC reusable by the next packet
+        m.outVc = -1;
+        creditOk_[p] &= ~bit(v);
+        // Anything left in the FIFO is the next packet, so its head
+        // is now at the front awaiting VA.
+        if (m.count > 0 && frontSlot(i).flit.isHead())
+            headAtFront(i, frontSlot(i).flit);
     }
 }
 
 void
 Router::tick(Cycle now)
-{
-    deliverIncoming(now);
-    if (buffered_ == 0)
-        return; // nothing to route this cycle
-    vcAllocation(now);
-    switchAllocation(now);
-}
-
-void
-Router::tickEvent(Cycle now)
 {
     for (unsigned p = 0; p < NumPorts; ++p) {
         if (outLinks_[p] && outLinks_[p]->creditDue(now))
@@ -407,15 +357,18 @@ Router::tickEvent(Cycle now)
             acceptFlits(p, now);
     }
     if (buffered_ == 0)
-        return;
-    // With no unallocated head anywhere, vcAllocation() degenerates
-    // to a candidate scan that finds nothing (route computation only
-    // runs for counted candidates), and with no allocated VC,
-    // switchAllocation() finds no local-stage candidate: both are
-    // provable no-ops, so the gates cannot change behavior.
-    if (vaPending_ > 0)
+        return; // nothing to route this cycle
+    // Each stage is skipped outright when its masks hold no work (VA
+    // runs first: a head it grants may traverse this cycle).
+    std::uint32_t heads = 0;
+    for (unsigned p = 0; p < NumPorts; ++p)
+        heads |= freshHead_[p] | vaCount_[p];
+    if (heads != 0)
         vcAllocation(now);
-    if (saPending_ > 0)
+    std::uint32_t owners = 0;
+    for (unsigned p = 0; p < NumPorts; ++p)
+        owners |= creditOk_[p] & nonEmpty_[p];
+    if (owners != 0)
         switchAllocation(now);
 }
 

@@ -17,6 +17,13 @@
  * priority arbiter per output port selects among the port winners.
  * With OCOR disabled, every rank is zero and all arbitration
  * degrades to the baseline round-robin policy.
+ *
+ * State is flat (see DESIGN.md §6, "Router hot path"): one contiguous
+ * metadata array over all input VCs, one contiguous flit-slot array
+ * holding every VC's ring, and bitmasks kept current at every state
+ * change, so VA and SA read their requesters off the masks instead of
+ * rescanning VCs. Route, rank and lock bit are read from the packet
+ * once, when its head reaches the front of a VC.
  */
 
 #ifndef OCOR_NOC_ROUTER_HH
@@ -29,9 +36,7 @@
 #include "common/types.hh"
 #include "core/ocor_config.hh"
 #include "noc/arbiter.hh"
-#include "noc/input_unit.hh"
 #include "noc/link.hh"
-#include "noc/output_unit.hh"
 #include "noc/params.hh"
 #include "noc/routing.hh"
 
@@ -66,20 +71,16 @@ class Router
      */
     void attach(unsigned port, Link *in_link, Link *out_link);
 
-    /** Advance one cycle: credits, deliveries, VA, SA+ST. */
+    /**
+     * Advance one cycle: credits, deliveries, VA, SA+ST. Link polls
+     * are O(1) due tests and each allocation stage walks only the set
+     * bits of its request masks, so an idle stage costs a mask test.
+     */
     void tick(Cycle now);
 
-    /**
-     * Event-core variant of tick(): behaviorally identical, but each
-     * stage runs only when it provably has work. Link polls are gated
-     * by the O(1) Link due tests, VA by vaPending_ (some input VC has
-     * an unallocated head flit at its front) and SA by saPending_
-     * (some input VC holds an allocated downstream VC). A skipped
-     * stage would have been a pure no-op — no state change, no
-     * arbiter pointer movement, no stats/trace/checker callbacks —
-     * so the two tick flavors stay bit-identical by construction.
-     */
-    void tickEvent(Cycle now);
+    /** Event-core entry point: tick() is already gated by the link
+     * due tests and the request masks, so this is the same walk. */
+    void tickEvent(Cycle now) { tick(now); }
 
     NodeId id() const { return id_; }
     const RouterStats &stats() const { return stats_; }
@@ -94,7 +95,8 @@ class Router
      * Test hook: invert every Table-1 rank fed to the VA/SA
      * arbiters, so the *lowest*-priority competitor wins. Exists
      * solely so seeded-violation tests can prove the arbitration
-     * checker fires; never set outside tests.
+     * checker fires; set it before any flit arrives (ranks are
+     * cached per head). Never set outside tests.
      */
     void testInvertArbitration(bool on) { testInvertArb_ = on; }
 
@@ -105,79 +107,123 @@ class Router
     void testSwapVcFlits(unsigned port, unsigned v);
 
     /** Buffered flit count (for drain checks and tests). */
-    unsigned occupancy() const;
+    unsigned occupancy() const { return buffered_; }
 
     /** O(1) any-buffered-flit test (event-core wakeup plumbing):
      * a router with no buffered flits has nothing to arbitrate, so
      * ticking it is a no-op. */
     bool busy() const { return buffered_ > 0; }
 
-    /** Direct VC inspection for white-box tests. */
-    const VcState &vc(unsigned port, unsigned v) const
-    {
-        return inputs_[port].vcs[v];
-    }
-
   private:
-    void deliverIncoming(Cycle now);
+    /** SystemConfig::validate's numVcs bound. */
+    static constexpr unsigned maxVcs = 16;
+
+    /** Metadata of one input VC; the flits live in slots_. */
+    struct VcMeta
+    {
+        Cycle frontArrival = 0;  ///< arrival cycle of the front flit
+        std::int64_t rank = 0;   ///< Table-1 rank of the front packet
+        unsigned head = 0;       ///< ring index of the front flit
+        unsigned count = 0;      ///< buffered flits
+        std::uint8_t outPort = 0; ///< route of the front packet
+        std::int8_t outVc = -1;  ///< allocated downstream VC, -1 = none
+        bool lock = false;       ///< front packet is lock protocol
+    };
+
+    /** A buffered flit and the cycle it arrived. */
+    struct Slot
+    {
+        Flit flit;
+        Cycle arrival = 0;
+    };
+
     void acceptCredits(unsigned port, Cycle now);
     void acceptFlits(unsigned port, Cycle now);
     void vcAllocation(Cycle now);
     void switchAllocation(Cycle now);
 
-    /** Table-1 rank of the packet at the head of an input VC. */
-    std::int64_t headRank(const VcState &vc) const;
+    /** Read route, rank and lock bit of the head now at the front of
+     * input VC @p i and make it a VA candidate. */
+    void headAtFront(unsigned i, const Flit &head);
+
+    /** The front flit of input VC @p i changed: set its arrival and
+     * recheck its pipeline delay before SA. */
+    void frontChanged(unsigned i, Cycle arrival);
+
+    /** VA grant of the lowest free VC of output @p op to input VC
+     * @p i. */
+    void grantVc(unsigned op, unsigned i, Cycle now);
+
+    /** Switch traversal of the front flit of input port @p p, VC
+     * @p v, to output @p op. */
+    void traverse(unsigned op, unsigned p, unsigned v,
+                  std::int64_t rank, Cycle now);
+
+    Slot &
+    frontSlot(unsigned i)
+    {
+        return slots_[i * depth_ + vcs_[i].head];
+    }
+
+    /** Front packet of input VC @p i (checker and trace paths). */
+    const Packet *
+    frontPacket(unsigned i)
+    {
+        return frontSlot(i).flit.pkt.get();
+    }
 
     NodeId id_;
     MeshShape mesh_;
     NocParams params_;
     const OcorConfig &ocor_;
+    unsigned nvc_;
+    unsigned depth_;
 
-    std::vector<InputUnit> inputs_;
-    std::vector<OutputUnit> outputs_;
     std::array<Link *, NumPorts> inLinks_{};
     std::array<Link *, NumPorts> outLinks_{};
 
+    // --- per-input-port VC masks (bit v = VC v of that port) -------
+    std::array<std::uint32_t, NumPorts> nonEmpty_{};
+    /** Front flit is a head without a downstream VC whose one-cycle
+     * RC stage has not been confirmed over yet. */
+    std::array<std::uint32_t, NumPorts> freshHead_{};
+    /** Front flit whose router pipeline delay has not been confirmed
+     * over yet (SA skips these until it is). */
+    std::array<std::uint32_t, NumPorts> inPipeline_{};
+    /** Holds a downstream VC that has a free slot (credit > 0). */
+    std::array<std::uint32_t, NumPorts> creditOk_{};
+
+    // --- per-output-port state -------------------------------------
+    /** Unallocated heads past RC, by the output port they route to;
+     * VA input i = port * numVcs + vc. */
+    std::array<ReqMask, NumPorts> vaReq_{};
+    std::array<unsigned, NumPorts> vaCount_{};
+    /** Downstream VCs no packet holds. */
+    std::array<std::uint32_t, NumPorts> freeOutVcs_{};
+
     /** VA arbiter per output port; SA: local per input, global per
      * output. */
-    std::vector<Arbiter> vaArb_;
-    std::vector<Arbiter> saLocalArb_;
-    std::vector<Arbiter> saGlobalArb_;
+    std::array<Arbiter, NumPorts> vaArb_;
+    std::array<Arbiter, NumPorts> saLocalArb_;
+    std::array<Arbiter, NumPorts> saGlobalArb_;
 
     /** Buffered flits across all input VCs (fast-path early out). */
     unsigned buffered_ = 0;
-
-    /**
-     * Incremental allocation-stage work counters, maintained at every
-     * VC state transition (flit push, VA grant, tail traversal) and
-     * consulted only by tickEvent(). vaPending_ counts input VCs
-     * whose front flit is an unallocated head (VA candidates, once
-     * their pipeline delay elapses); saPending_ counts input VCs with
-     * an allocated downstream VC (outVc >= 0), i.e. packets still
-     * traversing. Both are conservative over-approximations of
-     * "stage can act this cycle" (pipeline timing and credit
-     * availability are not folded in), which is exactly what a no-op
-     * gate needs.
-     */
-    unsigned vaPending_ = 0;
-    unsigned saPending_ = 0;
-
-    /** Same counters broken down by input port, so the allocation
-     * scans can skip whole ports (the common case is 1-2 active
-     * ports out of 5 even in a busy router). */
-    std::array<unsigned, NumPorts> vaPendingPort_{};
-    std::array<unsigned, NumPorts> saPendingPort_{};
-
-    /** Per-cycle scratch (avoids hot-loop allocation). */
-    static constexpr unsigned maxVcs = 16;
-    std::array<std::int64_t, NumPorts * maxVcs> vaRanks_{};
-    std::array<std::int64_t, maxVcs> saLocalRanks_{};
-    std::array<std::int64_t, NumPorts> saGlobalRanks_{};
 
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;
     bool testInvertArb_ = false;
     RouterStats stats_;
+
+    // --- bulk state, after the small hot fields above ---------------
+    /** Input VC i = port * numVcs + vc. */
+    std::array<VcMeta, NumPorts * maxVcs> vcs_{};
+    /** Output VC o = port * numVcs + vc: free downstream slots, and
+     * the input VC holding it while allocated. */
+    std::array<unsigned, NumPorts * maxVcs> credits_{};
+    std::array<std::uint8_t, NumPorts * maxVcs> owner_{};
+    /** VC i's ring occupies [i * vcDepth, (i + 1) * vcDepth). */
+    std::vector<Slot> slots_;
 };
 
 } // namespace ocor

@@ -8,29 +8,75 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.hh"
 #include "noc/arbiter.hh"
 
 using namespace ocor;
+
+namespace
+{
+
+/** pick() over a rank vector, negative entries not requesting. */
+int
+pickRanks(Arbiter &arb, const std::vector<std::int64_t> &ranks)
+{
+    ReqMask req;
+    for (unsigned i = 0; i < ranks.size(); ++i)
+        if (ranks[i] >= 0)
+            req.set(i);
+    return arb.pick(req, [&](unsigned i) { return ranks[i]; });
+}
+
+/**
+ * The arbiter as it was before the mask pick: a full max scan, then a
+ * modulo walk from the pointer to the first max-rank input. Kept here
+ * as the reference the mask pick must match exactly.
+ */
+struct ScanArbiter
+{
+    unsigned numInputs;
+    unsigned pointer = 0;
+
+    int
+    pick(const std::vector<std::int64_t> &ranks)
+    {
+        std::int64_t best = -1;
+        for (auto r : ranks)
+            best = r > best ? r : best;
+        if (best < 0)
+            return -1;
+        for (unsigned off = 0; off < numInputs; ++off) {
+            unsigned idx = (pointer + off) % numInputs;
+            if (ranks[idx] == best) {
+                pointer = (idx + 1) % numInputs;
+                return static_cast<int>(idx);
+            }
+        }
+        return -1;
+    }
+};
+
+} // namespace
 
 TEST(Arbiter, NoRequestersReturnsMinusOne)
 {
     Arbiter arb(4);
     std::vector<std::int64_t> ranks{-1, -1, -1, -1};
-    EXPECT_EQ(arb.pick(ranks), -1);
+    EXPECT_EQ(pickRanks(arb, ranks), -1);
 }
 
 TEST(Arbiter, SingleRequesterWins)
 {
     Arbiter arb(4);
     std::vector<std::int64_t> ranks{-1, 0, -1, -1};
-    EXPECT_EQ(arb.pick(ranks), 1);
+    EXPECT_EQ(pickRanks(arb, ranks), 1);
 }
 
 TEST(Arbiter, HighestRankWins)
 {
     Arbiter arb(4);
     std::vector<std::int64_t> ranks{3, 9, 2, 9};
-    int w = arb.pick(ranks);
+    int w = pickRanks(arb, ranks);
     EXPECT_TRUE(w == 1 || w == 3);
 }
 
@@ -40,7 +86,7 @@ TEST(Arbiter, RoundRobinRotatesTies)
     std::vector<std::int64_t> ranks{0, 0, 0};
     std::vector<int> wins;
     for (int i = 0; i < 6; ++i)
-        wins.push_back(arb.pick(ranks));
+        wins.push_back(pickRanks(arb, ranks));
     // Every input must win exactly twice over 6 rounds.
     for (int input = 0; input < 3; ++input)
         EXPECT_EQ(std::count(wins.begin(), wins.end(), input), 2)
@@ -51,8 +97,8 @@ TEST(Arbiter, PointerAdvancesPastWinner)
 {
     Arbiter arb(4);
     std::vector<std::int64_t> ranks{0, 0, 0, 0};
-    int first = arb.pick(ranks);
-    int second = arb.pick(ranks);
+    int first = pickRanks(arb, ranks);
+    int second = pickRanks(arb, ranks);
     EXPECT_NE(first, second);
 }
 
@@ -60,16 +106,17 @@ TEST(Arbiter, RankBeatsRoundRobinPosition)
 {
     Arbiter arb(4);
     std::vector<std::int64_t> equal{0, 0, 0, 0};
-    arb.pick(equal); // pointer now at 1
+    pickRanks(arb, equal); // pointer now at 1
     std::vector<std::int64_t> ranks{5, 0, 0, 0};
-    EXPECT_EQ(arb.pick(ranks), 0); // rank 5 wins despite pointer
+    EXPECT_EQ(pickRanks(arb, ranks), 0); // rank 5 wins despite pointer
 }
 
 TEST(ArbiterDeath, SizeMismatchPanics)
 {
+    // A request bit past the arbiter's inputs is a wiring bug.
     Arbiter arb(4);
-    std::vector<std::int64_t> ranks{0, 0};
-    EXPECT_DEATH(arb.pick(ranks), "ranks");
+    std::vector<std::int64_t> ranks{0, 0, 0, 0, 0};
+    EXPECT_DEATH(pickRanks(arb, ranks), "input 4 of 4");
 }
 
 // ---- grantSingle fast path (must be invisible vs pick) ----------------
@@ -81,7 +128,7 @@ TEST(Arbiter, GrantSingleMatchesPickResult)
         Arbiter fast(4);
         std::vector<std::int64_t> ranks{-1, -1, -1, -1};
         ranks[idx] = 0;
-        EXPECT_EQ(fast.grantSingle(idx), slow.pick(ranks));
+        EXPECT_EQ(fast.grantSingle(idx), pickRanks(slow, ranks));
         EXPECT_EQ(fast.pointer(), slow.pointer()) << "idx " << idx;
     }
 }
@@ -97,10 +144,11 @@ TEST(Arbiter, GrantSingleLeavesSameStateAsPick)
     for (unsigned idx : soles) {
         std::vector<std::int64_t> ranks{-1, -1, -1, -1};
         ranks[idx] = 5;
-        EXPECT_EQ(fast.grantSingle(idx), slow.pick(ranks));
+        EXPECT_EQ(fast.grantSingle(idx), pickRanks(slow, ranks));
 
         std::vector<std::int64_t> tie{0, 0, 0, 0};
-        EXPECT_EQ(fast.pick(tie), slow.pick(tie)) << "after " << idx;
+        EXPECT_EQ(pickRanks(fast, tie), pickRanks(slow, tie))
+            << "after " << idx;
         EXPECT_EQ(fast.pointer(), slow.pointer());
     }
 }
@@ -116,6 +164,84 @@ TEST(ArbiterDeath, GrantSingleOutOfRangePanics)
 {
     Arbiter arb(4);
     EXPECT_DEATH(arb.grantSingle(4), "");
+}
+
+// ---- mask pick vs the reference modulo scan ---------------------------
+
+namespace
+{
+
+/** Drive a mask Arbiter and the reference scan with the same requests
+ * and require the same winner and pointer after every pick. */
+void
+expectSamePicks(unsigned inputs, Rng &rng, unsigned rounds,
+                double requestChance, std::int64_t maxRank)
+{
+    Arbiter mask(inputs);
+    ScanArbiter scan{inputs};
+    for (unsigned r = 0; r < rounds; ++r) {
+        std::vector<std::int64_t> ranks(inputs, -1);
+        for (unsigned i = 0; i < inputs; ++i)
+            if (rng.chance(requestChance))
+                ranks[i] = static_cast<std::int64_t>(
+                    rng.range(static_cast<std::uint64_t>(maxRank) + 1));
+        const int want = scan.pick(ranks);
+        ASSERT_EQ(pickRanks(mask, ranks), want)
+            << inputs << " inputs, round " << r;
+        ASSERT_EQ(mask.pointer(), scan.pointer)
+            << inputs << " inputs, round " << r;
+    }
+}
+
+} // namespace
+
+TEST(Arbiter, MaskPickMatchesScanOnRandomRequests)
+{
+    Rng rng(12345);
+    for (unsigned inputs : {1u, 2u, 5u, 6u, 16u, 30u, 63u, 64u, 65u, 80u})
+        for (double chance : {0.1, 0.5, 0.9})
+            expectSamePicks(inputs, rng, 400, chance, 6);
+}
+
+TEST(Arbiter, MaskPickMatchesScanWithAllEqualRanks)
+{
+    Rng rng(7);
+    for (unsigned inputs : {3u, 6u, 80u})
+        expectSamePicks(inputs, rng, 300, 0.6, 0);
+}
+
+TEST(Arbiter, MaskPickMatchesScanOnSingleBitMasks)
+{
+    // Every single requester, from every pointer position (set by a
+    // preceding grant), including the wrap past the last input.
+    for (unsigned inputs : {1u, 5u, 64u, 80u}) {
+        for (unsigned from = 0; from < inputs; ++from) {
+            for (unsigned idx = 0; idx < inputs; ++idx) {
+                Arbiter mask(inputs);
+                ScanArbiter scan{inputs};
+                mask.grantSingle(from);
+                scan.pointer = (from + 1) % inputs;
+                std::vector<std::int64_t> ranks(inputs, -1);
+                ranks[idx] = 3;
+                ASSERT_EQ(pickRanks(mask, ranks), scan.pick(ranks));
+                ASSERT_EQ(mask.pointer(), scan.pointer);
+            }
+        }
+    }
+}
+
+TEST(Arbiter, MaskPickWrapsPastPointer)
+{
+    // Pointer at 79 of 80: the tie among 2, 40 and 79 goes to 79, the
+    // next one wraps to 2.
+    Arbiter arb(80);
+    arb.grantSingle(78);
+    std::vector<std::int64_t> ranks(80, -1);
+    ranks[2] = ranks[40] = ranks[79] = 4;
+    EXPECT_EQ(pickRanks(arb, ranks), 79);
+    EXPECT_EQ(arb.pointer(), 0u);
+    EXPECT_EQ(pickRanks(arb, ranks), 2);
+    EXPECT_EQ(pickRanks(arb, ranks), 40);
 }
 
 // ---- LPA (Figure 9) ---------------------------------------------------
