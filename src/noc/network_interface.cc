@@ -161,6 +161,8 @@ NetworkInterface::ejectIncoming(Cycle now)
         if (flit->vc >= reassembly_.size())
             ocor_panic("NI %u: bad flit vc %u", id_, flit->vc);
         RxPacket &rx = reassembly_[flit->vc];
+        const bool tail = flit->isTail();
+        const bool corrupted = flit->corrupted;
         if (flit->isHead()) {
             if (rx.pkt)
                 ocor_panic("NI %u: head over unfinished packet", id_);
@@ -170,9 +172,9 @@ NetworkInterface::ejectIncoming(Cycle now)
         } else if (!rx.pkt) {
             ocor_panic("NI %u: flit without head", id_);
         }
-        rx.corrupt |= flit->corrupted;
-        if (flit->isTail()) {
-            const PacketPtr pkt = std::move(rx.pkt);
+        rx.corrupt |= corrupted;
+        if (tail) {
+            const PacketPtr pkt = std::exchange(rx.pkt, nullptr);
             --reassembling_;
             deliverMeshPacket(pkt, rx.corrupt, now);
         }
@@ -290,7 +292,7 @@ NetworkInterface::sendOneFlit(Cycle now)
         if (isLockProtocol(vc.pkt->type))
             ++stats_.lockPacketsInjected;
         // The tail takes over the VC's packet reference.
-        flit.pkt = std::move(vc.pkt);
+        flit.pkt = std::exchange(vc.pkt, nullptr);
         vc.nextFlit = 0;
         activeVcs_ &= ~vbit;
     } else {

@@ -30,7 +30,6 @@ class Ring
 
     bool empty() const { return size_ == 0; }
     bool full() const { return size_ > mask_; }
-    std::size_t size() const { return size_; }
     std::size_t capacity() const { return std::size_t{mask_} + 1; }
 
     T &front() { return slots_[head_]; }

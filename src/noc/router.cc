@@ -154,7 +154,7 @@ Router::grantVc(unsigned op, unsigned i, Cycle now)
     const unsigned o = op * nvc_ + ovc;
     freeOutVcs_[op] &= ~bit(ovc);
     owner_[o] = static_cast<std::uint8_t>(i);
-    vcs_[i].outVc = static_cast<std::int8_t>(ovc);
+    vcs_[i].outVc = static_cast<std::uint8_t>(ovc);
     vaReq_[op].set(i, false);
     --vaCount_[op];
     if (credits_[o] > 0)
@@ -309,7 +309,7 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
     if (!outLinks_[op])
         ocor_panic("router %u: traversal to unattached port %u", id_,
                    op);
-    const auto ovc = static_cast<unsigned>(m.outVc);
+    const unsigned ovc = m.outVc;
     out.vc = ovc;
     const bool isHead = out.isHead();
     const bool isTail = out.isTail();
@@ -338,7 +338,7 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
 
     if (isTail) {
         freeOutVcs_[op] |= bit(ovc); // VC reusable by the next packet
-        m.outVc = -1;
+        m.outVc = noVc;
         creditOk_[p] &= ~bit(v);
         // Anything left in the FIFO is the next packet, so its head
         // is now at the front awaiting VA.

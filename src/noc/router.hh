@@ -117,6 +117,8 @@ class Router
   private:
     /** SystemConfig::validate's numVcs bound. */
     static constexpr unsigned maxVcs = 16;
+    /** VcMeta::outVc of a VC holding no downstream VC. */
+    static constexpr std::uint8_t noVc = 0xff;
 
     /** Metadata of one input VC; the flits live in slots_. */
     struct VcMeta
@@ -126,7 +128,7 @@ class Router
         unsigned head = 0;       ///< ring index of the front flit
         unsigned count = 0;      ///< buffered flits
         std::uint8_t outPort = 0; ///< route of the front packet
-        std::int8_t outVc = -1;  ///< allocated downstream VC, -1 = none
+        std::uint8_t outVc = noVc; ///< allocated downstream VC
         bool lock = false;       ///< front packet is lock protocol
     };
 
