@@ -311,11 +311,14 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
                    op);
     const unsigned ovc = m.outVc;
     out.vc = ovc;
-    const bool isHead = out.isHead();
     const bool isTail = out.isTail();
-    // The link now owns the packet reference; the packet itself lives
-    // on, so the trace below may still read it.
-    const Packet *pkt = out.pkt.get();
+    // Trace before the send: a fault drop inside sendFlit destroys the
+    // flit, which may hold the packet's last reference.
+    if (trace_ && out.isHead())
+        trace_->record(TraceCat::Noc, TraceEv::SaGrant, now, id_,
+                       invalidThread, 0, out.pkt->id,
+                       static_cast<std::uint32_t>(out.pkt->type),
+                       static_cast<std::uint32_t>(rank));
     outLinks_[op]->sendFlit(std::move(out), now);
     if (--credits_[op * nvc_ + ovc] == 0)
         creditOk_[p] &= ~bit(v);
@@ -330,11 +333,6 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
     ++stats_.flitsRouted;
     if (m.lock)
         ++stats_.lockFlitsRouted;
-    if (trace_ && isHead)
-        trace_->record(TraceCat::Noc, TraceEv::SaGrant, now, id_,
-                       invalidThread, 0, pkt->id,
-                       static_cast<std::uint32_t>(pkt->type),
-                       static_cast<std::uint32_t>(rank));
 
     if (isTail) {
         freeOutVcs_[op] |= bit(ovc); // VC reusable by the next packet

@@ -74,13 +74,10 @@ class Router
     /**
      * Advance one cycle: credits, deliveries, VA, SA+ST. Link polls
      * are O(1) due tests and each allocation stage walks only the set
-     * bits of its request masks, so an idle stage costs a mask test.
+     * bits of its request masks, so an idle stage costs a mask test;
+     * both simulation loops call this.
      */
     void tick(Cycle now);
-
-    /** Event-core entry point: tick() is already gated by the link
-     * due tests and the request masks, so this is the same walk. */
-    void tickEvent(Cycle now) { tick(now); }
 
     NodeId id() const { return id_; }
     const RouterStats &stats() const { return stats_; }
