@@ -100,12 +100,11 @@ class Network
     void tick(Cycle now);
 
     /**
-     * Event-core variant of tick(): same router-then-NI walk order,
-     * but each router and NI is entered through its own gated
-     * tickEvent so fully idle nodes cost a handful of compares
-     * instead of full allocation-stage scans. Bit-identical to
-     * tick() by construction (every elided stage is a provable
-     * no-op).
+     * Event-core variant of tick(): same router-then-NI walk order.
+     * Router::tick gates itself on its link due tests and request
+     * masks; each NI is entered through its gated tickEvent. Fully
+     * idle nodes cost a handful of compares. Bit-identical to tick()
+     * by construction (every elided stage is a provable no-op).
      */
     void tickEvent(Cycle now);
 
