@@ -1,22 +1,28 @@
 /**
  * @file
- * Golden NoC-path fixture: a fixed matrix of short simulations whose
- * every RunMetrics field (per-thread counters included) and router
- * work counts must match a committed record exactly.
+ * Golden run record: a fixed set of short simulations whose every
+ * RunMetrics field (per-thread counters included) and router work
+ * counts must match a committed record exactly.
  *
- * The matrix covers the NoC configurations perfbench's golden digest
- * (default NocParams, no faults, seed 1) does not: link faults with
- * retransmission, 1 and 16 VCs, VC depths 1 and 3, two-cycle links, an
- * OCOR rule ablation, armed checkers, the legacy per-cycle core,
- * hybrid fidelity and a non-square mesh. Any refactor of the router,
- * link or NI layer that changes a single arbitration decision moves
- * a row.
+ * Two groups of rows:
  *
- * The test writes the rows it computed to noc_golden.actual.tsv in
- * its working directory (build/tests under ctest). To regenerate the
+ *  - The NoC matrix covers the NoC configurations perfbench's golden
+ *    digest (default NocParams, no faults, seed 1) does not: link
+ *    faults with retransmission, 1 and 16 VCs, VC depths 1 and 3,
+ *    two-cycle links, an OCOR rule ablation, armed checkers, the
+ *    legacy per-cycle core, hybrid fidelity and a non-square mesh.
+ *    Any refactor of the router, link or NI layer that changes a
+ *    single arbitration decision moves a row.
+ *  - The profile rows run every benchmark profile, OCOR on and off,
+ *    at 16 threads for one iteration with its own traffic, plus
+ *    "can" at 64 threads, whose base run futex-sleeps. Each is its
+ *    own ctest entry, so `ctest -j` spreads their cost.
+ *
+ * A process that runs every row writes them all, in record order, to
+ * noc_golden.actual.tsv in its working directory. To regenerate the
  * record after an intended behaviour change:
  *
- *     ctest --test-dir build -R NocGolden
+ *     (cd build/tests && ./test_sim --gtest_filter='*NocGolden*') ;
  *     cp build/tests/noc_golden.actual.tsv tests/sim/golden/noc_golden.tsv
  */
 
@@ -41,6 +47,10 @@ namespace
 struct GoldenCase
 {
     std::string name;
+    std::string profile;
+    unsigned iterations;
+    /** Compute gap between critical sections; 0 keeps the profile's. */
+    std::uint64_t meanGap;
     MeshShape mesh;
     unsigned threads;
     bool ocor;
@@ -48,8 +58,6 @@ struct GoldenCase
     SimCoreMode core = SimCoreMode::Event;
 };
 
-/** Short, network-heavy runs: the saturated "can" profile with its
- * compute gap cut so lock traffic and background traffic overlap. */
 RunMetrics
 runCase(const GoldenCase &gc, std::string &counts)
 {
@@ -63,10 +71,11 @@ runCase(const GoldenCase &gc, std::string &counts)
     if (gc.tweak)
         gc.tweak(cfg);
 
-    const BenchmarkProfile p = profileByName("can");
+    const BenchmarkProfile p = profileByName(gc.profile);
     SyntheticParams wl = p.workload;
-    wl.iterations = 2;
-    wl.meanGap = 1500;
+    wl.iterations = gc.iterations;
+    if (gc.meanGap > 0)
+        wl.meanGap = gc.meanGap;
     wl.lineBytes = cfg.mem.lineBytes;
     std::vector<Program> programs;
     for (ThreadId t = 0; t < cfg.numThreads; ++t)
@@ -162,82 +171,165 @@ digestOf(const RunMetrics &m)
     return buf;
 }
 
+/** Short, network-heavy runs: the saturated "can" profile with its
+ * compute gap cut so lock traffic and background traffic overlap. */
 std::vector<GoldenCase>
-matrix()
+nocMatrix()
 {
     const MeshShape m4{4, 4};
     const MeshShape m2{2, 2};
+    auto noc = [](std::string name, MeshShape mesh, unsigned threads,
+                  bool ocor, std::function<void(SystemConfig &)> tweak,
+                  SimCoreMode core = SimCoreMode::Event) {
+        return GoldenCase{std::move(name), "can", 2, 1500, mesh,
+                          threads, ocor, std::move(tweak), core};
+    };
     return {
-        {"base-16", m4, 16, false, {}},
-        {"ocor-16", m4, 16, true, {}},
-        {"faults-drop-corrupt-jitter", m4, 16, true,
-         [](SystemConfig &c) {
-             c.fault.dropRate = 0.01;
-             c.fault.corruptRate = 0.01;
-             c.fault.jitterRate = 0.05;
-             c.fault.jitterMax = 3;
-             c.fault.retryTimeout = 800;
-             c.fault.maxRetries = 10;
-             c.fault.seed = 7;
-             c.os.tryWatchdogCycles = 150'000;
-             c.os.sleepWatchdogCycles = 150'000;
-         }},
-        {"vcs-1", m4, 16, true, [](SystemConfig &c) { c.noc.numVcs = 1; }},
-        {"vcs-16", m4, 16, true,
-         [](SystemConfig &c) { c.noc.numVcs = 16; }},
-        {"depth-1", m4, 16, true,
-         [](SystemConfig &c) { c.noc.vcDepth = 1; }},
-        {"depth-3-base", m4, 16, false,
-         [](SystemConfig &c) { c.noc.vcDepth = 3; }},
-        {"link-latency-2", m4, 16, true,
-         [](SystemConfig &c) { c.noc.linkLatency = 2; }},
-        {"ablate-progress-rtr", m4, 16, true,
-         [](SystemConfig &c) {
-             c.ocor.ruleSlowProgressFirst = false;
-             c.ocor.ruleLeastRtrFirst = false;
-         }},
-        {"checked", m4, 16, true,
-         [](SystemConfig &c) { c.check.checks = allChecksMask(); }},
-        {"legacy-core", m4, 16, true, {}, SimCoreMode::Legacy},
-        {"hybrid", m4, 16, true,
-         [](SystemConfig &c) { c.fidelity = Fidelity::Hybrid; }},
-        {"mesh-4x2", MeshShape{4, 2}, 8, true, {}},
-        {"mesh-3x2-base", MeshShape{3, 2}, 5, false, {}},
-        {"small-2x2", m2, 4, true, {}},
+        noc("base-16", m4, 16, false, {}),
+        noc("ocor-16", m4, 16, true, {}),
+        noc("faults-drop-corrupt-jitter", m4, 16, true,
+            [](SystemConfig &c) {
+                c.fault.dropRate = 0.01;
+                c.fault.corruptRate = 0.01;
+                c.fault.jitterRate = 0.05;
+                c.fault.jitterMax = 3;
+                c.fault.retryTimeout = 800;
+                c.fault.maxRetries = 10;
+                c.fault.seed = 7;
+                c.os.tryWatchdogCycles = 150'000;
+                c.os.sleepWatchdogCycles = 150'000;
+            }),
+        noc("vcs-1", m4, 16, true,
+            [](SystemConfig &c) { c.noc.numVcs = 1; }),
+        noc("vcs-16", m4, 16, true,
+            [](SystemConfig &c) { c.noc.numVcs = 16; }),
+        noc("depth-1", m4, 16, true,
+            [](SystemConfig &c) { c.noc.vcDepth = 1; }),
+        noc("depth-3-base", m4, 16, false,
+            [](SystemConfig &c) { c.noc.vcDepth = 3; }),
+        noc("link-latency-2", m4, 16, true,
+            [](SystemConfig &c) { c.noc.linkLatency = 2; }),
+        noc("ablate-progress-rtr", m4, 16, true,
+            [](SystemConfig &c) {
+                c.ocor.ruleSlowProgressFirst = false;
+                c.ocor.ruleLeastRtrFirst = false;
+            }),
+        noc("checked", m4, 16, true,
+            [](SystemConfig &c) { c.check.checks = allChecksMask(); }),
+        noc("legacy-core", m4, 16, true, {}, SimCoreMode::Legacy),
+        noc("hybrid", m4, 16, true,
+            [](SystemConfig &c) { c.fidelity = Fidelity::Hybrid; }),
+        noc("mesh-4x2", MeshShape{4, 2}, 8, true, {}),
+        noc("mesh-3x2-base", MeshShape{3, 2}, 5, false, {}),
+        noc("small-2x2", m2, 4, true, {}),
     };
 }
 
-} // namespace
-
-TEST(NocGolden, MatrixMatchesRecord)
+/** Every profile with its own workload and traffic for one
+ * iteration, OCOR off and on, at 16 threads; then "can" at 64. */
+std::vector<GoldenCase>
+profileRows()
 {
-    std::map<std::string, std::string> golden;
-    {
+    std::vector<GoldenCase> rows;
+    auto add = [&](const std::string &profile, unsigned threads) {
+        for (bool ocor : {false, true})
+            rows.push_back({profile + "-t" + std::to_string(threads) +
+                                (ocor ? "-ocor" : "-base"),
+                            profile, 1, 0,
+                            SystemConfig::meshFor(threads), threads,
+                            ocor, {}});
+    };
+    for (const BenchmarkProfile &p : allProfiles())
+        add(p.name, 16);
+    add("can", 64);
+    return rows;
+}
+
+const std::map<std::string, std::string> &
+goldenRows()
+{
+    static const std::map<std::string, std::string> rows = [] {
+        std::map<std::string, std::string> golden;
         std::ifstream in(OCOR_GOLDEN_DIR "/noc_golden.tsv");
-        ASSERT_TRUE(in.good()) << "missing " OCOR_GOLDEN_DIR
-                                  "/noc_golden.tsv";
         std::string line;
         while (std::getline(in, line)) {
             const auto tab = line.find('\t');
             if (!line.empty() && line[0] != '#' && tab != std::string::npos)
                 golden[line.substr(0, tab)] = line.substr(tab + 1);
         }
-    }
+        return golden;
+    }();
+    return rows;
+}
 
+/** Keep @p row for the actual record; once this process has computed
+ * every row, write them all out in record order. */
+void
+recordActual(const std::string &name, const std::string &row)
+{
+    static std::map<std::string, std::string> computed;
+    computed[name] = row;
+    std::vector<GoldenCase> all = nocMatrix();
+    for (GoldenCase &gc : profileRows())
+        all.push_back(std::move(gc));
+    if (computed.size() != all.size())
+        return;
     std::ofstream actual("noc_golden.actual.tsv", std::ios::trunc);
     actual << "# case\tdigest\troi\tcounts\n";
-    for (const GoldenCase &gc : matrix()) {
-        std::string counts;
-        const RunMetrics m = runCase(gc, counts);
-        EXPECT_FALSE(m.hangDetected) << gc.name;
-        const std::string row = digestOf(m) + "\troi=" +
-                                std::to_string(m.roiFinish) + "\t" +
-                                counts;
-        actual << gc.name << '\t' << row << '\n';
-        const auto it = golden.find(gc.name);
-        if (it == golden.end())
-            ADD_FAILURE() << "no golden row for " << gc.name;
-        else
-            EXPECT_EQ(it->second, row) << gc.name;
-    }
+    for (const GoldenCase &gc : all)
+        actual << gc.name << '\t' << computed[gc.name] << '\n';
 }
+
+void
+checkCase(const GoldenCase &gc)
+{
+    ASSERT_FALSE(goldenRows().empty())
+        << "missing or empty " OCOR_GOLDEN_DIR "/noc_golden.tsv";
+    std::string counts;
+    const RunMetrics m = runCase(gc, counts);
+    EXPECT_FALSE(m.hangDetected) << gc.name;
+    const std::string row = digestOf(m) + "\troi=" +
+                            std::to_string(m.roiFinish) + "\t" + counts;
+    recordActual(gc.name, row);
+    const auto it = goldenRows().find(gc.name);
+    if (it == goldenRows().end())
+        ADD_FAILURE() << "no golden row for " << gc.name;
+    else
+        EXPECT_EQ(it->second, row) << gc.name;
+}
+
+void
+PrintTo(const GoldenCase &gc, std::ostream *os)
+{
+    *os << gc.name;
+}
+
+class NocGoldenProfile : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+std::string
+caseName(const ::testing::TestParamInfo<GoldenCase> &info)
+{
+    std::string s = info.param.name;
+    for (char &c : s)
+        if (c == '-')
+            c = '_';
+    return s;
+}
+
+} // namespace
+
+TEST(NocGolden, MatrixMatchesRecord)
+{
+    for (const GoldenCase &gc : nocMatrix())
+        checkCase(gc);
+}
+
+TEST_P(NocGoldenProfile, MatchesRecord)
+{
+    checkCase(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, NocGoldenProfile,
+                         ::testing::ValuesIn(profileRows()), caseName);
