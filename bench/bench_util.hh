@@ -12,10 +12,6 @@
  *   --fresh       ignore the result cache for this invocation
  *   --jobs N      simulations run concurrently (default: OCOR_JOBS
  *                 env var, else hardware concurrency)
- *   --fidelity M  simulation fidelity: "exact" (default, bit-exact
- *                 microarchitectural NoC) or "hybrid" (analytic NoC
- *                 fast path during uncontended windows; approximate,
- *                 cached under separate keys — DESIGN.md §13)
  *   --legacy-tick run on the legacy unconditional per-cycle tick loop
  *                 instead of the event-driven core (bit-identical
  *                 results, slower; for benchmarking the event core)
@@ -98,7 +94,6 @@ struct Options
     std::uint64_t seed = 1;
     bool fresh = false;
     unsigned jobs = 0; ///< 0 = ThreadPool::defaultConcurrency()
-    Fidelity fidelity = Fidelity::Exact;
 
     /** --profile: restrict suite benches to one profile ("" = all). */
     std::string profileFilter;
@@ -162,7 +157,6 @@ struct Options
         exp.iterationsOverride = iterations;
         exp.seed = seed;
         exp.check.checks = checkMask();
-        exp.fidelity = fidelity;
         exp.cohLedger = cohLedger;
         return exp;
     }
@@ -263,18 +257,7 @@ parseOptions(int argc, char **argv)
             opt.threads = 16;
         else if (a == "--fresh")
             opt.fresh = true;
-        else if (valueOf("--fidelity", v)) {
-            if (v == "exact")
-                opt.fidelity = Fidelity::Exact;
-            else if (v == "hybrid")
-                opt.fidelity = Fidelity::Hybrid;
-            else {
-                std::fprintf(stderr,
-                             "--fidelity must be \"exact\" or "
-                             "\"hybrid\" (got \"%s\")\n", v.c_str());
-                std::exit(1);
-            }
-        } else if (a == "--legacy-tick")
+        else if (a == "--legacy-tick")
             Simulator::setDefaultCoreMode(SimCoreMode::Legacy);
         else if (valueOf("--profile", v))
             opt.profileFilter = v;
@@ -330,7 +313,7 @@ parseOptions(int argc, char **argv)
                          "unknown flag %s\n"
                          "usage: %s [--threads N] [--iters N] "
                          "[--seed N] [--quick] [--fresh] "
-                         "[--fidelity exact|hybrid] [--legacy-tick] "
+                         "[--legacy-tick] "
                          "[--profile P] [--coh-ledger] "
                          "[--coh-breakdown] [--wake-profile] "
                          "[--jobs N] [--trace[=CATS]] "

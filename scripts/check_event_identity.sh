@@ -1,9 +1,9 @@
 #!/bin/bash
 # Bit-identity smoke for the event-driven simulation core
 # (DESIGN.md §13): run two full-suite figure benches once on the
-# legacy per-cycle core and once on the event core — exact fidelity,
-# fresh caches — and require byte-identical stdout. The figures print
-# every headline metric (COH reduction, spin-win rates, CS shares)
+# legacy per-cycle core and once on the event core, with fresh
+# caches, and require byte-identical stdout. The figures print every
+# headline metric (COH reduction, spin-win rates, CS shares)
 # across all 25 profiles, so a single cycle of divergence anywhere in
 # the 50 underlying simulations shows up as a diff.
 #

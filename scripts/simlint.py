@@ -56,9 +56,8 @@ comment on the same or the preceding line):
                         for-all-components loop silently re-introduces
                         the O(components) cost the event core removes.
                         Gate the call on `nextWake() <= now` (see
-                        System::tickEvent) or schedule through the
-                        event wheel; the legacy exact path carries
-                        explicit allow annotations.
+                        System::tickEvent); the legacy exact path
+                        carries explicit allow annotations.
   signal-unsafe         non-async-signal-safe call (malloc/stdio/
                         iostream/string/mutex/exit/throw...) inside a
                         region bracketed by `// BEGIN

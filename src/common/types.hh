@@ -42,24 +42,6 @@ inline constexpr ThreadId invalidThread =
 /** Sentinel cycle meaning "never / unset". */
 inline constexpr Cycle neverCycle = std::numeric_limits<Cycle>::max();
 
-/**
- * NoC modeling fidelity.
- *
- * Exact models every flit hop through the mesh (the paper's setup and
- * the bit-identical reference). Hybrid keeps the exact model around
- * lock activity but, while no thread is waiting on any lock word,
- * delivers packets with an analytical hop + contention latency
- * instead of per-flit routing — a fast approximation for the
- * background-traffic-dominated compute phases. Hybrid results are
- * approximate by design; their COH error is quantified against Exact
- * (see DESIGN.md §13).
- */
-enum class Fidelity : std::uint8_t
-{
-    Exact,
-    Hybrid
-};
-
 } // namespace ocor
 
 #endif // OCOR_COMMON_TYPES_HH

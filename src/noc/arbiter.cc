@@ -69,14 +69,14 @@ lpaSelect(const OcorConfig &cfg, const std::vector<LpaInput> &inputs)
         if (prog[i] == best_prog && prio[i] == best_prio)
             mask |= std::uint64_t{1} << i;
 
-    // Extended level word: progress-major flattening so callers can
+    // Extended level: progress-major flattening so callers can
     // compare LPA outputs across input channels (global stage).
     unsigned prog_level = cfg.numProgressLevels - 1
         - onehotDecode(best_prog);
     unsigned prio_level = onehotDecode(best_prio);
-    unsigned ext = 1 + prio_level + (cfg.numRtrLevels + 2) * prog_level;
 
-    res.highestLevel = OneHot{1} << ext;
+    res.highestLevel =
+        1 + prio_level + (cfg.numRtrLevels + 2) * prog_level;
     res.indexMask = mask;
     return res;
 }

@@ -172,15 +172,17 @@ struct LpaInput
     PriorityFields fields;       ///< header fields of that flit
 };
 
-/** Output of the LPA (Figure 9): level word + index mask. */
+/** Output of the LPA (Figure 9): highest level + index mask. */
 struct LpaResult
 {
     /**
-     * Highest priority level present among valid inputs, as a one-hot
-     * word over the *extended* level space (progress-major). Zero
+     * Highest priority level present among valid inputs, on the
+     * *extended* level scale (progress-major: 1 + RTR level +
+     * (numRtrLevels + 2) x progress level). With 8 progress levels it
+     * passes 64, so it is an integer rather than a one-hot word. Zero
      * when only normal packets (or nothing) request.
      */
-    OneHot highestLevel = 0;
+    unsigned highestLevel = 0;
 
     /** Bit i set iff input i carries the highest priority. */
     std::uint64_t indexMask = 0;

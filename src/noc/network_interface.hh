@@ -86,14 +86,6 @@ class NetworkInterface
     /** A packet this NI sent reached its destination intact. */
     void onAcked(std::uint64_t seq, Cycle now);
 
-    /**
-     * Hybrid-fidelity delivery: hand @p pkt to the node sink as if
-     * it had been reassembled from the mesh, with ejection
-     * bookkeeping (eject cycle, stats, trace) but no flit transport.
-     * Only the Network's analytic fast path calls this.
-     */
-    void deliverDirect(const PacketPtr &pkt, Cycle now);
-
     /** Packets awaiting delivery confirmation (tests). */
     std::size_t outstandingCount() const { return outstanding_.size(); }
 

@@ -150,8 +150,6 @@ QSpinlock::acquire(Addr lock_word, Cycle now, AcquiredFn done)
         ocor_panic("QSpinlock t%u: acquire while busy", pcb_.tid);
     proto::ClientResult res =
         proto::clientStep(cs_, proto::ClientEvent::Acquire, {});
-    if (waiters_)
-        ++*waiters_;
     lock_ = lock_word;
     spinStart_ = now;
     done_ = std::move(done);
@@ -197,8 +195,6 @@ QSpinlock::enterCs(Cycle now)
 {
     // Only reachable from an active acquisition (the pure step has
     // already cleared cs_.active and set cs_.holding).
-    if (waiters_ && *waiters_ > 0)
-        --*waiters_;
     pcb_.state = ThreadState::InCS;
     ++pcb_.counters.acquisitions;
     if (cs_.everSlept)

@@ -107,14 +107,6 @@ class QSpinlock
         return w;
     }
 
-    /**
-     * Hybrid-fidelity hook: a shared counter of threads currently
-     * waiting on any lock (incremented on acquire, decremented on CS
-     * entry). The network's analytic fast path is only eligible
-     * while the counter reads zero. Null = not maintained.
-     */
-    void setWaiterCounter(unsigned *c) { waiters_ = c; }
-
     /** Watchdog re-issues of a LockTry / FutexWait (fault recovery). */
     std::uint64_t recoveries() const { return recoveries_; }
 
@@ -192,9 +184,6 @@ class QSpinlock
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;
     LockLedger *ledger_ = nullptr;
-
-    /** Shared active-waiter count (hybrid fidelity); null = off. */
-    unsigned *waiters_ = nullptr;
 };
 
 } // namespace ocor

@@ -33,14 +33,6 @@ SystemConfig::validate() const
     if (os.remoteTryInterval == 0)
         ocor_fatal("SystemConfig: os.remoteTryInterval must be > 0");
     fault.validate();
-    if (fidelity == Fidelity::Hybrid && fault.enabled())
-        ocor_fatal("SystemConfig: hybrid fidelity is incompatible "
-                   "with fault injection (CRC/retransmission model "
-                   "per-flit mesh transport)");
-    if (fidelity == Fidelity::Hybrid && check.enabled())
-        ocor_fatal("SystemConfig: hybrid fidelity is incompatible "
-                   "with runtime invariant checking (the flit "
-                   "conservation ledger assumes exact transport)");
 }
 
 MeshShape

@@ -40,7 +40,6 @@ makeSystemConfig(const ExperimentConfig &exp, bool ocor_enabled)
         cfg.ocor = exp.ocorOverride;
     cfg.ocor.enabled = ocor_enabled;
     cfg.check = exp.check;
-    cfg.fidelity = exp.fidelity;
     return cfg;
 }
 

@@ -51,12 +51,6 @@ struct ExperimentConfig
     /** Runtime invariant checking, applied to both runs of a pair. */
     CheckConfig check;
 
-    /** Simulation fidelity, applied to both runs of a pair. Hybrid
-     * diverts background traffic to the analytic NoC fast path during
-     * uncontended windows (see DESIGN.md §13); results are
-     * approximate and cached under a distinct key. */
-    Fidelity fidelity = Fidelity::Exact;
-
     /** COH attribution ledger on both runs of a pair (DESIGN.md
      * §14). Aggregate results are identical with it on, but the
      * cause counters only exist on ledger runs, so the result cache

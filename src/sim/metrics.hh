@@ -38,14 +38,10 @@ struct RunMetrics
     std::uint64_t flitsInjected = 0;
     std::uint64_t lockPacketsInjected = 0;
 
-    /** Packets delivered by the hybrid analytic fast path (0 under
-     * exact fidelity). */
+    // Counters of the retired analytic NoC path, always zero. They
+    // keep the results-journal row layout and every recorded digest
+    // that fingerprints them unchanged.
     std::uint64_t fastpathPackets = 0;
-
-    // Hybrid fast-path window lifecycle (all zero under exact
-    // fidelity). windowCycles / roiFinish is the run's window
-    // coverage; a run that ends mid-window counts the open tail but
-    // no extra close.
     std::uint64_t windowsOpened = 0;
     std::uint64_t windowsClosed = 0;
     std::uint64_t windowCycles = 0;

@@ -37,14 +37,9 @@ makeCacheKey(const BenchmarkProfile &profile,
 {
     CacheKey key;
     key.benchmark = profile.name;
-    // Hybrid-fidelity results are approximations; never let them
-    // satisfy (or be satisfied by) an exact-fidelity lookup. A name
-    // suffix keeps the journal format unchanged, so existing exact
-    // journals stay valid.
-    if (exp.fidelity == Fidelity::Hybrid)
-        key.benchmark += "+hybrid";
     // Ledger runs carry COH cause counters a plain run's cached row
-    // lacks; the same suffix trick keeps them from cross-satisfying.
+    // lacks; a name suffix keeps them from cross-satisfying and
+    // leaves the journal format unchanged.
     if (exp.cohLedger)
         key.benchmark += "+ledger";
     key.threads = exp.threads;

@@ -10,7 +10,6 @@
 #include "common/thread_pool.hh"
 #include "os/lock_ledger.hh"
 #include "sim/crashdump.hh"
-#include "sim/event_wheel.hh"
 #include "sim/wake_profiler.hh"
 
 namespace ocor
@@ -27,9 +26,9 @@ secondsSince(sim_clock::time_point a, sim_clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Wheel ranks beyond the System component groups: pseudo events
- * that keep the watchdog/cancel poll stride and the telemetry
- * sampler firing on exactly the cycles the legacy loop visits. */
+/** Groups beyond the System component groups: pseudo events that
+ * keep the watchdog/cancel poll stride and the telemetry sampler
+ * firing on exactly the cycles the legacy loop visits. */
 constexpr unsigned kTelemetryGroup = NumSystemGroups;
 constexpr unsigned kStrideGroup = NumSystemGroups + 1;
 constexpr unsigned kNumGroups = NumSystemGroups + 2;
@@ -486,16 +485,9 @@ Simulator::runEventLoop(Tracer *tr, CheckerRegistry *ck)
     const bool stride_active =
         cfg_.progressWindow > 0 || opts_.cancel != nullptr;
 
-    EventWheel wheel;
-    Cycle scheduled[kNumGroups];
-    if (skipping) {
-        // Seed every group due at cycle 0, like the legacy loop's
-        // unconditional first tick (non-due ticks are no-ops).
-        for (unsigned g = 0; g < kNumGroups; ++g) {
-            scheduled[g] = 0;
-            wheel.schedule(0, g);
-        }
-    }
+    // Every group starts due at cycle 0, like the legacy loop's
+    // unconditional first tick (non-due ticks are no-ops).
+    Cycle scheduled[kNumGroups] = {};
 
     auto group_wake = [&](unsigned g) -> Cycle {
         if (g < NumSystemGroups)
@@ -524,9 +516,9 @@ Simulator::runEventLoop(Tracer *tr, CheckerRegistry *ck)
 
         const auto s0 =
             opts_.profileWall ? sim_clock::now() : sim_clock::time_point{};
-        // Re-register every group whose wake moved. Value-equality
-        // against scheduled[] doubles as the staleness test for
-        // entries already in the wheel.
+        // Recompute every group's wake; the next processed cycle is
+        // the earliest of them.
+        Cycle next = neverCycle;
         for (unsigned g = 0; g < kNumGroups; ++g) {
             Cycle w = group_wake(g);
             if (w <= now_)
@@ -535,17 +527,8 @@ Simulator::runEventLoop(Tracer *tr, CheckerRegistry *ck)
                 scheduled[g] = w;
                 if (wakeProf_ && g < NumSystemGroups)
                     wakeProf_->noteReschedule(g);
-                if (w != neverCycle)
-                    wheel.schedule(w, g);
             }
-        }
-        Cycle next = neverCycle;
-        while (!wheel.empty()) {
-            WheelEvent e = wheel.pop();
-            if (e.cycle == scheduled[e.rank]) {
-                next = e.cycle;
-                break;
-            }
+            next = std::min(next, w);
         }
         if (opts_.profileWall)
             wall_.schedSeconds += secondsSince(s0, sim_clock::now());
@@ -564,7 +547,6 @@ Simulator::runEventLoop(Tracer *tr, CheckerRegistry *ck)
         wall_.cyclesSkipped += next - (now_ + 1);
         now_ = next;
     }
-    wall_.eventsScheduled = wheel.scheduled();
 }
 
 RunMetrics
@@ -601,16 +583,9 @@ Simulator::run()
         m.perThread.push_back(system_->pcb(t).counters);
 
     Network &net = system_->network();
-    // Fold the still-open hybrid window's tail into windowCycles so
-    // coverage never under-reports a run that ends mid-window.
-    net.finalizeWindows(now_);
-    m.windowsOpened = net.stats().windowsOpened;
-    m.windowsClosed = net.stats().windowsClosed;
-    m.windowCycles = net.stats().windowCycles;
     m.packetsInjected = net.totalPacketsInjected();
     m.flitsInjected = net.totalFlitsInjected();
     m.lockPacketsInjected = net.totalLockPacketsInjected();
-    m.fastpathPackets = net.stats().fastpathPackets;
     m.avgPacketLatency = net.stats().packetLatency.mean();
     m.avgLockPacketLatency = net.stats().lockPacketLatency.mean();
     m.avgDataPacketLatency = net.stats().dataPacketLatency.mean();
@@ -670,7 +645,6 @@ Simulator::registerStats(StatsRegistry &reg)
                     [this] { return static_cast<double>(wall_.cycles); });
     reg.addScalar("sim.wall.cycles_processed", &wall_.cyclesProcessed);
     reg.addScalar("sim.wall.cycles_skipped", &wall_.cyclesSkipped);
-    reg.addScalar("sim.wall.events_scheduled", &wall_.eventsScheduled);
     if (ledger_)
         ledger_->registerStats(reg, "sim.coh");
     if (wakeProf_)

@@ -149,7 +149,6 @@ struct WallProfile
      * skipped covers the run). */
     std::uint64_t cyclesProcessed = 0;
     std::uint64_t cyclesSkipped = 0;   ///< quiet cycles jumped over
-    std::uint64_t eventsScheduled = 0; ///< event-wheel pushes
 };
 
 /** Drives one System instance through its region of interest. */

@@ -36,8 +36,8 @@ class LockLedger;
 
 /**
  * Component scheduling groups of the event-driven core, in the
- * canonical slot order of System::tick(). The event wheel carries one
- * entry per group (not per component), which bounds scheduler traffic
+ * canonical slot order of System::tick(). The event loop keeps one
+ * wake per group (not per component), which bounds scheduler work
  * while preserving the legacy intra-cycle component order exactly:
  * a processed cycle ticks due groups in ascending rank.
  */
@@ -200,11 +200,6 @@ class System
      * been queued); the network slot runs first within a cycle, so
      * nothing can move its due cycle earlier in between. */
     Cycle netWake_ = 0;
-
-    /** Threads currently waiting on any lock word (hybrid-fidelity
-     * window oracle; maintained by the qspinlocks only when
-     * cfg.fidelity == Hybrid). */
-    unsigned activeWaiters_ = 0;
 };
 
 } // namespace ocor

@@ -59,7 +59,6 @@ mergeRunAggregates(const WallProfile &wall, const WakeStats *wake)
     g_agg_wall.cycles += wall.cycles;
     g_agg_wall.cyclesProcessed += wall.cyclesProcessed;
     g_agg_wall.cyclesSkipped += wall.cyclesSkipped;
-    g_agg_wall.eventsScheduled += wall.eventsScheduled;
     ++g_agg_runs;
     if (wake) {
         g_agg_wake.merge(*wake);
@@ -165,11 +164,6 @@ registerAggregateStats(StatsRegistry &reg)
                         wall([](const WallProfile &w) {
                             return static_cast<double>(
                                 w.cyclesSkipped);
-                        }));
-        reg.addScalarFn("sim.wall.events_scheduled",
-                        wall([](const WallProfile &w) {
-                            return static_cast<double>(
-                                w.eventsScheduled);
                         }));
     }
     reg.addScalarFn("sim.wall.runs", []() {

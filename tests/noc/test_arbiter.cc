@@ -272,6 +272,21 @@ normalInput()
     in.valid = true;
     return in;
 }
+
+/** Lock tries across the RTR and progress ranges, a wakeup and a
+ * normal packet. */
+std::vector<PriorityFields>
+rankSamples(const OcorConfig &cfg)
+{
+    std::vector<PriorityFields> fields;
+    for (unsigned rtr : {1u, 17u, 64u, 128u})
+        for (std::uint64_t prog : {0u, 5u, 40u})
+            fields.push_back(
+                makePriority(cfg, PriorityClass::LockTry, rtr, prog));
+    fields.push_back(makePriority(cfg, PriorityClass::Wakeup, 1, 0));
+    fields.push_back(PriorityFields{}); // normal
+    return fields;
+}
 } // namespace
 
 TEST(Lpa, EmptyInputsYieldNothing)
@@ -349,14 +364,7 @@ TEST(Lpa, AgreesWithPriorityRankOrdering)
     // Property: for any pair of candidate packets, the LPA winner is
     // the one priorityRank() ranks higher (or both on a tie).
     auto cfg = enabledCfg();
-    std::vector<PriorityFields> fields;
-    for (unsigned rtr : {1u, 17u, 64u, 128u})
-        for (std::uint64_t prog : {0u, 5u, 40u})
-            fields.push_back(
-                makePriority(cfg, PriorityClass::LockTry, rtr, prog));
-    fields.push_back(makePriority(cfg, PriorityClass::Wakeup, 1, 0));
-    fields.push_back(PriorityFields{}); // normal
-
+    const std::vector<PriorityFields> fields = rankSamples(cfg);
     for (const auto &fa : fields) {
         for (const auto &fb : fields) {
             LpaInput a{true, fa}, b{true, fb};
@@ -369,6 +377,28 @@ TEST(Lpa, AgreesWithPriorityRankOrdering)
                 EXPECT_EQ(r.indexMask, 0b10u);
             else
                 EXPECT_EQ(r.indexMask, 0b11u);
+        }
+    }
+}
+
+TEST(Lpa, LevelsFromSeparateCallsOrderAsPriorityRank)
+{
+    // The global stage compares highestLevel across input channels,
+    // so levels from separate calls must order packets exactly as
+    // priorityRank() does, up to the top of the extended level scale
+    // (past 64 with 8 progress levels).
+    auto cfg = enabledCfg();
+    const std::vector<PriorityFields> fields = rankSamples(cfg);
+    for (const auto &fa : fields) {
+        for (const auto &fb : fields) {
+            const auto la =
+                lpaSelect(cfg, {LpaInput{true, fa}}).highestLevel;
+            const auto lb =
+                lpaSelect(cfg, {LpaInput{true, fb}}).highestLevel;
+            const auto ra = priorityRank(cfg, fa);
+            const auto rb = priorityRank(cfg, fb);
+            EXPECT_EQ(la < lb, ra < rb) << la << " vs " << lb;
+            EXPECT_EQ(la == lb, ra == rb) << la << " vs " << lb;
         }
     }
 }

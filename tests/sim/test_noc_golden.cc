@@ -10,9 +10,9 @@
  *    digest (default NocParams, no faults, seed 1) does not: link
  *    faults with retransmission, 1 and 16 VCs, VC depths 1 and 3,
  *    two-cycle links, an OCOR rule ablation, armed checkers, the
- *    legacy per-cycle core, hybrid fidelity and a non-square mesh.
- *    Any refactor of the router, link or NI layer that changes a
- *    single arbitration decision moves a row.
+ *    legacy per-cycle core and non-square meshes. Any refactor of
+ *    the router, link or NI layer that changes a single arbitration
+ *    decision moves a row.
  *  - The profile rows run every benchmark profile, OCOR on and off,
  *    at 16 threads for one iteration with its own traffic, plus
  *    "can" at 64 threads, whose base run futex-sleeps. Each is its
@@ -217,8 +217,6 @@ nocMatrix()
         noc("checked", m4, 16, true,
             [](SystemConfig &c) { c.check.checks = allChecksMask(); }),
         noc("legacy-core", m4, 16, true, {}, SimCoreMode::Legacy),
-        noc("hybrid", m4, 16, true,
-            [](SystemConfig &c) { c.fidelity = Fidelity::Hybrid; }),
         noc("mesh-4x2", MeshShape{4, 2}, 8, true, {}),
         noc("mesh-3x2-base", MeshShape{3, 2}, 5, false, {}),
         noc("small-2x2", m2, 4, true, {}),
