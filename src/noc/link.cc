@@ -4,6 +4,7 @@
 
 #include "check/checker_registry.hh"
 #include "common/log.hh"
+#include "noc/router.hh"
 
 namespace ocor
 {
@@ -24,6 +25,20 @@ void
 Link::flitDelivered()
 {
     check_->onLinkFlitDelivered();
+}
+
+void
+Link::deliverCredit(unsigned vc, Cycle at)
+{
+    if (creditRx_) {
+        creditRx_->landCredit(creditPort_, vc, at);
+        return;
+    }
+    if (credits_.full())
+        creditOverflow();
+    if (credits_.empty())
+        creditAt_ = at;
+    credits_.push({at, vc});
 }
 
 void
@@ -57,7 +72,7 @@ Link::sendFlit(Flit flit, Cycle now)
                 // occupy the downstream buffer slot the sender
                 // debited: synthesize its credit so flow control
                 // does not leak.
-                pushCredit(flit.vc, now + latency_);
+                deliverCredit(flit.vc, now + latency_);
                 return;
             }
             if (fault_->drawCorrupt()) {
@@ -73,6 +88,12 @@ Link::sendFlit(Flit flit, Cycle now)
         // cycle: arrivals are strictly increasing.
         at = std::max(now + latency_ + extra, lastArrival_ + 1);
         lastArrival_ = at;
+    }
+    if (flitRx_) {
+        if (check_)
+            flitDelivered();
+        flitRx_->landFlit(flitPort_, std::move(flit), at);
+        return;
     }
     if (flits_.full())
         ocor_panic("Link: more than %zu flits in flight",

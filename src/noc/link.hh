@@ -7,11 +7,20 @@
  * flit per cycle; credits are not bandwidth limited (a credit wire
  * per VC).
  *
- * Both directions are fixed-capacity rings. Credit flow control bounds
- * what is ever in flight: per downstream VC, upstream credits plus
- * flits on the wire plus buffered flits plus credits on the wire make
- * exactly vcDepth, so neither ring holds more than numVcs x vcDepth
- * entries (a dropped flit's synthesized credit replaces the flit).
+ * Router::attach binds the ends a router owns: the downstream end of
+ * each input link (sendFlit lands the flit in the router's input VC,
+ * stamped with its arrival cycle) and the upstream end of each output
+ * link (sendCredit lands the credit in the router's due queue). The
+ * wire policy (bandwidth, fault drop/corrupt/jitter, checker counts)
+ * runs before the hand-over either way.
+ *
+ * The rings serve only unbound ends: the NI's side of its two links
+ * and test probes. Both are fixed-capacity. Credit flow control
+ * bounds what is ever in flight: per downstream VC, upstream credits
+ * plus flits on the wire plus buffered flits plus credits on the wire
+ * make exactly vcDepth, so neither ring holds more than numVcs x
+ * vcDepth entries (a dropped flit's synthesized credit replaces the
+ * flit).
  */
 
 #ifndef OCOR_NOC_LINK_HH
@@ -33,6 +42,7 @@ namespace ocor
 {
 
 class CheckerRegistry;
+class Router;
 
 /** One-cycle (configurable) pipelined channel between two agents.
  * The state polled every cycle comes first in the object. */
@@ -68,11 +78,31 @@ class Link
      * wire-level flit conservation ledger. */
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
+    /** Bind the downstream end to input @p port of @p r (see the file
+     * comment); Router::attach calls this. */
+    void
+    bindFlitReceiver(Router *r, unsigned port)
+    {
+        flitRx_ = r;
+        flitPort_ = port;
+    }
+
+    /** Bind the upstream end to output @p port of @p r, the router
+     * that sends flits on this link and takes its credits. */
+    void
+    bindCreditReceiver(Router *r, unsigned port)
+    {
+        creditRx_ = r;
+        creditPort_ = port;
+    }
+
     /** Upstream puts a flit on the wire during cycle @p now (pass an
-     * rvalue to hand over the packet reference without a copy). */
+     * rvalue to hand over the packet reference without a copy). A
+     * bound link lands it in the receiving router right away. */
     void sendFlit(Flit flit, Cycle now);
 
-    /** Downstream takes the flit arriving at cycle @p now, if any. */
+    /** An unbound downstream takes the flit arriving at cycle @p now,
+     * if any. */
     std::optional<Flit>
     takeFlit(Cycle now)
     {
@@ -88,13 +118,18 @@ class Link
         return f;
     }
 
-    /** Downstream returns a credit for VC @p vc during cycle @p now. */
-    void sendCredit(unsigned vc, Cycle now) { pushCredit(vc, now + latency_); }
+    /** Downstream returns a credit for VC @p vc during cycle @p now;
+     * it arrives at now + latency(). */
+    void
+    sendCredit(unsigned vc, Cycle now)
+    {
+        deliverCredit(vc, now + latency_);
+    }
 
     /**
-     * Upstream collects all credits arriving at cycle @p now, in send
-     * order. The span views storage owned by the link and stays valid
-     * until the next takeCredits() call.
+     * An unbound upstream collects all credits arriving at cycle
+     * @p now, in send order. The span views storage owned by the link
+     * and stays valid until the next takeCredits() call.
      */
     std::span<const unsigned>
     takeCredits(Cycle now)
@@ -111,10 +146,13 @@ class Link
     }
 
     unsigned latency() const { return latency_; }
+
+    /** Nothing on either ring (a bound end never holds anything: its
+     * flits and credits wait in the router). */
     bool idle() const { return flits_.empty() && credits_.empty(); }
 
     /**
-     * O(1) due tests, polled by the receiving agents every cycle.
+     * O(1) due tests, polled by unbound receivers every cycle.
      * Arrival cycles are monotone within each queue (sendFlit keeps
      * them strictly increasing even under fault jitter; credits are
      * stamped now + latency with monotone now), so the front entry is
@@ -141,15 +179,9 @@ class Link
         unsigned vc = 0;
     };
 
-    void
-    pushCredit(unsigned vc, Cycle at)
-    {
-        if (credits_.full())
-            creditOverflow();
-        if (credits_.empty())
-            creditAt_ = at;
-        credits_.push({at, vc});
-    }
+    /** A credit for VC @p vc arriving at @p at: into the bound
+     * router's due queue, else onto the ring. */
+    void deliverCredit(unsigned vc, Cycle at);
 
     [[noreturn]] void creditOverflow() const;
     void flitDelivered();
@@ -161,6 +193,11 @@ class Link
     Ring<WireCredit> credits_;
 
     unsigned latency_;
+    /** Bound ends (null = unbound: the ring serves that end). */
+    Router *flitRx_ = nullptr;
+    Router *creditRx_ = nullptr;
+    unsigned flitPort_ = 0;
+    unsigned creditPort_ = 0;
     CheckerRegistry *check_ = nullptr;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;

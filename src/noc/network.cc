@@ -121,7 +121,7 @@ Network::tick(Cycle now)
 void
 Network::tickEvent(Cycle now)
 {
-    // Router::tick gates itself on its link due tests and request masks.
+    // Router::tick gates itself on its due queue and request masks.
     for (auto &r : routers_)  // simlint: allow(unconditional-tick)
         r->tick(now);
     for (auto &ni : nis_)
@@ -179,7 +179,7 @@ bool
 Network::idle() const
 {
     for (const auto &r : routers_)
-        if (r->occupancy() != 0)
+        if (r->busy())
             return false;
     for (const auto &ni : nis_)
         if (!ni->idle())

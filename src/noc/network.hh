@@ -47,8 +47,9 @@ struct NetworkStats
  */
 enum class NetWakeReason : std::uint8_t
 {
-    RouterBusy, ///< some router still buffers flits
-    LinkBusy,   ///< some link carries a flit or credit
+    RouterBusy, ///< some router holds flits or pending credits
+    LinkBusy,   ///< an NI-facing link carries a flit or credit (router
+                ///< ends land theirs in the router: RouterBusy)
     NiQueue,    ///< an NI-local queue has timed work
     Idle,       ///< nothing due (wake was external/stale)
     NumReasons
@@ -85,8 +86,8 @@ class Network
 
     /**
      * Event-core variant of tick(): same router-then-NI walk order.
-     * Router::tick gates itself on its link due tests and request
-     * masks; each NI is entered through its gated tickEvent. Fully
+     * Router::tick gates itself on its due queue and request masks;
+     * each NI is entered through its gated tickEvent. Fully
      * idle nodes cost a handful of compares. Bit-identical to tick()
      * by construction (every elided stage is a provable no-op).
      */
@@ -95,10 +96,11 @@ class Network
     /**
      * Earliest future cycle tick() could do any work, seen from
      * cycle @p now (neverCycle = fully drained). While any router
-     * buffers a flit or any link carries a flit/credit the answer is
-     * conservatively now + 1 (pipeline stages advance every cycle);
-     * otherwise only NI-local queues can create work, and their
-     * per-NI minima apply. Never returns a cycle <= now.
+     * holds a flit or a pending credit, or any link carries a
+     * flit/credit, the answer is conservatively now + 1 (pipeline
+     * stages advance every cycle); otherwise only NI-local queues can
+     * create work, and their per-NI minima apply. Never returns a
+     * cycle <= now.
      */
     Cycle nextWake(Cycle now) const;
 

@@ -46,6 +46,7 @@ Router::Router(NodeId id, const MeshShape &mesh,
       nvc_(params.numVcs), depth_(params.vcDepth),
       vaArb_(perPort(NumPorts * params.numVcs)),
       saLocalArb_(perPort(params.numVcs)), saGlobalArb_(perPort(NumPorts)),
+      due_(NumPorts * params.numVcs * params.vcDepth),
       slots_(NumPorts * params.numVcs * params.vcDepth)
 {
     if (nvc_ == 0 || nvc_ > maxVcs)
@@ -59,8 +60,56 @@ Router::attach(unsigned port, Link *in_link, Link *out_link)
 {
     if (port >= NumPorts)
         ocor_panic("Router::attach: bad port %u", port);
+    for (const Link *l : {in_link, out_link}) {
+        if (!l)
+            continue;
+        if (linkLatency_ == neverCycle)
+            linkLatency_ = l->latency();
+        else if (l->latency() != linkLatency_)
+            ocor_panic("router %u: link latency %u differs from the "
+                       "%llu of its other links", id_, l->latency(),
+                       static_cast<unsigned long long>(linkLatency_));
+    }
     inLinks_[port] = in_link;
     outLinks_[port] = out_link;
+    if (in_link)
+        in_link->bindFlitReceiver(this, port);
+    if (out_link)
+        out_link->bindCreditReceiver(this, port);
+}
+
+void
+Router::badCreditVc(unsigned vc) const
+{
+    ocor_panic("router %u: bad credit vc %u", id_, vc);
+}
+
+void
+Router::dueOverflow() const
+{
+    ocor_panic("router %u: more than %zu credits due", id_,
+               due_.capacity());
+}
+
+unsigned
+Router::occupancy(Cycle now) const
+{
+    // Arrivals rise along each VC, so the flits still on the wire are
+    // a suffix of its ring.
+    unsigned n = buffered_;
+    for (unsigned p = 0; p < NumPorts; ++p) {
+        forEachBit(nonEmpty_[p], [&](unsigned v) {
+            const unsigned i = p * nvc_ + v;
+            const VcMeta &m = vcs_[i];
+            for (unsigned k = m.count; k-- > 0;) {
+                const unsigned s = (m.head + k) % depth_;
+                if (slots_[i * depth_ + s].arrival <= now)
+                    break;
+                --n;
+            }
+        });
+    }
+    return n;
 }
 
 void
@@ -96,54 +145,55 @@ Router::headAtFront(unsigned i, const Flit &head)
 }
 
 void
-Router::acceptCredits(unsigned p, Cycle now)
+Router::drainCredits(Cycle now)
 {
     // Credits returning from downstream.
-    for (unsigned vc : outLinks_[p]->takeCredits(now)) {
-        if (vc >= nvc_)
-            ocor_panic("router %u: bad credit vc %u", id_, vc);
-        const unsigned o = p * nvc_ + vc;
+    while (dueAt_ <= now) {
+        if (dueAt_ < now)
+            ocor_panic("router %u: credit missed its delivery cycle",
+                       id_);
+        const DueCredit c = due_.front();
+        due_.pop();
+        dueAt_ = due_.empty() ? neverCycle : due_.front().at;
+        const unsigned o = c.port * nvc_ + c.vc;
         if (credits_[o] >= depth_)
             ocor_panic("router %u: credit overflow", id_);
         // A held VC regaining its first slot makes its owner ready.
-        if (credits_[o]++ == 0 && (freeOutVcs_[p] & bit(vc)) == 0)
+        if (credits_[o]++ == 0 && (freeOutVcs_[c.port] & bit(c.vc)) == 0)
             creditOk_[owner_[o] / nvc_] |= bit(owner_[o] % nvc_);
         if (check_)
-            check_->onCreditReturn(id_, p, vc, now);
+            check_->onCreditReturn(id_, c.port, c.vc, now);
     }
 }
 
 void
-Router::acceptFlits(unsigned p, Cycle now)
+Router::landFlit(unsigned p, Flit &&flit, Cycle arrival)
 {
-    // Flits arriving from upstream.
-    while (auto flit = inLinks_[p]->takeFlit(now)) {
-        const unsigned v = flit->vc;
-        if (v >= nvc_)
-            ocor_panic("router %u: bad flit vc %u", id_, v);
-        const unsigned i = p * nvc_ + v;
-        VcMeta &m = vcs_[i];
-        if (m.count >= depth_)
-            ocor_panic("router %u: VC overflow p=%u vc=%u", id_, p, v);
-        unsigned tail = m.head + m.count;
-        if (tail >= depth_)
-            tail -= depth_;
-        Slot &s = slots_[i * depth_ + tail];
-        s.flit = std::move(*flit);
-        s.arrival = now;
-        if (m.count++ == 0) {
-            nonEmpty_[p] |= bit(v);
-            frontChanged(i, now);
-            // An empty VC cannot be mid-packet while unallocated: the
-            // previous tail freed it, so a head here starts the next
-            // packet.
-            if (s.flit.isHead())
-                headAtFront(i, s.flit);
-        }
-        ++buffered_;
-        if (check_)
-            check_->onVcPush(id_, p, v, s.flit, now);
+    const unsigned v = flit.vc;
+    if (v >= nvc_)
+        ocor_panic("router %u: bad flit vc %u", id_, v);
+    const unsigned i = p * nvc_ + v;
+    VcMeta &m = vcs_[i];
+    if (m.count >= depth_)
+        ocor_panic("router %u: VC overflow p=%u vc=%u", id_, p, v);
+    unsigned tail = m.head + m.count;
+    if (tail >= depth_)
+        tail -= depth_;
+    Slot &s = slots_[i * depth_ + tail];
+    s.flit = std::move(flit);
+    s.arrival = arrival;
+    if (m.count++ == 0) {
+        nonEmpty_[p] |= bit(v);
+        frontChanged(i, arrival);
+        // An empty VC cannot be mid-packet while unallocated: the
+        // previous tail freed it, so a head here starts the next
+        // packet.
+        if (s.flit.isHead())
+            headAtFront(i, s.flit);
     }
+    ++buffered_;
+    if (check_)
+        check_->onVcPush(id_, p, v, s.flit, arrival);
 }
 
 void
@@ -348,12 +398,8 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
 void
 Router::tick(Cycle now)
 {
-    for (unsigned p = 0; p < NumPorts; ++p) {
-        if (outLinks_[p] && outLinks_[p]->creditDue(now))
-            acceptCredits(p, now);
-        if (inLinks_[p] && inLinks_[p]->flitDue(now))
-            acceptFlits(p, now);
-    }
+    if (dueAt_ <= now)
+        drainCredits(now);
     if (buffered_ == 0)
         return; // nothing to route this cycle
     // Each stage is skipped outright when its masks hold no work (VA

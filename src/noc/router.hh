@@ -38,6 +38,7 @@
 #include "noc/arbiter.hh"
 #include "noc/link.hh"
 #include "noc/params.hh"
+#include "noc/ring.hh"
 #include "noc/routing.hh"
 
 namespace ocor
@@ -67,17 +68,44 @@ class Router
      * Wire one port. @p in_link delivers flits *to* this router (we
      * send credits back on it); @p out_link carries flits we send
      * (credits for us arrive on it). Either may be null at mesh
-     * edges.
+     * edges. The router becomes the flit receiver of @p in_link and
+     * the credit receiver of @p out_link (Link::bindFlitReceiver,
+     * bindCreditReceiver). Every link must share one latency: the due
+     * queue relies on it to stay in arrival order.
      */
     void attach(unsigned port, Link *in_link, Link *out_link);
 
     /**
-     * Advance one cycle: credits, deliveries, VA, SA+ST. Link polls
-     * are O(1) due tests and each allocation stage walks only the set
+     * Advance one cycle: due credits, VA, SA+ST. Flits are already in
+     * their VCs (landFlit); each allocation stage walks only the set
      * bits of its request masks, so an idle stage costs a mask test;
      * both simulation loops call this.
      */
     void tick(Cycle now);
+
+    /**
+     * A bound input link hands over @p flit at send time: buffer it in
+     * input @p port, VC flit.vc, stamped with its @p arrival cycle.
+     * The pipeline gates keep it inert until it has arrived, whichever
+     * of sender and receiver ticks first: VA waits for arrival < now,
+     * SA for arrival + routerStages <= now.
+     */
+    void landFlit(unsigned port, Flit &&flit, Cycle arrival);
+
+    /** A bound output link hands over a credit for output @p port,
+     * VC @p vc, arriving at @p at; tick() applies it then. */
+    void
+    landCredit(unsigned port, unsigned vc, Cycle at)
+    {
+        if (vc >= nvc_)
+            badCreditVc(vc);
+        if (due_.full())
+            dueOverflow();
+        if (due_.empty())
+            dueAt_ = at;
+        due_.push({at, static_cast<std::uint8_t>(port),
+                   static_cast<std::uint8_t>(vc)});
+    }
 
     NodeId id() const { return id_; }
     const RouterStats &stats() const { return stats_; }
@@ -103,13 +131,15 @@ class Router
      */
     void testSwapVcFlits(unsigned port, unsigned v);
 
-    /** Buffered flit count (for drain checks and tests). */
-    unsigned occupancy() const { return buffered_; }
+    /** Flits in the input buffers at the end of cycle @p now (tests
+     * and telemetry): landed flits whose arrival is later are still
+     * on the wire. */
+    unsigned occupancy(Cycle now) const;
 
-    /** O(1) any-buffered-flit test (event-core wakeup plumbing):
-     * a router with no buffered flits has nothing to arbitrate, so
-     * ticking it is a no-op. */
-    bool busy() const { return buffered_ > 0; }
+    /** O(1) test for held flits or pending credits (event-core wakeup
+     * plumbing and drain checks): a router holding neither has
+     * nothing to do, so ticking it is a no-op. */
+    bool busy() const { return buffered_ > 0 || !due_.empty(); }
 
   private:
     /** SystemConfig::validate's numVcs bound. */
@@ -129,15 +159,26 @@ class Router
         bool lock = false;       ///< front packet is lock protocol
     };
 
-    /** A buffered flit and the cycle it arrived. */
+    /** A buffered flit and the cycle it arrives. */
     struct Slot
     {
         Flit flit;
         Cycle arrival = 0;
     };
 
-    void acceptCredits(unsigned port, Cycle now);
-    void acceptFlits(unsigned port, Cycle now);
+    /** A credit for output (port, vc) arriving at cycle at. */
+    struct DueCredit
+    {
+        Cycle at = 0;
+        std::uint8_t port = 0;
+        std::uint8_t vc = 0;
+    };
+
+    [[noreturn]] void badCreditVc(unsigned vc) const;
+    [[noreturn]] void dueOverflow() const;
+
+    /** Apply every due credit (arrival <= @p now) in arrival order. */
+    void drainCredits(Cycle now);
     void vcAllocation(Cycle now);
     void switchAllocation(Cycle now);
 
@@ -206,8 +247,18 @@ class Router
     std::array<Arbiter, NumPorts> saLocalArb_;
     std::array<Arbiter, NumPorts> saGlobalArb_;
 
-    /** Buffered flits across all input VCs (fast-path early out). */
+    /** Buffered flits across all input VCs, landed ones still on the
+     * wire included (fast-path early out). */
     unsigned buffered_ = 0;
+
+    /** Pending credits in arrival order, and the front's arrival
+     * (neverCycle = none). Arrival order holds because every attached
+     * link shares linkLatency_ and credits are sent at monotone now.
+     * Sized by the credit-flow bound, NumPorts x numVcs x vcDepth. */
+    Ring<DueCredit> due_;
+    Cycle dueAt_ = neverCycle;
+    /** Latency every attached link shares (neverCycle = none yet). */
+    Cycle linkLatency_ = neverCycle;
 
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;

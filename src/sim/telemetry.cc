@@ -42,7 +42,7 @@ TelemetryRecorder::sample(Cycle now, System &sys)
 
     for (NodeId n = 0; n < nodes; ++n)
         rows_.push_back(
-            {now, n, static_cast<double>(net.router(n).occupancy()),
+            {now, n, static_cast<double>(net.router(n).occupancy(now)),
              TelemetryKind::RouterOccupancy});
 
     for (unsigned l = 0; l < links; ++l) {

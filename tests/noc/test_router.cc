@@ -221,14 +221,14 @@ TEST(Router, BaselineRoundRobinIgnoresPriority)
 TEST(Router, OccupancyTracksBufferedFlits)
 {
     RouterRig rig;
-    EXPECT_EQ(rig.router->occupancy(), 0u);
+    EXPECT_EQ(rig.router->occupancy(0), 0u);
     auto pkt = makePacket(MsgType::GetS, 0, 1, 0x80);
     rig.sendFlit(rig.intoWest, pkt, 0, 0, 0);
     rig.router->tick(1); // flit delivered into the buffer
-    EXPECT_EQ(rig.router->occupancy(), 1u);
+    EXPECT_EQ(rig.router->occupancy(1), 1u);
     for (Cycle c = 2; c <= 6; ++c)
         rig.router->tick(c);
-    EXPECT_EQ(rig.router->occupancy(), 0u);
+    EXPECT_EQ(rig.router->occupancy(6), 0u);
 }
 
 TEST(Router, StatsCountRoutedFlits)

@@ -159,7 +159,7 @@ TEST(RouterStress, SaturationLongRunConservesFlits)
             ++ejected;
         }
     }
-    EXPECT_EQ(ejected + rig.router->occupancy()
+    EXPECT_EQ(ejected + rig.router->occupancy(5399)
                   + 0 /* in-flight on links is zero after drain */,
               injected);
 }
