@@ -9,7 +9,8 @@
  * LPA's OR-reduce plus leading-one select, a pick walks set request
  * bits only. With OCOR disabled every rank is 0 and the arbiter
  * degenerates to the baseline round-robin VA/SA of the 2-stage
- * speculative router.
+ * speculative router; pickEqual() is that round-robin pick alone, for
+ * requests in which nobody carries a nonzero rank.
  *
  * lpaSelect additionally models the comparator-free one-hot datapath
  * of Figure 9 (priority check bit gating + OR-reduction + leading-one
@@ -131,6 +132,28 @@ class Arbiter
         int winner = tied.firstFrom(pointer_);
         if (winner < 0)
             winner = tied.firstFrom(0);
+        advancePast(static_cast<unsigned>(winner));
+        return winner;
+    }
+
+    /**
+     * pick() for a request in which every requester carries the same
+     * rank: the first requester at or after the pointer (else the
+     * first overall) wins and the pointer moves past it, exactly as
+     * pick() with a constant rank, without the two rank passes.
+     * Callers use it when no requester carries a nonzero Table-1 rank.
+     */
+    int
+    pickEqual(const ReqMask &req)
+    {
+        const int top = req.last();
+        if (top < 0)
+            return -1;
+        if (static_cast<unsigned>(top) >= numInputs_)
+            badInput(static_cast<unsigned>(top));
+        int winner = req.firstFrom(pointer_);
+        if (winner < 0)
+            winner = req.firstFrom(0);
         advancePast(static_cast<unsigned>(winner));
         return winner;
     }

@@ -246,6 +246,7 @@ NetworkInterface::assignVcs(Cycle now)
         vc.rank = best;
         vc.nextFlit = 0;
         activeVcs_ |= std::uint32_t{1} << v;
+        rankedVcs_ |= std::uint32_t{best != 0} << v;
         injectQueue_.erase(injectQueue_.begin()
                            + static_cast<std::ptrdiff_t>(best_idx));
     }
@@ -260,8 +261,12 @@ NetworkInterface::sendOneFlit(Cycle now)
     const std::uint32_t ready = activeVcs_ & creditedVcs_;
     if (ready == 0)
         return;
-    const auto v = static_cast<unsigned>(sendArb_.pick(
-        ReqMask(ready), [&](unsigned i) { return outVcs_[i].rank; }));
+    const auto v = static_cast<unsigned>(
+        (ready & rankedVcs_) == 0
+            ? sendArb_.pickEqual(ReqMask(ready))
+            : sendArb_.pick(ReqMask(ready), [&](unsigned i) {
+                  return outVcs_[i].rank;
+              }));
     const std::uint32_t vbit = std::uint32_t{1} << v;
 
     auto &vc = outVcs_[v];
@@ -281,6 +286,7 @@ NetworkInterface::sendOneFlit(Cycle now)
         flit.pkt = std::exchange(vc.pkt, nullptr);
         vc.nextFlit = 0;
         activeVcs_ &= ~vbit;
+        rankedVcs_ &= ~vbit;
     } else {
         flit.pkt = vc.pkt;
         ++vc.nextFlit;

@@ -187,9 +187,11 @@ class NetworkInterface
         unsigned credits = 0;
     };
     std::vector<ActiveVc> outVcs_;
-    /** Bit v: VC v holds a packet / has a credit left. */
+    /** Bit v: VC v holds a packet / has a credit left / holds a
+     * packet whose rank is nonzero. */
     std::uint32_t activeVcs_ = 0;
     std::uint32_t creditedVcs_ = 0;
+    std::uint32_t rankedVcs_ = 0;
     Arbiter sendArb_;
 
     /** Reassembly of incoming packets, one slot per VC (null pkt =

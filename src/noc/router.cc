@@ -141,7 +141,10 @@ Router::headAtFront(unsigned i, const Flit &head)
     if (testInvertArb_)
         m.rank = (std::int64_t{1} << 20) - m.rank;
     m.lock = isLockProtocol(pkt.type);
-    freshHead_[i / nvc_] |= bit(i % nvc_);
+    const unsigned p = i / nvc_;
+    const unsigned v = i % nvc_;
+    ranked_[p] = (ranked_[p] & ~bit(v)) | (std::uint32_t{m.rank != 0} << v);
+    freshHead_[p] |= bit(v);
 }
 
 void
@@ -207,6 +210,7 @@ Router::grantVc(unsigned op, unsigned i, Cycle now)
     vcs_[i].outVc = static_cast<std::uint8_t>(ovc);
     vaReq_[op].set(i, false);
     --vaCount_[op];
+    vaRanked_[op] -= vcs_[i].rank != 0;
     if (credits_[o] > 0)
         creditOk_[i / nvc_] |= bit(i % nvc_);
     ++stats_.vaGrants;
@@ -232,6 +236,7 @@ Router::vcAllocation(Cycle now)
             freshHead_[p] &= ~(std::uint32_t{ok} << v);
             vaReq_[m.outPort].set(i, ok);
             vaCount_[m.outPort] += ok;
+            vaRanked_[m.outPort] += ok & (m.rank != 0);
         });
     }
 
@@ -248,10 +253,15 @@ Router::vcAllocation(Cycle now)
             continue;
         }
         // Grant free output VCs to requesters in rank order; the
-        // arbiter's pointer rotates ties.
+        // arbiter's pointer rotates ties. With no ranked requester the
+        // rank passes cannot change the winner.
         while (vaCount_[op] > 0 && freeOutVcs_[op] != 0) {
-            const auto w = static_cast<unsigned>(vaArb_[op].pick(
-                vaReq_[op], [&](unsigned i) { return vcs_[i].rank; }));
+            const auto w = static_cast<unsigned>(
+                vaRanked_[op] == 0
+                    ? vaArb_[op].pickEqual(vaReq_[op])
+                    : vaArb_[op].pick(vaReq_[op], [&](unsigned i) {
+                          return vcs_[i].rank;
+                      }));
             if (check_ && check_->wantsArbitration()) {
                 std::vector<const Packet *> cands(NumPorts * nvc_,
                                                   nullptr);
@@ -275,6 +285,7 @@ Router::switchAllocation(Cycle now)
     std::array<std::int64_t, NumPorts> localRank{};
     std::array<std::uint32_t, NumPorts> portsFor{}; // per output port
     std::uint32_t outs = 0; // output ports with a local winner
+    std::uint32_t rankedPorts = 0; // local winner ranks nonzero
     const Cycle stages = params_.routerStages;
 
     for (unsigned p = 0; p < NumPorts; ++p) {
@@ -290,12 +301,14 @@ Router::switchAllocation(Cycle now)
         if (ready == 0)
             continue;
         const bool contested = (ready & (ready - 1)) != 0;
-        // Lone ready VC: bypass the rank arbitration (pointer still
-        // advances identically).
+        // Lone ready VC, or no ready VC ranked: bypass the rank
+        // arbitration (pointer still advances identically).
         const int winner =
             !contested
                 ? saLocalArb_[p].grantSingle(
                       static_cast<unsigned>(std::countr_zero(ready)))
+            : (ready & ranked_[p]) == 0
+                ? saLocalArb_[p].pickEqual(ReqMask(ready))
                 : saLocalArb_[p].pick(ReqMask(ready), [&](unsigned v) {
                       return vcs_[base + v].rank;
                   });
@@ -310,6 +323,7 @@ Router::switchAllocation(Cycle now)
         const VcMeta &m = vcs_[base + w];
         localVc[p] = w;
         localRank[p] = m.rank;
+        rankedPorts |= std::uint32_t{m.rank != 0} << p;
         portsFor[m.outPort] |= bit(p);
         outs |= bit(m.outPort);
     }
@@ -323,6 +337,8 @@ Router::switchAllocation(Cycle now)
             count == 1
                 ? saGlobalArb_[op].grantSingle(
                       static_cast<unsigned>(std::countr_zero(ports)))
+            : (ports & rankedPorts) == 0
+                ? saGlobalArb_[op].pickEqual(ReqMask(ports))
                 : saGlobalArb_[op].pick(
                       ReqMask(ports),
                       [&](unsigned p) { return localRank[p]; });

@@ -16,7 +16,9 @@
  * Arbiter per input port selects the best local VC, then a global
  * priority arbiter per output port selects among the port winners.
  * With OCOR disabled, every rank is zero and all arbitration
- * degrades to the baseline round-robin policy.
+ * degrades to the baseline round-robin policy. Masks and counts of
+ * the requesters ranking nonzero let an arbitration in which nobody
+ * ranks take that round-robin pick directly (Arbiter::pickEqual).
  *
  * State is flat (see DESIGN.md §6, "Router hot path"): one contiguous
  * metadata array over all input VCs, one contiguous flit-slot array
@@ -232,12 +234,16 @@ class Router
     std::array<std::uint32_t, NumPorts> inPipeline_{};
     /** Holds a downstream VC that has a free slot (credit > 0). */
     std::array<std::uint32_t, NumPorts> creditOk_{};
+    /** VcMeta::rank is nonzero (set where headAtFront reads it). */
+    std::array<std::uint32_t, NumPorts> ranked_{};
 
     // --- per-output-port state -------------------------------------
     /** Unallocated heads past RC, by the output port they route to;
      * VA input i = port * numVcs + vc. */
     std::array<ReqMask, NumPorts> vaReq_{};
     std::array<unsigned, NumPorts> vaCount_{};
+    /** Requesters in vaReq_ whose rank is nonzero. */
+    std::array<unsigned, NumPorts> vaRanked_{};
     /** Downstream VCs no packet holds. */
     std::array<std::uint32_t, NumPorts> freeOutVcs_{};
 

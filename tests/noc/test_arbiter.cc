@@ -244,6 +244,64 @@ TEST(Arbiter, MaskPickWrapsPastPointer)
     EXPECT_EQ(pickRanks(arb, ranks), 40);
 }
 
+// ---- equal-rank pick vs pick ------------------------------------------
+
+TEST(Arbiter, PickEqualMatchesPickWithConstantRank)
+{
+    // Random masks of up to 32 inputs (the SA and NI arbiters) and of
+    // the VA's 80 inputs and full 128-bit ReqMask, from every pointer
+    // position (set by a preceding grant), against pick() with every
+    // requester at one rank.
+    Rng rng(2024);
+    std::vector<unsigned> sizes;
+    for (unsigned n = 1; n <= 32; ++n)
+        sizes.push_back(n);
+    sizes.insert(sizes.end(), {80u, ReqMask::capacity});
+    for (unsigned inputs : sizes) {
+        for (unsigned from = 0; from < inputs; ++from) {
+            for (unsigned round = 0; round < 8; ++round) {
+                ReqMask req;
+                for (unsigned i = 0; i < inputs; ++i)
+                    if (rng.chance(round % 2 == 0 ? 0.2 : 0.7))
+                        req.set(i);
+                const std::int64_t rank = round % 4 == 0 ? 0 : 5;
+                Arbiter equal(inputs);
+                Arbiter ranked(inputs);
+                equal.grantSingle(from);
+                ranked.grantSingle(from);
+                ASSERT_EQ(equal.pickEqual(req),
+                          ranked.pick(req, [&](unsigned) { return rank; }))
+                    << inputs << " inputs, pointer past " << from;
+                ASSERT_EQ(equal.pointer(), ranked.pointer())
+                    << inputs << " inputs, pointer past " << from;
+            }
+        }
+    }
+}
+
+TEST(Arbiter, PickEqualRotatesAndReportsNoRequest)
+{
+    Arbiter arb(6);
+    ReqMask req;
+    req.set(1);
+    req.set(4);
+    EXPECT_EQ(arb.pickEqual(req), 1);
+    EXPECT_EQ(arb.pickEqual(req), 4);
+    EXPECT_EQ(arb.pickEqual(req), 1); // wraps past the last requester
+    EXPECT_EQ(arb.pointer(), 2u);
+    EXPECT_EQ(arb.pickEqual(ReqMask()), -1);
+    EXPECT_EQ(arb.pointer(), 2u);
+}
+
+TEST(ArbiterDeath, PickEqualOutOfRangePanics)
+{
+    Arbiter arb(4);
+    ReqMask req;
+    req.set(0);
+    req.set(5);
+    EXPECT_DEATH((void)arb.pickEqual(req), "input 5");
+}
+
 // ---- LPA (Figure 9) ---------------------------------------------------
 
 namespace
