@@ -101,10 +101,13 @@ Network::uncontendedLatency(const Packet &pkt) const
     if (pkt.src == pkt.dst)
         return 1;
     const Cycle hops = mesh_.hops(pkt.src, pkt.dst);
-    // One cycle into the mesh, the router pipeline plus link
-    // traversal per hop, serialization of the body flits behind the
-    // head, one cycle out.
-    return 2 + hops * (params_.routerStages + params_.linkLatency)
+    // The head waits one cycle in the NI's injection queue, crosses
+    // the NI-to-router link, then the pipeline and output link of each
+    // of the hops + 1 routers on its path (the last link reaches the
+    // sink NI, which ejects on arrival). Body flits follow one per
+    // cycle.
+    return 1 + params_.linkLatency
+           + (hops + 1) * (params_.routerStages + params_.linkLatency)
            + (pkt.numFlits - 1);
 }
 

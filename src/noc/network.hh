@@ -111,9 +111,14 @@ class Network
      * (wake-profiler attribution; same walk order as nextWake). */
     NetWakeReason wakeReason(Cycle now) const;
 
-    /** Transit time of @p pkt through an otherwise empty mesh: NI
-     * entry/exit, per-hop pipeline + link traversal and body-flit
-     * serialization (1 for same-node loopback). */
+    /**
+     * Inject-to-eject time of @p pkt through an otherwise empty mesh:
+     * 1 + linkLatency + (hops + 1) x (routerStages + linkLatency) for
+     * the head, plus numFlits - 1 cycles of body serialization (1 for
+     * same-node loopback). The serialization term holds only while
+     * the credit loop keeps up, i.e. vcDepth >= 2 x linkLatency +
+     * routerStages; below that, body flits wait for credits.
+     */
     Cycle uncontendedLatency(const Packet &pkt) const;
 
     NetworkInterface &ni(NodeId n) { return *nis_[n]; }
