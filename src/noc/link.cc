@@ -28,6 +28,27 @@ Link::flitDelivered()
 }
 
 void
+Link::bindFlitReceiver(Router *r, unsigned port)
+{
+    if (!flits_.empty())
+        ocor_panic("Link: flit receiver bound with flits in flight");
+    flitRx_ = r;
+    flitPort_ = port;
+    flits_ = Ring<WireFlit>(1);
+}
+
+void
+Link::bindCreditReceiver(Router *r, unsigned port)
+{
+    if (!credits_.empty())
+        ocor_panic("Link: credit receiver bound with credits in flight");
+    creditRx_ = r;
+    creditPort_ = port;
+    credits_ = Ring<WireCredit>(1);
+    arrived_ = std::make_unique<unsigned[]>(1);
+}
+
+void
 Link::deliverCredit(unsigned vc, Cycle at)
 {
     if (creditRx_) {

@@ -45,7 +45,8 @@ class CheckerRegistry;
 class Router;
 
 /** One-cycle (configurable) pipelined channel between two agents.
- * The state polled every cycle comes first in the object. */
+ * The state an unbound receiver polls every cycle comes first in the
+ * object. */
 class Link
 {
   public:
@@ -79,22 +80,14 @@ class Link
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
     /** Bind the downstream end to input @p port of @p r (see the file
-     * comment); Router::attach calls this. */
-    void
-    bindFlitReceiver(Router *r, unsigned port)
-    {
-        flitRx_ = r;
-        flitPort_ = port;
-    }
+     * comment); Router::attach calls this before any flit is sent. The
+     * flit ring goes unused from then on, so its storage is freed. */
+    void bindFlitReceiver(Router *r, unsigned port);
 
     /** Bind the upstream end to output @p port of @p r, the router
-     * that sends flits on this link and takes its credits. */
-    void
-    bindCreditReceiver(Router *r, unsigned port)
-    {
-        creditRx_ = r;
-        creditPort_ = port;
-    }
+     * that sends flits on this link and takes its credits; the credit
+     * ring's storage is freed likewise. */
+    void bindCreditReceiver(Router *r, unsigned port);
 
     /** Upstream puts a flit on the wire during cycle @p now (pass an
      * rvalue to hand over the packet reference without a copy). A
