@@ -134,7 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
 namespace
 {
 
-/** One router driven by hand; its west and east links are bound. */
+/** One router driven by hand: flits land from the west and leave
+ * east, whose credits land in the router. */
 struct LandingRig
 {
     MeshShape mesh{2, 1};
@@ -142,13 +143,12 @@ struct LandingRig
     OcorConfig ocor;
     std::unique_ptr<Router> router;
     Link intoWest;
-    Link intoEast;
     Link outOfEast;
 
     LandingRig()
     {
         router = std::make_unique<Router>(0, mesh, params, ocor);
-        router->attach(PortEast, &intoEast, &outOfEast);
+        router->attach(PortEast, nullptr, &outOfEast);
         router->attach(PortWest, &intoWest, nullptr);
     }
 

@@ -102,17 +102,18 @@ TEST(Network, UncontendedLatencyMatchesEmptyMeshTransit)
             params.routerStages = stages;
             OcorConfig ocor;
             Network net(MeshShape{4, 4}, params, ocor);
+            bool got = false;
+            for (NodeId n = 0; n < 16; ++n)
+                net.setNodeSink(n, [&](const PacketPtr &, Cycle) {
+                    got = true;
+                });
             Cycle now = 0;
             for (const Route &r : routes) {
                 auto pkt = makePacket(r.type, r.src, r.dst, 0x80);
                 if (pkt->numFlits > 1 &&
                     params.vcDepth < 2 * link + stages)
                     continue;
-                bool got = false;
-                for (NodeId n = 0; n < 16; ++n)
-                    net.setNodeSink(n, [&](const PacketPtr &, Cycle) {
-                        got = true;
-                    });
+                got = false;
                 net.send(pkt, now);
                 for (Cycle end = now + 500; now < end; ++now) {
                     net.tick(now);
