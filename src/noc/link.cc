@@ -10,8 +10,7 @@ namespace ocor
 {
 
 Link::Link(unsigned latency, unsigned capacity)
-    : flits_(capacity), credits_(capacity), latency_(latency),
-      arrived_(std::make_unique<unsigned[]>(credits_.capacity()))
+    : flits_(capacity), credits_(capacity), latency_(latency)
 {}
 
 void
@@ -34,7 +33,6 @@ Link::bindFlitReceiver(Router *r, unsigned port)
         ocor_panic("Link: flit receiver bound with flits in flight");
     flitRx_ = r;
     flitPort_ = port;
-    flits_ = Ring<WireFlit>(1);
 }
 
 void
@@ -44,8 +42,6 @@ Link::bindCreditReceiver(Router *r, unsigned port)
         ocor_panic("Link: credit receiver bound with credits in flight");
     creditRx_ = r;
     creditPort_ = port;
-    credits_ = Ring<WireCredit>(1);
-    arrived_ = std::make_unique<unsigned[]>(1);
 }
 
 void
@@ -59,6 +55,8 @@ Link::deliverCredit(unsigned vc, Cycle at)
         creditOverflow();
     if (credits_.empty())
         creditAt_ = at;
+    if (!arrived_)
+        arrived_ = std::make_unique<unsigned[]>(credits_.capacity());
     credits_.push({at, vc});
 }
 
