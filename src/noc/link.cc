@@ -10,7 +10,8 @@ namespace ocor
 {
 
 Link::Link(unsigned latency, unsigned capacity)
-    : flits_(capacity), credits_(capacity), latency_(latency)
+    : flits_(capacity), credits_(capacity), latency_(latency),
+      arrived_(std::make_unique<unsigned[]>(credits_.capacity()))
 {}
 
 void
@@ -27,24 +28,6 @@ Link::flitDelivered()
 }
 
 void
-Link::bindFlitReceiver(Router *r, unsigned port)
-{
-    if (!flits_.empty())
-        ocor_panic("Link: flit receiver bound with flits in flight");
-    flitRx_ = r;
-    flitPort_ = port;
-}
-
-void
-Link::bindCreditReceiver(Router *r, unsigned port)
-{
-    if (!credits_.empty())
-        ocor_panic("Link: credit receiver bound with credits in flight");
-    creditRx_ = r;
-    creditPort_ = port;
-}
-
-void
 Link::deliverCredit(unsigned vc, Cycle at)
 {
     if (creditRx_) {
@@ -55,8 +38,6 @@ Link::deliverCredit(unsigned vc, Cycle at)
         creditOverflow();
     if (credits_.empty())
         creditAt_ = at;
-    if (!arrived_)
-        arrived_ = std::make_unique<unsigned[]>(credits_.capacity());
     credits_.push({at, vc});
 }
 

@@ -15,8 +15,7 @@
  * runs before the hand-over either way.
  *
  * The rings serve only unbound ends: the NI's side of its two links
- * and test probes; a ring allocates on its first push, so a bound
- * end's ring never does. Both are fixed-capacity. Credit flow control
+ * and test probes. Both are fixed-capacity. Credit flow control
  * bounds what is ever in flight: per downstream VC, upstream credits
  * plus flits on the wire plus buffered flits plus credits on the wire
  * make exactly vcDepth, so neither ring holds more than numVcs x
@@ -81,14 +80,22 @@ class Link
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
     /** Bind the downstream end to input @p port of @p r (see the file
-     * comment); Router::attach calls this before any flit is sent, so
-     * the flit ring never allocates its storage. */
-    void bindFlitReceiver(Router *r, unsigned port);
+     * comment); Router::attach calls this. */
+    void
+    bindFlitReceiver(Router *r, unsigned port)
+    {
+        flitRx_ = r;
+        flitPort_ = port;
+    }
 
     /** Bind the upstream end to output @p port of @p r, the router
-     * that sends flits on this link and takes its credits (the credit
-     * ring likewise stays unallocated). */
-    void bindCreditReceiver(Router *r, unsigned port);
+     * that sends flits on this link and takes its credits. */
+    void
+    bindCreditReceiver(Router *r, unsigned port)
+    {
+        creditRx_ = r;
+        creditPort_ = port;
+    }
 
     /** Upstream puts a flit on the wire during cycle @p now (pass an
      * rvalue to hand over the packet reference without a copy). A
@@ -195,8 +202,7 @@ class Link
     CheckerRegistry *check_ = nullptr;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
-    /** takeCredits() result storage, one slot per credit ring slot
-     * (allocated with the ring's first credit). */
+    /** takeCredits() result storage, one slot per credit ring slot. */
     std::unique_ptr<unsigned[]> arrived_;
 
     // --- fault injection (inert unless fault_ is active) -----------

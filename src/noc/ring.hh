@@ -1,9 +1,7 @@
 /**
  * @file
- * Fixed-capacity FIFO ring for the per-flit path: storage is sized at
- * construction and allocated by the first push, so a ring that is
- * never used (a bound link end) costs no storage, and later pushes
- * and pops never allocate.
+ * Fixed-capacity FIFO ring for the per-flit path: storage is sized
+ * once at construction, so pushes and pops never allocate.
  */
 
 #ifndef OCOR_NOC_RING_HH
@@ -26,7 +24,8 @@ class Ring
   public:
     explicit Ring(std::size_t capacity)
         : mask_(static_cast<std::uint32_t>(
-              std::bit_ceil(std::max<std::size_t>(capacity, 1)) - 1))
+              std::bit_ceil(std::max<std::size_t>(capacity, 1)) - 1)),
+          slots_(std::make_unique<T[]>(std::size_t{mask_} + 1))
     {}
 
     bool empty() const { return size_ == 0; }
@@ -40,8 +39,6 @@ class Ring
     void
     push(T v)
     {
-        if (!slots_)
-            slots_ = std::make_unique<T[]>(capacity());
         slots_[(head_ + size_) & mask_] = std::move(v);
         ++size_;
     }

@@ -241,22 +241,6 @@ TEST(LandingDeath, DueQueueOverflowPanics)
         "credits due");
 }
 
-TEST(LandingDeath, BindingAnEndWithTrafficInFlightPanics)
-{
-    MeshShape mesh{2, 1};
-    NocParams params;
-    OcorConfig ocor;
-    Router router(0, mesh, params, ocor);
-    Link busy;
-    Flit f;
-    f.pkt = makePacket(MsgType::GetS, 0, 1, 0x80);
-    busy.sendFlit(std::move(f), 0);
-    EXPECT_DEATH(router.attach(PortWest, &busy, nullptr), "in flight");
-    Link credited;
-    credited.sendCredit(0, 0);
-    EXPECT_DEATH(router.attach(PortEast, nullptr, &credited), "in flight");
-}
-
 TEST(LandingDeath, MixedLinkLatenciesPanic)
 {
     MeshShape mesh{2, 1};
