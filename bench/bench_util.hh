@@ -12,9 +12,6 @@
  *   --fresh       ignore the result cache for this invocation
  *   --jobs N      simulations run concurrently (default: OCOR_JOBS
  *                 env var, else hardware concurrency)
- *   --legacy-tick run on the legacy unconditional per-cycle tick loop
- *                 instead of the event-driven core (bit-identical
- *                 results, slower; for benchmarking the event core)
  *   --profile P   restrict a suite bench to one benchmark profile by
  *                 name (benches that run fixed profiles ignore it)
  *
@@ -26,10 +23,6 @@
  *   --coh-breakdown         (table3_summary) render the per-program
  *                           COH cause split; implies --coh-ledger
  *                           and writes coh_breakdown.json
- *   --wake-profile          count event-core wakes, wasted wakes and
- *                           wake edges per component group (pair
- *                           with --fresh: cached runs don't execute
- *                           and contribute no wake stats)
  *   --trace[=CATS]          enable event tracing for the categories
  *                           "lock", "noc", "sim" (comma-separated;
  *                           bare --trace means all)
@@ -81,7 +74,7 @@
 #include "sim/crashdump.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_cache.hh"
-#include "sim/wake_profiler.hh"
+#include "sim/simulator.hh"
 
 namespace ocor::bench
 {
@@ -257,8 +250,6 @@ parseOptions(int argc, char **argv)
             opt.threads = 16;
         else if (a == "--fresh")
             opt.fresh = true;
-        else if (a == "--legacy-tick")
-            Simulator::setDefaultCoreMode(SimCoreMode::Legacy);
         else if (valueOf("--profile", v))
             opt.profileFilter = v;
         else if (a == "--coh-ledger")
@@ -269,10 +260,6 @@ parseOptions(int argc, char **argv)
             opt.cohBreakdown = true;
             opt.cohLedger = true;
         }
-        else if (a == "--wake-profile")
-            // Process-wide so runs deep inside the result cache /
-            // parallel runner are profiled too.
-            Simulator::setDefaultWakeProfile(true);
         else if (a == "--jobs")
             opt.jobs = static_cast<unsigned>(std::atoi(next()));
         else if (a == "--trace")
@@ -313,9 +300,8 @@ parseOptions(int argc, char **argv)
                          "unknown flag %s\n"
                          "usage: %s [--threads N] [--iters N] "
                          "[--seed N] [--quick] [--fresh] "
-                         "[--legacy-tick] "
                          "[--profile P] [--coh-ledger] "
-                         "[--coh-breakdown] [--wake-profile] "
+                         "[--coh-breakdown] "
                          "[--jobs N] [--trace[=CATS]] "
                          "[--trace-out FILE] [--trace-capacity N] "
                          "[--stats-json FILE] "
@@ -413,9 +399,9 @@ openArtifact(const std::string &path)
 /**
  * The --stats-json export shared by every suite bench: the runner's
  * sweep counters (cache hit rates, pool utilization, degraded runs)
- * plus the process-global run aggregates — "sim.wall.*" wall-clock
- * phase totals and, after any --wake-profile run, "sim.wake.*" wake
- * attribution. No-op without --stats-json.
+ * plus the process-global "sim.wall.*" run aggregates (wall-clock
+ * phase totals and processed/skipped cycles). No-op without
+ * --stats-json.
  */
 inline void
 dumpStatsJson(const Options &opt, ParallelRunner *runner)

@@ -84,8 +84,7 @@ computeRun(const BenchmarkProfile &profile, const Options &opt,
             StatsRegistry reg;
             sim.registerStats(reg);
             // Process-global aggregates ride along (the sim.wall.*
-            // keys above win; sim.wake.* appears under
-            // --wake-profile).
+            // keys above win).
             registerAggregateStats(reg);
             std::ofstream out = openArtifact(opt.statsJson);
             reg.dumpJson(out);

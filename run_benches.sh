@@ -13,10 +13,6 @@
 #                     (16 threads, short runs; CI smoke mode)
 #   --compare-serial  first run the sweep with --jobs 1 --fresh, then
 #                     with --jobs N --fresh, and report the speedup
-#   --compare-event   first run the sweep on the legacy per-cycle core
-#                     (--legacy-tick --fresh), then on the event core
-#                     (--fresh); each bench row in BENCH_sweep.json
-#                     gains legacy_seconds / event_speedup
 #   --observe         turn the observability stack on for the sweep
 #                     (DESIGN.md §10): fig10 exports an event trace
 #                     (build/trace.json), a stats-registry dump
@@ -52,7 +48,6 @@ cd "$(dirname "$SELF")/build"
 JOBS="${OCOR_JOBS:-$(nproc)}"
 QUICK=0
 COMPARE_SERIAL=0
-COMPARE_EVENT=0
 OBSERVE=0
 RESUME=0
 BASELINE=""
@@ -63,27 +58,20 @@ while [ $# -gt 0 ]; do
       --jobs=*) JOBS="${1#--jobs=}"; shift ;;
       --quick) QUICK=1; shift ;;
       --compare-serial) COMPARE_SERIAL=1; shift ;;
-      --compare-event) COMPARE_EVENT=1; shift ;;
       --observe) OBSERVE=1; shift ;;
       --resume) RESUME=1; shift ;;
       --baseline) BASELINE="$2"; shift 2 ;;
       --baseline=*) BASELINE="${1#--baseline=}"; shift ;;
       -h|--help)
-        sed -n '2,39p' "$SELF" | sed 's/^# \{0,1\}//'
+        sed -n '2,35p' "$SELF" | sed 's/^# \{0,1\}//'
         exit 0 ;;
       *) EXTRA+=("$1"); shift ;;
     esac
 done
 
-if [ "$RESUME" -eq 1 ] \
-   && { [ "$COMPARE_SERIAL" -eq 1 ] || [ "$COMPARE_EVENT" -eq 1 ]; }
-then
-    echo "error: --resume is mutually exclusive with the compare" \
-         "modes (they force --fresh)" >&2
-    exit 1
-fi
-if [ "$COMPARE_SERIAL" -eq 1 ] && [ "$COMPARE_EVENT" -eq 1 ]; then
-    echo "error: pick one of --compare-serial / --compare-event" >&2
+if [ "$RESUME" -eq 1 ] && [ "$COMPARE_SERIAL" -eq 1 ]; then
+    echo "error: --resume is mutually exclusive with" \
+         "--compare-serial (it forces --fresh)" >&2
     exit 1
 fi
 if [ -n "$BASELINE" ]; then
@@ -115,8 +103,7 @@ if [ "$OBSERVE" -eq 1 ]; then
     OBS_FIG10=(--trace=lock,noc,sim --trace-out trace.json
                --trace-capacity 2097152
                --stats-json stats.json --telemetry-interval 200
-               --telemetry-out telemetry.csv --coh-ledger
-               --wake-profile)
+               --telemetry-out telemetry.csv --coh-ledger)
     OBS_TABLE3=(--pool-util --stats-json runner_stats.json)
 fi
 
@@ -128,7 +115,6 @@ RECORD=1
 ROWS=()
 FAILED=()
 DEGRADED=()
-declare -A LEGACY_BY_BENCH  # per-bench legacy-core reference seconds
 
 elapsed() { # elapsed <t0> <t1>
     awk -v a="$1" -v b="$2" 'BEGIN { printf "%.3f", b - a }'
@@ -155,19 +141,8 @@ run_bench() { # run_bench <label> <cmd...>
     esac
     echo "### $label: ${dt}s ($verdict)"
     if [ "$RECORD" -eq 1 ]; then
-        local extra_fields=""
-        local leg="${LEGACY_BY_BENCH[$label]:-}"
-        if [ -n "$leg" ]; then
-            local sp
-            sp=$(awk -v l="$leg" -v e="$dt" \
-                'BEGIN { printf "%.2f", (e > 0 ? l / e : 0) }')
-            extra_fields=", \"legacy_seconds\": $leg,"
-            extra_fields+=" \"event_speedup\": $sp"
-        fi
         ROWS+=("    {\"name\": \"$label\", \"seconds\": $dt,"\
-" \"status\": \"$verdict\", \"exit_code\": $status$extra_fields}")
-    elif [ "$COMPARE_EVENT" -eq 1 ]; then
-        LEGACY_BY_BENCH[$label]="$dt"
+" \"status\": \"$verdict\", \"exit_code\": $status}")
     fi
 }
 
@@ -222,21 +197,8 @@ if [ "$COMPARE_SERIAL" -eq 1 ]; then
     echo "==== parallel pass: --jobs $JOBS --fresh ===="
 fi
 
-LEGACY_SECONDS=null
-if [ "$COMPARE_EVENT" -eq 1 ]; then
-    echo "==== legacy-core reference pass: --legacy-tick --fresh ===="
-    RECORD=0
-    t0=$(date +%s.%N)
-    sweep "$JOBS" --fresh --legacy-tick
-    t1=$(date +%s.%N)
-    LEGACY_SECONDS=$(elapsed "$t0" "$t1")
-    RECORD=1
-    echo
-    echo "==== event-core pass: --jobs $JOBS --fresh ===="
-fi
-
 t0=$(date +%s.%N)
-if [ "$COMPARE_SERIAL" -eq 1 ] || [ "$COMPARE_EVENT" -eq 1 ]; then
+if [ "$COMPARE_SERIAL" -eq 1 ]; then
     sweep "$JOBS" --fresh
 else
     sweep "$JOBS"
@@ -248,12 +210,6 @@ SPEEDUP=null
 if [ "$COMPARE_SERIAL" -eq 1 ]; then
     SPEEDUP=$(awk -v s="$SERIAL_SECONDS" -v p="$TOTAL_SECONDS" \
         'BEGIN { printf "%.2f", s / p }')
-fi
-
-EVENT_SPEEDUP=null
-if [ "$COMPARE_EVENT" -eq 1 ]; then
-    EVENT_SPEEDUP=$(awk -v l="$LEGACY_SECONDS" -v e="$TOTAL_SECONDS" \
-        'BEGIN { printf "%.2f", l / e }')
 fi
 
 {
@@ -283,9 +239,7 @@ fi
     echo "  \"degraded\": ${#DEGRADED[@]},"
     echo "  \"total_seconds\": $TOTAL_SECONDS,"
     echo "  \"serial_total_seconds\": $SERIAL_SECONDS,"
-    echo "  \"speedup\": $SPEEDUP,"
-    echo "  \"legacy_total_seconds\": $LEGACY_SECONDS,"
-    echo "  \"event_speedup\": $EVENT_SPEEDUP"
+    echo "  \"speedup\": $SPEEDUP"
     echo "}"
 } > "$SWEEP_JSON"
 
@@ -359,10 +313,6 @@ echo "sweep finished in ${TOTAL_SECONDS}s" \
      "(jobs=$JOBS; timings: build/$SWEEP_JSON)"
 if [ "$COMPARE_SERIAL" -eq 1 ]; then
     echo "serial reference: ${SERIAL_SECONDS}s -> speedup ${SPEEDUP}x"
-fi
-if [ "$COMPARE_EVENT" -eq 1 ]; then
-    echo "legacy-core reference: ${LEGACY_SECONDS}s ->" \
-         "event-core speedup ${EVENT_SPEEDUP}x"
 fi
 if [ "${#FAILED[@]}" -gt 0 ]; then
     echo "failed benches: ${FAILED[*]}" >&2

@@ -75,14 +75,11 @@ def check_stats(path):
         fail(f"{path}: {int(violations)} invariant-checker "
              "violations recorded")
     check_coh_ledger(path, stats)
-    check_wake(path, stats)
     print(f"{path}: OK ({len(stats)} entries)")
 
 
 COH_CAUSES = ["transfer", "arbitration", "backoff", "sleep",
               "grant_gap"]
-WAKE_GROUPS = ["network", "l1", "l2", "lockmgr", "mc", "qspin",
-               "core"]
 
 
 def check_coh_ledger(path, stats):
@@ -129,27 +126,6 @@ def check_coh_ledger(path, stats):
              "ledger entries")
     print(f"{path}: COH ledger OK ({int(total)} cycles over "
           f"{len(COH_CAUSES)} causes)")
-
-
-def check_wake(path, stats):
-    """Wake profiler (--wake-profile): sane per-group counters."""
-    if "sim.wake.cycles_profiled" not in stats:
-        return
-    cycles = stats["sim.wake.cycles_profiled"]
-    if cycles <= 0:
-        fail(f"{path}: sim.wake.* present but no cycles profiled")
-    for g in WAKE_GROUPS:
-        wakes = stats.get(f"sim.wake.{g}.wakes", 0)
-        wasted = stats.get(f"sim.wake.{g}.wasted", 0)
-        if wakes < 0 or wasted < 0:
-            fail(f"{path}: negative wake counter for group '{g}'")
-        if wasted > wakes:
-            fail(f"{path}: group '{g}' has more wasted wakes "
-                 f"({wasted}) than wakes ({wakes})")
-        if wakes > cycles:
-            fail(f"{path}: group '{g}' woke {wakes} times in "
-                 f"{cycles} profiled cycles")
-    print(f"{path}: wake profile OK ({int(cycles)} cycles)")
 
 
 def check_telemetry(path):

@@ -11,7 +11,7 @@ container into simulation-visible state, consuming ambient entropy
 (wall clock, rand(), random_device), and ordering on raw pointer
 values, all of which vary run to run. On top of those, the protocol
 layers carry contracts the compiler cannot check: nextWake() must be
-a pure observer (the event core calls it at will), every blocked-idle
+a pure observer (the run loop calls it at will), every blocked-idle
 charge must reach the COH ledger, and every stats-struct field must
 be registered or it silently vanishes from stats.json.
 
@@ -51,13 +51,15 @@ comment on the same or the preceding line):
                         stack garbage.
   unconditional-tick    range-for whose body ticks every element of a
                         component container unconditionally
-                        (`x->tick(now)` with no guard). The simulator
-                        is event-driven (DESIGN.md §13): a per-cycle
+                        (`x->tick(now)` with no guard). The run loop
+                        (DESIGN.md §13) ticks a component only on
+                        cycles its nextWake() marks as due; a
                         for-all-components loop silently re-introduces
-                        the O(components) cost the event core removes.
-                        Gate the call on `nextWake() <= now` (see
-                        System::tickEvent); the legacy exact path
-                        carries explicit allow annotations.
+                        the per-cycle O(components) cost that gating
+                        removes. Gate the call on `nextWake() <= now`
+                        (see System::tick). Only loops over components
+                        whose own tick() gates itself (Network::tick's
+                        routers and NIs) carry allow annotations.
   signal-unsafe         non-async-signal-safe call (malloc/stdio/
                         iostream/string/mutex/exit/throw...) inside a
                         region bracketed by `// BEGIN
@@ -72,7 +74,7 @@ comment on the same or the preceding line):
   nextwake-impure       a nextWake() definition that is not
                         const-qualified, or whose body mutates a
                         member (`x_ = ...`, `++x_`, `this->x = ...`).
-                        The event core (DESIGN.md §13) calls
+                        The run loop (DESIGN.md §13) calls
                         nextWake() any number of times per cycle to
                         compute the next event horizon; a mutation
                         makes the horizon depend on how often the
@@ -119,13 +121,13 @@ RULES = {
     "missing-field-init":
         "scalar struct field without a default initializer",
     "unconditional-tick":
-        "per-cycle for-all-components tick loop (defeats the "
-        "event-driven core's gating; guard on nextWake() <= now)",
+        "per-cycle for-all-components tick loop (defeats the run "
+        "loop's nextWake() gating; guard on nextWake() <= now)",
     "signal-unsafe":
         "non-async-signal-safe call inside a signal-handler-context "
         "region",
     "nextwake-impure":
-        "nextWake() must be a const pure observer (the event core "
+        "nextWake() must be a const pure observer (the run loop "
         "polls it freely; mutation makes the horizon "
         "schedule-dependent)",
     "ledger-site":
@@ -897,7 +899,7 @@ REGISTER_FN_RE = re.compile(r"^register\w*Stats$")
 
 def registered_identifiers(model):
     """All identifiers inside register*Stats() bodies (the stats
-    walks: registerStats, registerWakeStats, ...)."""
+    walks: registerStats, registerAggregateStats, ...)."""
     ids = set()
     for fn in model.functions:
         if not REGISTER_FN_RE.match(fn["name"]):

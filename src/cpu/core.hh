@@ -71,7 +71,7 @@ class Core
 
     /**
      * Earliest cycle tick() would do any work; may be in the past
-     * (overdue = due immediately; the event core clamps). Mirrors
+     * (overdue = due immediately; the run loop clamps). Mirrors
      * tick()/step()'s guards: background traffic fires only while
      * the thread is on the core (Running / InCS — a foreground
      * memory stall keeps the state Running, so bg still fires), and

@@ -114,21 +114,11 @@ Network::uncontendedLatency(const Packet &pkt) const
 void
 Network::tick(Cycle now)
 {
-    // Legacy exact path: every component every cycle, by definition.
+    // Routers and NIs gate themselves on their own pending work.
     for (auto &r : routers_)  // simlint: allow(unconditional-tick)
         r->tick(now);
     for (auto &ni : nis_)  // simlint: allow(unconditional-tick)
         ni->tick(now);
-}
-
-void
-Network::tickEvent(Cycle now)
-{
-    // Router::tick gates itself on its due queue and request masks.
-    for (auto &r : routers_)  // simlint: allow(unconditional-tick)
-        r->tick(now);
-    for (auto &ni : nis_)
-        ni->tickEvent(now);
 }
 
 Cycle
@@ -149,33 +139,6 @@ Network::nextWake(Cycle now) const
     if (w <= now)
         w = now + 1;
     return w;
-}
-
-const char *
-netWakeReasonName(NetWakeReason r)
-{
-    switch (r) {
-      case NetWakeReason::RouterBusy: return "router_busy";
-      case NetWakeReason::LinkBusy:   return "link_busy";
-      case NetWakeReason::NiQueue:    return "ni_queue";
-      case NetWakeReason::Idle:       return "idle";
-      default:                        return "?";
-    }
-}
-
-NetWakeReason
-Network::wakeReason(Cycle now) const
-{
-    for (const auto &r : routers_)
-        if (r->busy())
-            return NetWakeReason::RouterBusy;
-    for (const auto &l : links_)
-        if (!l->idle())
-            return NetWakeReason::LinkBusy;
-    for (const auto &ni : nis_)
-        if (ni->nextWake(now) != neverCycle)
-            return NetWakeReason::NiQueue;
-    return NetWakeReason::Idle;
 }
 
 bool

@@ -40,27 +40,6 @@ struct NetworkStats
     Histogram lockPacketLatencyHist{2.0, 256};
 };
 
-/**
- * Why Network::nextWake() wants the next cycle (profiling only):
- * the first matching clause of nextWake()'s scan, so the wake
- * profiler can say *what* keeps the network group hot.
- */
-enum class NetWakeReason : std::uint8_t
-{
-    RouterBusy, ///< some router holds flits or pending credits
-    LinkBusy,   ///< an NI-facing link carries a flit or credit (router
-                ///< ends land theirs in the router: RouterBusy)
-    NiQueue,    ///< an NI-local queue has timed work
-    Idle,       ///< nothing due (wake was external/stale)
-    NumReasons
-};
-
-constexpr std::size_t kNumNetWakeReasons =
-    static_cast<std::size_t>(NetWakeReason::NumReasons);
-
-/** Stable reason name (stats keys). */
-const char *netWakeReasonName(NetWakeReason r);
-
 /** A width x height mesh of 2-stage VC routers with one NI per node. */
 class Network
 {
@@ -82,16 +61,13 @@ class Network
     /** Stamp-and-send convenience used by all node logic. */
     void send(const PacketPtr &pkt, Cycle now);
 
-    void tick(Cycle now);
-
     /**
-     * Event-core variant of tick(): same router-then-NI walk order.
-     * Router::tick gates itself on its due queue and request masks;
-     * each NI is entered through its gated tickEvent. Fully
-     * idle nodes cost a handful of compares. Bit-identical to tick()
-     * by construction (every elided stage is a provable no-op).
+     * Advance one cycle: every router, then every NI. Both gate
+     * themselves (Router::tick on its due queue and request masks,
+     * NetworkInterface::tick on its link fronts, queues and VC
+     * masks), so fully idle nodes cost a handful of compares.
      */
-    void tickEvent(Cycle now);
+    void tick(Cycle now);
 
     /**
      * Earliest future cycle tick() could do any work, seen from
@@ -106,10 +82,6 @@ class Network
 
     /** All buffers and links empty (drain check). */
     bool idle() const;
-
-    /** First matching clause of nextWake()'s scan at cycle @p now
-     * (wake-profiler attribution; same walk order as nextWake). */
-    NetWakeReason wakeReason(Cycle now) const;
 
     /**
      * Inject-to-eject time of @p pkt through an otherwise empty mesh:

@@ -305,6 +305,25 @@ NetworkInterface::sendOneFlit(Cycle now)
 void
 NetworkInterface::tick(Cycle now)
 {
+    bool due = (toRouter_ && toRouter_->creditDue(now)) ||
+               (fromRouter_ && fromRouter_->flitDue(now)) ||
+               (!loopback_.empty() && loopback_.front().first <= now) ||
+               (!injectQueue_.empty() &&
+                injectQueue_.front().ready <= now) ||
+               (activeVcs_ & creditedVcs_) != 0;
+    const bool retransmit =
+        fault_ && fault_->active() && fault_->config().retransmit;
+    if (!due && retransmit) {
+        for (const auto &[seq, o] : outstanding_) {
+            if (o.deadline <= now) {
+                due = true;
+                break;
+            }
+        }
+    }
+    if (!due)
+        return;
+
     // Credits from the router's local input port.
     if (toRouter_) {
         for (unsigned v : toRouter_->takeCredits(now)) {
@@ -321,33 +340,10 @@ NetworkInterface::tick(Cycle now)
     }
 
     ejectIncoming(now);
-    if (fault_ && fault_->active() && fault_->config().retransmit)
+    if (retransmit)
         checkRetransmits(now);
     assignVcs(now);
     sendOneFlit(now);
-}
-
-void
-NetworkInterface::tickEvent(Cycle now)
-{
-    bool due = (toRouter_ && toRouter_->creditDue(now)) ||
-               (fromRouter_ && fromRouter_->flitDue(now)) ||
-               (!loopback_.empty() && loopback_.front().first <= now) ||
-               (!injectQueue_.empty() &&
-                injectQueue_.front().ready <= now);
-    if (!due)
-        due = (activeVcs_ & creditedVcs_) != 0;
-    if (!due && fault_ && fault_->active() &&
-        fault_->config().retransmit) {
-        for (const auto &[seq, o] : outstanding_) {
-            if (o.deadline <= now) {
-                due = true;
-                break;
-            }
-        }
-    }
-    if (due)
-        tick(now);
 }
 
 } // namespace ocor

@@ -96,20 +96,17 @@ class NetworkInterface
      */
     void inject(const PacketPtr &pkt, Cycle now);
 
-    /** Advance one cycle: ejection, VC assignment, flit send. */
-    void tick(Cycle now);
-
     /**
-     * Event-core variant of tick(): runs the full tick only when some
-     * stage provably has work at @p now — a credit or flit due on the
-     * router links, a loopback or injection-queue entry whose ready
-     * cycle has arrived (both FIFOs are monotone, so front checks are
-     * exact), an active output VC with credit to send, or a due
-     * retransmission deadline. When none hold, tick() would mutate
-     * nothing (no arbiter pick, no stats, no callbacks), so skipping
-     * it is bit-identical.
+     * Advance one cycle: credit intake, ejection, retransmission, VC
+     * assignment, flit send. Runs only when some stage provably has
+     * work at @p now — a credit or flit due on the router links, a
+     * loopback or injection-queue entry whose ready cycle has arrived
+     * (both FIFOs are monotone, so front checks are exact), an active
+     * output VC with credit to send, or a due retransmission
+     * deadline. When none hold, the stages would mutate nothing (no
+     * arbiter pick, no stats, no callbacks), so the cycle is skipped.
      */
-    void tickEvent(Cycle now);
+    void tick(Cycle now);
 
     /**
      * Earliest future cycle tick() could do any work, seen from

@@ -138,7 +138,7 @@ class Router
      * on the wire. */
     unsigned occupancy(Cycle now) const;
 
-    /** O(1) test for held flits or pending credits (event-core wakeup
+    /** O(1) test for held flits or pending credits (wake scan
      * plumbing and drain checks): a router holding neither has
      * nothing to do, so ticking it is a no-op. */
     bool busy() const { return buffered_ > 0 || !due_.empty(); }

@@ -1,16 +1,13 @@
 #include "sim/simulator.hh"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <mutex>
 #include <sstream>
 
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "os/lock_ledger.hh"
 #include "sim/crashdump.hh"
-#include "sim/wake_profiler.hh"
 
 namespace ocor
 {
@@ -26,74 +23,82 @@ secondsSince(sim_clock::time_point a, sim_clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Groups beyond the System component groups: pseudo events that
- * keep the watchdog/cancel poll stride and the telemetry sampler
- * firing on exactly the cycles the legacy loop visits. */
-constexpr unsigned kTelemetryGroup = NumSystemGroups;
-constexpr unsigned kStrideGroup = NumSystemGroups + 1;
-constexpr unsigned kNumGroups = NumSystemGroups + 2;
-
 /** The watchdog/cancel poll stride of the run loop (cycles with
  * (now & kStrideMask) == 0 are poll cycles). */
 constexpr Cycle kStrideMask = 0x7ff;
 
-std::atomic<SimCoreMode> g_default_core{SimCoreMode::Auto};
-std::atomic<bool> g_default_wake_profile{false};
+/** Process-global run aggregates (registerAggregateStats). */
+std::mutex g_agg_mu;
+WallProfile g_agg_wall;
+std::uint64_t g_agg_runs = 0;
 
-SimCoreMode
-envCoreMode()
+WallProfile
+aggregateWall()
 {
-    static const SimCoreMode mode = [] {
-        const char *s = std::getenv("OCOR_SIM_CORE");
-        if (!s || !*s)
-            return SimCoreMode::Auto;
-        if (std::strcmp(s, "legacy") == 0)
-            return SimCoreMode::Legacy;
-        if (std::strcmp(s, "event") == 0)
-            return SimCoreMode::Event;
-        ocor_warn("OCOR_SIM_CORE=\"%s\" not recognized "
-                  "(want \"legacy\" or \"event\"); ignoring", s);
-        return SimCoreMode::Auto;
-    }();
-    return mode;
+    std::lock_guard<std::mutex> lk(g_agg_mu);
+    return g_agg_wall;
+}
+
+void
+mergeRunAggregates(const WallProfile &wall)
+{
+    std::lock_guard<std::mutex> lk(g_agg_mu);
+    g_agg_wall.totalSeconds += wall.totalSeconds;
+    g_agg_wall.tickSeconds += wall.tickSeconds;
+    g_agg_wall.accountSeconds += wall.accountSeconds;
+    g_agg_wall.schedSeconds += wall.schedSeconds;
+    g_agg_wall.cycles += wall.cycles;
+    g_agg_wall.cyclesProcessed += wall.cyclesProcessed;
+    g_agg_wall.cyclesSkipped += wall.cyclesSkipped;
+    ++g_agg_runs;
 }
 
 } // namespace
 
 void
-Simulator::setDefaultCoreMode(SimCoreMode m)
+registerAggregateStats(StatsRegistry &reg)
 {
-    g_default_core.store(m, std::memory_order_relaxed);
-}
-
-SimCoreMode
-Simulator::defaultCoreMode()
-{
-    return g_default_core.load(std::memory_order_relaxed);
-}
-
-void
-Simulator::setDefaultWakeProfile(bool on)
-{
-    g_default_wake_profile.store(on, std::memory_order_relaxed);
-}
-
-bool
-Simulator::defaultWakeProfile()
-{
-    return g_default_wake_profile.load(std::memory_order_relaxed);
-}
-
-SimCoreMode
-Simulator::resolvedCoreMode() const
-{
-    if (opts_.core != SimCoreMode::Auto)
-        return opts_.core;
-    if (SimCoreMode d = defaultCoreMode(); d != SimCoreMode::Auto)
-        return d;
-    if (SimCoreMode e = envCoreMode(); e != SimCoreMode::Auto)
-        return e;
-    return SimCoreMode::Event;
+    // Everything reads the global aggregate at dump time, so stats
+    // registered before a sweep report the sweep's final totals.
+    auto wall = [](auto field) {
+        return [field]() { return field(aggregateWall()); };
+    };
+    if (!reg.has("sim.wall.total_seconds")) {
+        reg.addScalarFn("sim.wall.total_seconds",
+                        wall([](const WallProfile &w) {
+                            return w.totalSeconds;
+                        }));
+        reg.addScalarFn("sim.wall.tick_seconds",
+                        wall([](const WallProfile &w) {
+                            return w.tickSeconds;
+                        }));
+        reg.addScalarFn("sim.wall.account_seconds",
+                        wall([](const WallProfile &w) {
+                            return w.accountSeconds;
+                        }));
+        reg.addScalarFn("sim.wall.sched_seconds",
+                        wall([](const WallProfile &w) {
+                            return w.schedSeconds;
+                        }));
+        reg.addScalarFn("sim.wall.cycles",
+                        wall([](const WallProfile &w) {
+                            return static_cast<double>(w.cycles);
+                        }));
+        reg.addScalarFn("sim.wall.cycles_processed",
+                        wall([](const WallProfile &w) {
+                            return static_cast<double>(
+                                w.cyclesProcessed);
+                        }));
+        reg.addScalarFn("sim.wall.cycles_skipped",
+                        wall([](const WallProfile &w) {
+                            return static_cast<double>(
+                                w.cyclesSkipped);
+                        }));
+    }
+    reg.addScalarFn("sim.wall.runs", []() {
+        std::lock_guard<std::mutex> lk(g_agg_mu);
+        return static_cast<double>(g_agg_runs);
+    });
 }
 
 Simulator::Simulator(const SystemConfig &cfg,
@@ -119,8 +124,6 @@ Simulator::Simulator(const SystemConfig &cfg,
         system_->setLedger(ledger_.get());
         budgetMemo_.resize(system_->numThreads());
     }
-    if (opts_.wakeProfile || defaultWakeProfile())
-        wakeProf_ = std::make_unique<WakeProfiler>();
     // Traced runs publish their ring to the crash-dump handler so a
     // fatal signal dumps the last events. One tracer at a time
     // (last wins) -- exactly the single-simulator tracing setup the
@@ -325,93 +328,6 @@ Simulator::diagnoseHang() const
     return os.str();
 }
 
-bool
-Simulator::processCycle(bool event, Tracer *tr, CheckerRegistry *ck,
-                        Cycle &last_progress_at,
-                        std::uint64_t &last_progress)
-{
-    auto tick_system = [&] {
-        if (event && wakeProf_)
-            system_->tickEventProfiled(now_, *wakeProf_);
-        else if (event)
-            system_->tickEvent(now_);
-        else
-            system_->tick(now_);
-    };
-    if (opts_.profileWall) {
-        const auto t0 = sim_clock::now();
-        tick_system();
-        const auto t1 = sim_clock::now();
-        accountCycle(now_);
-        wall_.tickSeconds += secondsSince(t0, t1);
-        wall_.accountSeconds += secondsSince(t1, sim_clock::now());
-    } else {
-        tick_system();
-        accountCycle(now_);
-    }
-    ++wall_.cyclesProcessed;
-    if (ck)
-        ck->onCycleEnd(now_);
-    if (telemetry_.due(now_)) {
-        telemetry_.sample(now_, *system_);
-        if (tr)
-            tr->record(TraceCat::Sim, TraceEv::TelemetrySample,
-                       now_, invalidNode, invalidThread, 0, 0,
-                       static_cast<std::uint32_t>(
-                           telemetry_.points()));
-    }
-    if (system_->allFinished())
-        return true;
-    // Cooperative cancellation (supervision deadline), polled at
-    // the same coarse stride as the watchdog so the unsupervised
-    // loop stays bit-identical and cheap.
-    if (opts_.cancel && (now_ & kStrideMask) == 0 &&
-        opts_.cancel->cancelled()) {
-        cancelled_ = true;
-        if (tr)
-            tr->record(TraceCat::Sim, TraceEv::WatchdogFired,
-                       now_, invalidNode, invalidThread, 0, 0,
-                       1 /* a0 = cancelled, not wedged */);
-        ocor_warn("run cancelled by supervisor at cycle %llu",
-                  static_cast<unsigned long long>(now_));
-        return true;
-    }
-    // Forward-progress watchdog, checked at a coarse stride so
-    // the fault-free loop stays cheap.
-    if (cfg_.progressWindow > 0 && (now_ & kStrideMask) == 0) {
-        std::uint64_t p = progressSignal();
-        if (p != last_progress) {
-            last_progress = p;
-            last_progress_at = now_;
-        } else if (now_ - last_progress_at >= cfg_.progressWindow) {
-            hangDetected_ = true;
-            hangDiagnosis_ = diagnoseHang();
-            if (tr)
-                tr->record(TraceCat::Sim, TraceEv::WatchdogFired,
-                           now_, invalidNode);
-            ocor_warn("no forward progress for %llu cycles at "
-                      "cycle %llu; failing fast\n%s",
-                      static_cast<unsigned long long>(
-                          now_ - last_progress_at),
-                      static_cast<unsigned long long>(now_),
-                      hangDiagnosis_.c_str());
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-Simulator::runLegacyLoop(Tracer *tr, CheckerRegistry *ck)
-{
-    Cycle last_progress_at = 0;
-    std::uint64_t last_progress = 0;
-    for (now_ = 0; now_ < cfg_.maxCycles; ++now_)
-        if (processCycle(false, tr, ck, last_progress_at,
-                         last_progress))
-            break;
-}
-
 void
 Simulator::accountSpan(Cycle from, Cycle to)
 {
@@ -474,75 +390,100 @@ Simulator::accountSpan(Cycle from, Cycle to)
 }
 
 void
-Simulator::runEventLoop(Tracer *tr, CheckerRegistry *ck)
+Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
 {
     // With a checker registry attached the end-of-cycle invariant
     // walk must run every cycle (its per-cycle verdicts — and thus
     // violation counts under a collecting handler — are observable),
-    // so cycle skipping is off; the lazy per-component tick skipping
-    // of tickEvent() still applies.
+    // so cycle skipping is off; System::tick still ticks only the
+    // components that are due.
     const bool skipping = (ck == nullptr);
     const bool stride_active =
         cfg_.progressWindow > 0 || opts_.cancel != nullptr;
-
-    // Every group starts due at cycle 0, like the legacy loop's
-    // unconditional first tick (non-due ticks are no-ops).
-    Cycle scheduled[kNumGroups] = {};
-
-    auto group_wake = [&](unsigned g) -> Cycle {
-        if (g < NumSystemGroups)
-            return system_->componentWake(g, now_);
-        if (g == kTelemetryGroup)
-            return telemetry_.nextDue();
-        // Poll-stride pseudo event: the next (now & mask) == 0
-        // cycle, so cancel/watchdog polls fire on the exact cycles
-        // the legacy loop polls on.
-        return stride_active
-            ? ((now_ | kStrideMask) + 1)
-            : neverCycle;
-    };
-
     Cycle last_progress_at = 0;
     std::uint64_t last_progress = 0;
-    now_ = 0;
-    while (now_ < cfg_.maxCycles) {
-        if (processCycle(true, tr, ck, last_progress_at,
-                         last_progress))
+    for (now_ = 0; now_ < cfg_.maxCycles;) {
+        if (opts_.profileWall) {
+            const auto t0 = sim_clock::now();
+            system_->tick(now_);
+            const auto t1 = sim_clock::now();
+            accountCycle(now_);
+            wall_.tickSeconds += secondsSince(t0, t1);
+            wall_.accountSeconds += secondsSince(t1, sim_clock::now());
+        } else {
+            system_->tick(now_);
+            accountCycle(now_);
+        }
+        ++wall_.cyclesProcessed;
+        if (ck)
+            ck->onCycleEnd(now_);
+        if (telemetry_.due(now_)) {
+            telemetry_.sample(now_, *system_);
+            if (tr)
+                tr->record(TraceCat::Sim, TraceEv::TelemetrySample,
+                           now_, invalidNode, invalidThread, 0, 0,
+                           static_cast<std::uint32_t>(
+                               telemetry_.points()));
+        }
+        if (system_->allFinished())
             break;
+        // Cooperative cancellation (supervision deadline) and the
+        // forward-progress watchdog, polled at a coarse stride so an
+        // unsupervised run stays cheap.
+        if ((now_ & kStrideMask) == 0) {
+            if (opts_.cancel && opts_.cancel->cancelled()) {
+                cancelled_ = true;
+                if (tr)
+                    tr->record(TraceCat::Sim, TraceEv::WatchdogFired,
+                               now_, invalidNode, invalidThread, 0, 0,
+                               1 /* a0 = cancelled, not wedged */);
+                ocor_warn("run cancelled by supervisor at cycle %llu",
+                          static_cast<unsigned long long>(now_));
+                break;
+            }
+            if (cfg_.progressWindow > 0) {
+                std::uint64_t p = progressSignal();
+                if (p != last_progress) {
+                    last_progress = p;
+                    last_progress_at = now_;
+                } else if (now_ - last_progress_at >=
+                           cfg_.progressWindow) {
+                    hangDetected_ = true;
+                    hangDiagnosis_ = diagnoseHang();
+                    if (tr)
+                        tr->record(TraceCat::Sim,
+                                   TraceEv::WatchdogFired, now_,
+                                   invalidNode);
+                    ocor_warn("no forward progress for %llu cycles "
+                              "at cycle %llu; failing fast\n%s",
+                              static_cast<unsigned long long>(
+                                  now_ - last_progress_at),
+                              static_cast<unsigned long long>(now_),
+                              hangDiagnosis_.c_str());
+                    break;
+                }
+            }
+        }
         if (!skipping) {
             ++now_;
             continue;
         }
 
+        // Jump to the earliest cycle anything is due: a component,
+        // the telemetry sampler or the next poll-stride cycle (so
+        // samples and polls land on the cycles a per-cycle loop
+        // would visit). Nothing ticks in between, so the span is
+        // charged in bulk; past the horizon it is charged up to
+        // maxCycles and the run stops there.
         const auto s0 =
             opts_.profileWall ? sim_clock::now() : sim_clock::time_point{};
-        // Recompute every group's wake; the next processed cycle is
-        // the earliest of them.
-        Cycle next = neverCycle;
-        for (unsigned g = 0; g < kNumGroups; ++g) {
-            Cycle w = group_wake(g);
-            if (w <= now_)
-                w = now_ + 1;
-            if (w != scheduled[g]) {
-                scheduled[g] = w;
-                if (wakeProf_ && g < NumSystemGroups)
-                    wakeProf_->noteReschedule(g);
-            }
-            next = std::min(next, w);
-        }
+        Cycle next =
+            std::min(system_->nextWake(now_), telemetry_.nextDue());
+        if (stride_active)
+            next = std::min(next, (now_ | kStrideMask) + 1);
+        next = std::min(std::max(next, now_ + 1), cfg_.maxCycles);
         if (opts_.profileWall)
             wall_.schedSeconds += secondsSince(s0, sim_clock::now());
-
-        if (next >= cfg_.maxCycles) {
-            // Nothing left to do before the horizon: the legacy loop
-            // would idle-tick to maxCycles, charging thread states
-            // each cycle. Account the span and stop there.
-            accountSpan(now_ + 1, cfg_.maxCycles);
-            if (cfg_.maxCycles > now_ + 1)
-                wall_.cyclesSkipped += cfg_.maxCycles - (now_ + 1);
-            now_ = cfg_.maxCycles;
-            break;
-        }
         accountSpan(now_ + 1, next);
         wall_.cyclesSkipped += next - (now_ + 1);
         now_ = next;
@@ -559,10 +500,7 @@ Simulator::run()
         tr->record(TraceCat::Sim, TraceEv::RunBegin, 0, invalidNode);
     CheckerRegistry *ck = system_->checker();
 
-    if (resolvedCoreMode() == SimCoreMode::Legacy)
-        runLegacyLoop(tr, ck);
-    else
-        runEventLoop(tr, ck);
+    runLoop(tr, ck);
 
     if (!hangDetected_ && !cancelled_ && now_ >= cfg_.maxCycles)
         ocor_warn("simulation hit maxCycles (%llu) before finishing",
@@ -620,9 +558,8 @@ Simulator::run()
 
     // Fold this run into the process-global aggregates so sweeps
     // whose Simulators die inside the result cache still report
-    // sim.wall.* / sim.wake.* totals (registerAggregateStats).
-    mergeRunAggregates(wall_,
-                       wakeProf_ ? &wakeProf_->stats() : nullptr);
+    // sim.wall.* totals (registerAggregateStats).
+    mergeRunAggregates(wall_);
     return m;
 }
 
@@ -647,8 +584,6 @@ Simulator::registerStats(StatsRegistry &reg)
     reg.addScalar("sim.wall.cycles_skipped", &wall_.cyclesSkipped);
     if (ledger_)
         ledger_->registerStats(reg, "sim.coh");
-    if (wakeProf_)
-        registerWakeStats(reg, "sim.wake", &wakeProf_->stats());
 }
 
 } // namespace ocor

@@ -23,25 +23,6 @@ namespace ocor
 class CancelToken;
 class Tracer;
 class LockLedger;
-class WakeProfiler;
-
-/**
- * Which simulation core drives run().
- *
- * Legacy is the original unconditional per-cycle loop (every
- * component ticked every cycle); Event is the event-driven core
- * (components ticked only on due cycles, quiet spans skipped in one
- * step). The two are bit-identical by construction — Event exists
- * purely for wall-clock speed. Auto defers to the process-wide
- * default (setDefaultCoreMode), then the OCOR_SIM_CORE environment
- * variable ("legacy" / "event"), then Event.
- */
-enum class SimCoreMode : std::uint8_t
-{
-    Auto,
-    Legacy,
-    Event
-};
 
 /**
  * One-cycle memo of lockHolderInCs verdicts, keyed by lock word.
@@ -113,9 +94,6 @@ struct SimOptions
      */
     const CancelToken *cancel = nullptr;
 
-    /** Simulation core driving run() (see SimCoreMode). */
-    SimCoreMode core = SimCoreMode::Auto;
-
     /**
      * COH attribution ledger: split every blocked-idle (competition
      * overhead) cycle into a named cause — transfer, arbitration,
@@ -125,14 +103,6 @@ struct SimOptions
      * refinement.
      */
     bool cohLedger = false;
-
-    /**
-     * Wake-attribution profiler (event core only): count per-group
-     * wakes, wasted wakes and wake edges. Purely observational —
-     * simulation results are bit-identical with it on. Also enabled
-     * process-wide by Simulator::setDefaultWakeProfile.
-     */
-    bool wakeProfile = false;
 };
 
 /** Host wall-clock cost of one run() (never enters sim results). */
@@ -141,15 +111,29 @@ struct WallProfile
     double totalSeconds = 0.0;   ///< whole run(), always measured
     double tickSeconds = 0.0;    ///< System::tick (profileWall only)
     double accountSeconds = 0.0; ///< accounting (profileWall only)
-    double schedSeconds = 0.0;   ///< event scheduling (profileWall)
+    double schedSeconds = 0.0;   ///< wake scan (profileWall only)
     std::uint64_t cycles = 0;    ///< simulated cycles covered
 
-    /** Cycles the loop actually ticked (== cycles under the legacy
-     * core; under the event core, cycles + skipped == processed +
-     * skipped covers the run). */
+    /**
+     * Cycles the loop ticked and the quiet cycles it jumped over.
+     * Together they cover cycles 0..stop: processed + skipped ==
+     * cycles + 1 when the run stops on a processed cycle (threads
+     * finished, watchdog, cancel), and == cycles when it runs out at
+     * the maxCycles horizon, which is never processed.
+     */
     std::uint64_t cyclesProcessed = 0;
-    std::uint64_t cyclesSkipped = 0;   ///< quiet cycles jumped over
+    std::uint64_t cyclesSkipped = 0;
 };
+
+/**
+ * Register the process-global run aggregates: every run() folds its
+ * wall profile into one thread-safe total, because benches execute
+ * simulations deep inside the result cache / parallel runner where
+ * no Simulator survives to stats-registration time. Registers
+ * "sim.wall.*" (unless a live Simulator already registered its own
+ * run's view) plus "sim.wall.runs", read at dump time.
+ */
+void registerAggregateStats(StatsRegistry &reg);
 
 /** Drives one System instance through its region of interest. */
 class Simulator
@@ -207,47 +191,18 @@ class Simulator
      */
     void registerStats(StatsRegistry &reg);
 
-    /**
-     * Process-wide default core for Simulators whose options leave
-     * core at Auto (the benches' --legacy-tick flag). Thread-safe.
-     */
-    static void setDefaultCoreMode(SimCoreMode m);
-    static SimCoreMode defaultCoreMode();
-
-    /**
-     * Process-wide wake-profiling default (the benches'
-     * --wake-profile flag): profiling changes no results, so unlike
-     * the ledger it needs no per-experiment plumbing or cache-key
-     * split — note cached runs don't execute and contribute no wake
-     * stats (pair the flag with --fresh). Thread-safe.
-     */
-    static void setDefaultWakeProfile(bool on);
-    static bool defaultWakeProfile();
-
-    /** The core mode run() will use (Auto fully resolved). */
-    SimCoreMode resolvedCoreMode() const;
-
     /** COH attribution ledger; null unless opts.cohLedger. */
     const LockLedger *ledger() const { return ledger_.get(); }
 
-    /** Wake profiler; null unless profiling is on. */
-    const WakeProfiler *wakeProfiler() const
-    {
-        return wakeProf_.get();
-    }
-
   private:
-    void runLegacyLoop(Tracer *tr, CheckerRegistry *ck);
-    void runEventLoop(Tracer *tr, CheckerRegistry *ck);
-
     /**
-     * One legacy loop-body iteration at now_ (tick or tickEvent,
-     * accounting, checkers, telemetry, finish/cancel/watchdog exit
-     * tests). Returns true when the run must stop at now_.
+     * The simulation loop: process a cycle (gated System::tick,
+     * accounting, checkers, telemetry, stop tests), then jump to the
+     * earliest of System::nextWake, the telemetry sampler and the
+     * watchdog/cancel poll stride, charging the skipped span in bulk.
+     * With checkers armed every cycle is processed.
      */
-    bool processCycle(bool event, Tracer *tr, CheckerRegistry *ck,
-                      Cycle &last_progress_at,
-                      std::uint64_t &last_progress);
+    void runLoop(Tracer *tr, CheckerRegistry *ck);
 
     /**
      * Charge cycles [from, to) to every live thread in one step.
@@ -304,9 +259,6 @@ class Simulator
 
     /** COH attribution ledger (null = off). */
     std::unique_ptr<LockLedger> ledger_;
-
-    /** Wake-attribution profiler (null = off). */
-    std::unique_ptr<WakeProfiler> wakeProf_;
 
     /** Per-thread try-budget memo for chargeCohCauses. */
     struct BudgetMemo

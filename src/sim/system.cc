@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "os/lock_ledger.hh"
-#include "sim/wake_profiler.hh"
 
 namespace ocor
 {
@@ -260,27 +259,8 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
 void
 System::tick(Cycle now)
 {
-    network_->tick(now);
-    // Legacy exact path: every component every cycle, by definition.
-    for (auto &l1 : l1s_)  // simlint: allow(unconditional-tick)
-        l1->tick(now);
-    for (auto &l2 : l2s_)  // simlint: allow(unconditional-tick)
-        l2->tick(now);
-    for (auto &lm : lockMgrs_)  // simlint: allow(unconditional-tick)
-        lm->tick(now);
-    for (MemController *mc : mcTick_)  // simlint: allow(unconditional-tick)
-        mc->tick(now);
-    for (auto &qs : qspins_)  // simlint: allow(unconditional-tick)
-        qs->tick(now);
-    for (auto &c : cores_)  // simlint: allow(unconditional-tick)
-        c->tick(now);
-}
-
-void
-System::tickEvent(Cycle now)
-{
     if (netWake_ <= now)
-        network_->tickEvent(now);
+        network_->tick(now);
     for (auto &l1 : l1s_)
         if (l1->nextWake() <= now)
             l1->tick(now);
@@ -304,190 +284,23 @@ System::tickEvent(Cycle now)
     netWake_ = network_->nextWake(now);
 }
 
-namespace
-{
-
-/** FNV-style fold; order-sensitive so swapped counters don't cancel. */
-inline std::uint64_t
-sigFold(std::uint64_t sig, std::uint64_t v)
-{
-    return (sig ^ v) * 1099511628211ull;
-}
-
-} // namespace
-
-std::uint64_t
-System::groupSignature(unsigned g) const
-{
-    std::uint64_t s = 14695981039346656037ull;
-    switch (g) {
-      case GNetwork: {
-        // Forward progress = flits moving through allocation stages
-        // or packets leaving the network. Credit return and conflict
-        // losses are deliberately excluded: a cycle that only shuffles
-        // credits is the wasted network wake the ROADMAP's coalescing
-        // item is after.
-        const NetworkStats &ns = network_->stats();
-        s = sigFold(s, ns.packetsDelivered);
-        const unsigned nodes = cfg_.mesh.numNodes();
-        for (NodeId n = 0; n < nodes; ++n) {
-            const RouterStats &rs = network_->router(n).stats();
-            s = sigFold(s, rs.flitsRouted + rs.vaGrants +
-                               rs.saGrants);
-            const NiStats &is = network_->ni(n).stats();
-            s = sigFold(s, is.flitsInjected + is.packetsEjected);
-        }
-        break;
-      }
-      case GL1:
-        // The delayed-completion FIFOs advance via tick() without
-        // touching a counter (the counters moved at handle() time),
-        // so nextWake() joins the fold: popping a due completion is
-        // real work, not a wasted wake.
-        for (const auto &l1 : l1s_) {
-            const L1Stats &st = l1->stats();
-            s = sigFold(s, st.hits + st.misses + st.evictions +
-                               st.writebacks + st.invsReceived +
-                               st.fetchesReceived + st.mshrRejects);
-            s = sigFold(s, l1->nextWake());
-        }
-        break;
-      case GL2:
-        for (const auto &l2 : l2s_) {
-            const L2Stats &st = l2->stats();
-            s = sigFold(s, st.getS + st.getM + st.invsSent +
-                               st.fetchesSent + st.memReads +
-                               st.memWrites + st.queuedRequests +
-                               st.staleAcks + st.l2Evictions);
-            s = sigFold(s, l2->nextWake());
-        }
-        break;
-      case GLockMgr:
-        // A popped retry FutexWake that finds the lock held (or the
-        // queue empty) bumps no counter: that tick reads as wasted,
-        // which is the attribution we want for no-op wake retries.
-        for (const auto &lm : lockMgrs_) {
-            const LockMgrStats &st = lm->stats();
-            s = sigFold(s, st.tries + st.grants + st.fails +
-                               st.releases + st.futexWaits +
-                               st.immediateWakes + st.wakes +
-                               st.notifies + st.duplicateTries +
-                               st.strayReleases + st.rewakes +
-                               st.duplicateWaits);
-        }
-        break;
-      case GMc:
-        // reads/writes move at handle() time (inside the network
-        // slot); completing an access only pops the service queue,
-        // which shows up in nextWake().
-        for (const MemController *mc : mcTick_) {
-            const McStats &st = mc->stats();
-            s = sigFold(s, st.reads + st.writes);
-            s = sigFold(s, mc->nextWake());
-        }
-        break;
-      case GQspin:
-        // Counters alone miss timer-only transitions (e.g. the
-        // deferred FUTEX_WAKE firing), so the per-thread nextWake()
-        // and state enter the fold too.
-        for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-            const Pcb &pcb = *pcbs_[t];
-            const QSpinlock &qs = *qspins_[t];
-            s = sigFold(s, static_cast<std::uint64_t>(pcb.state));
-            s = sigFold(s, pcb.counters.retries +
-                               pcb.counters.sleeps +
-                               pcb.counters.acquisitions +
-                               qs.recoveries() +
-                               qs.duplicatesAbsorbed());
-            s = sigFold(s, qs.nextWake());
-        }
-        break;
-      case GCore:
-        for (const auto &c : cores_) {
-            const CoreStats &st = c->stats();
-            s = sigFold(s, st.opsExecuted + st.fgLoads +
-                               st.fgStores + st.bgAccesses +
-                               st.bgRejected + st.fgRetries);
-        }
-        break;
-      default:
-        ocor_panic("groupSignature: unknown group %u", g);
-    }
-    return s;
-}
-
-void
-System::tickEventProfiled(Cycle now, WakeProfiler &wp)
-{
-    wp.beginCycle();
-    // Mirror of tickEvent(): same lazy per-component gating in the
-    // same slot order, each group bracketed by its signature. The
-    // due pre-scan happens exactly where the group's tick loop would
-    // start, so the verdicts are identical to tickEvent()'s.
-    if (netWake_ <= now) {
-        wp.noteNetReason(network_->wakeReason(now));
-        const std::uint64_t sig = groupSignature(GNetwork);
-        network_->tickEvent(now);
-        wp.noteWake(GNetwork, sig != groupSignature(GNetwork));
-    }
-    auto run_group = [&](unsigned g, auto &vec) {
-        bool due = false;
-        for (const auto &c : vec)
-            if (c->nextWake() <= now) {
-                due = true;
-                break;
-            }
-        if (!due)
-            return;
-        const std::uint64_t sig = groupSignature(g);
-        for (auto &c : vec)
-            if (c->nextWake() <= now)
-                c->tick(now);
-        wp.noteWake(g, sig != groupSignature(g));
-    };
-    run_group(GL1, l1s_);
-    run_group(GL2, l2s_);
-    run_group(GLockMgr, lockMgrs_);
-    run_group(GMc, mcTick_);
-    run_group(GQspin, qspins_);
-    run_group(GCore, cores_);
-    netWake_ = network_->nextWake(now);
-}
-
 Cycle
-System::componentWake(unsigned g, Cycle now) const
+System::nextWake(Cycle now) const
 {
-    Cycle w = neverCycle;
-    switch (g) {
-      case GNetwork:
-        return netWake_ <= now ? network_->nextWake(now) : netWake_;
-      case GL1:
-        for (const auto &l1 : l1s_)
-            w = std::min(w, l1->nextWake());
-        return w;
-      case GL2:
-        for (const auto &l2 : l2s_)
-            w = std::min(w, l2->nextWake());
-        return w;
-      case GLockMgr:
-        for (const auto &lm : lockMgrs_)
-            w = std::min(w, lm->nextWake());
-        return w;
-      case GMc:
-        for (const MemController *mc : mcTick_)
-            w = std::min(w, mc->nextWake());
-        return w;
-      case GQspin:
-        for (const auto &qs : qspins_)
-            w = std::min(w, qs->nextWake());
-        return w;
-      case GCore:
-        for (const auto &c : cores_)
-            w = std::min(w, c->nextWake());
-        return w;
-      default:
-        ocor_panic("componentWake: unknown group %u", g);
-    }
+    Cycle w = netWake_ <= now ? network_->nextWake(now) : netWake_;
+    for (const auto &l1 : l1s_)
+        w = std::min(w, l1->nextWake());
+    for (const auto &l2 : l2s_)
+        w = std::min(w, l2->nextWake());
+    for (const auto &lm : lockMgrs_)
+        w = std::min(w, lm->nextWake());
+    for (const MemController *mc : mcTick_)
+        w = std::min(w, mc->nextWake());
+    for (const auto &qs : qspins_)
+        w = std::min(w, qs->nextWake());
+    for (const auto &c : cores_)
+        w = std::min(w, c->nextWake());
+    return w;
 }
 
 bool

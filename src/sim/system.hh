@@ -31,27 +31,7 @@
 namespace ocor
 {
 
-class WakeProfiler;
 class LockLedger;
-
-/**
- * Component scheduling groups of the event-driven core, in the
- * canonical slot order of System::tick(). The event loop keeps one
- * wake per group (not per component), which bounds scheduler work
- * while preserving the legacy intra-cycle component order exactly:
- * a processed cycle ticks due groups in ascending rank.
- */
-enum SimGroup : unsigned
-{
-    GNetwork = 0,
-    GL1,
-    GL2,
-    GLockMgr,
-    GMc,
-    GQspin,
-    GCore,
-    NumSystemGroups
-};
 
 /** One fully wired CMP instance. */
 class System
@@ -65,36 +45,24 @@ class System
     System(const SystemConfig &cfg, std::vector<Program> programs,
            const BgTrafficConfig &bg);
 
-    /** Advance the whole system one cycle. */
+    /**
+     * Advance the whole system one cycle. Components tick in a fixed
+     * slot order (network, L1s, L2s, lock managers, memory
+     * controllers, spinlocks, cores), each only when its nextWake()
+     * marks cycle @p now as having work: ticking a component that is
+     * not due would change nothing. Each slot's check runs when the
+     * slot is reached, so work an earlier slot creates for a later
+     * one in the same cycle (e.g. a grant delivered by the network
+     * arming a qspinlock timer) is seen.
+     */
     void tick(Cycle now);
 
     /**
-     * Event-core variant of tick(): identical slot order, but each
-     * component is ticked only when its nextWake() marks cycle
-     * @p now as having work. Ticking a non-due component is a no-op
-     * by construction, so skipping preserves bit-identical behavior;
-     * the per-slot checks are evaluated lazily so that work created
-     * for a later slot earlier in the same cycle (e.g. a grant
-     * delivered by the network arming a qspinlock timer) is never
-     * missed.
+     * Earliest cycle any component needs a tick, as seen at the end
+     * of processed cycle @p now. May return a cycle <= now (a core's
+     * wake can be overdue); the run loop clamps it to now + 1.
      */
-    void tickEvent(Cycle now);
-
-    /**
-     * tickEvent() with wake attribution: identical gating, walk
-     * order and side effects, but each group's due/ticked status and
-     * progress-signature delta are reported to @p wp. The signature
-     * reads are const folds of existing counters, so a profiled run
-     * stays bit-identical to an unprofiled one.
-     */
-    void tickEventProfiled(Cycle now, WakeProfiler &wp);
-
-    /**
-     * Earliest future cycle group @p g needs a tick, as seen at the
-     * end of processed cycle @p now. May return cycles <= now (core
-     * wakes can be overdue); the event loop clamps to now + 1.
-     */
-    Cycle componentWake(unsigned g, Cycle now) const;
+    Cycle nextWake(Cycle now) const;
 
     /** All threads ran to completion. */
     bool allFinished() const;
@@ -160,15 +128,6 @@ class System
   private:
     void dispatch(NodeId node, const PacketPtr &pkt, Cycle now);
 
-    /**
-     * Observable-progress signature of group @p g: a fold of the
-     * group's existing counters (plus, for lock clients, thread
-     * state and next-wake values). A tick that leaves the signature
-     * unchanged did no attributable work — the profiler's "wasted
-     * wake". Deliberately excludes credit movement and peak gauges.
-     */
-    std::uint64_t groupSignature(unsigned g) const;
-
     SystemConfig cfg_;
     AddressMap amap_;
     std::unique_ptr<FaultInjector> fault_; ///< before network_
@@ -196,8 +155,8 @@ class System
     mutable unsigned firstUnfinished_ = 0;
 
     /** Next cycle the network needs a tick. Recomputed at the end of
-     * every processed cycle (after all injections of that cycle have
-     * been queued); the network slot runs first within a cycle, so
+     * every tick() (after all injections of that cycle have been
+     * queued); the network slot runs first within a cycle, so
      * nothing can move its due cycle earlier in between. */
     Cycle netWake_ = 0;
 };

@@ -70,7 +70,7 @@ class TelemetryRecorder
     }
 
     /** Next cycle due() can first turn true (neverCycle = no more
-     * samples will ever be taken; event-core wakeup plumbing). */
+     * samples will ever be taken; the run loop's wake scan). */
     Cycle
     nextDue() const
     {

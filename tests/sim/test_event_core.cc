@@ -1,13 +1,16 @@
 /**
  * @file
- * Event-driven core equivalence tests (DESIGN.md §13).
+ * Simulation-loop identity tests (DESIGN.md §13).
  *
- * The event core exists purely for wall-clock speed: it must be
- * *bit-identical* to the legacy unconditional per-cycle loop. These
- * tests enforce that promise field-by-field over randomized
- * configurations (mesh size, thread count, OCOR on/off, background
- * traffic, fault seeds), byte-for-byte on trace exports, and with
- * every protocol checker armed.
+ * The run loop skips quiet spans: it jumps to the next cycle some
+ * component is due and charges the skipped cycles in bulk. With the
+ * invariant checkers armed it processes every cycle instead (the
+ * checkers observe per-cycle state). Skipping exists purely for
+ * wall-clock speed, so a checked run is the reference: an unchecked
+ * run must match it field by field over randomized configurations
+ * (mesh size, thread count, OCOR on/off, background traffic, fault
+ * seeds, COH ledger on) and byte for byte on trace exports, while
+ * actually skipping cycles.
  */
 
 #include <gtest/gtest.h>
@@ -38,15 +41,27 @@ contendedPrograms(unsigned n, unsigned iters)
     return out;
 }
 
-RunMetrics
-runWith(const SystemConfig &cfg, const BgTrafficConfig &bg,
-        SimCoreMode core, unsigned iters = 3)
+struct LoopRun
 {
+    RunMetrics m;
+    WallProfile wall;
+};
+
+/** One run with every checker armed (@p checked: every cycle is
+ * processed) or none (quiet spans are skipped). */
+LoopRun
+runWith(SystemConfig cfg, const BgTrafficConfig &bg, bool checked,
+        unsigned iters = 3, bool ledger = false)
+{
+    cfg.check.checks = checked ? allChecksMask() : 0;
     SimOptions opts;
-    opts.core = core;
+    opts.cohLedger = ledger;
     Simulator sim(cfg, contendedPrograms(cfg.numThreads, iters), bg,
                   opts);
-    return sim.run();
+    LoopRun r;
+    r.m = sim.run();
+    r.wall = sim.wallProfile();
+    return r;
 }
 
 /**
@@ -75,6 +90,16 @@ expectFieldExact(const RunMetrics &a, const RunMetrics &b)
         EXPECT_EQ(x.sleepWins, y.sleepWins) << "thread " << t;
         EXPECT_EQ(x.retries, y.retries) << "thread " << t;
         EXPECT_EQ(x.sleeps, y.sleeps) << "thread " << t;
+        EXPECT_EQ(x.cohTransferCycles, y.cohTransferCycles)
+            << "thread " << t;
+        EXPECT_EQ(x.cohArbitrationCycles, y.cohArbitrationCycles)
+            << "thread " << t;
+        EXPECT_EQ(x.cohBackoffCycles, y.cohBackoffCycles)
+            << "thread " << t;
+        EXPECT_EQ(x.cohSleepCycles, y.cohSleepCycles)
+            << "thread " << t;
+        EXPECT_EQ(x.cohGrantGapCycles, y.cohGrantGapCycles)
+            << "thread " << t;
     }
     EXPECT_EQ(a.packetsInjected, b.packetsInjected);
     EXPECT_EQ(a.flitsInjected, b.flitsInjected);
@@ -100,6 +125,22 @@ expectFieldExact(const RunMetrics &a, const RunMetrics &b)
     EXPECT_EQ(a.cancelled, b.cancelled);
 }
 
+/** Checked and unchecked runs of one configuration agree field by
+ * field; only the unchecked one skipped cycles. */
+void
+expectSkippingIsExact(const SystemConfig &cfg,
+                      const BgTrafficConfig &bg, unsigned iters = 3,
+                      bool ledger = false)
+{
+    const LoopRun checked = runWith(cfg, bg, true, iters, ledger);
+    const LoopRun unchecked = runWith(cfg, bg, false, iters, ledger);
+    expectFieldExact(checked.m, unchecked.m);
+    EXPECT_EQ(checked.wall.cyclesSkipped, 0u);
+    EXPECT_GT(unchecked.wall.cyclesSkipped, 0u)
+        << "the unchecked run processed every cycle; the comparison "
+           "proves nothing about skipping";
+}
+
 } // namespace
 
 TEST(EventCore, BitIdenticalOnContendedWorkload)
@@ -108,9 +149,7 @@ TEST(EventCore, BitIdenticalOnContendedWorkload)
     cfg.mesh = MeshShape{2, 2};
     cfg.numThreads = 4;
     cfg.maxCycles = 2'000'000;
-    RunMetrics legacy = runWith(cfg, {}, SimCoreMode::Legacy);
-    RunMetrics event = runWith(cfg, {}, SimCoreMode::Event);
-    expectFieldExact(legacy, event);
+    expectSkippingIsExact(cfg, {});
 }
 
 TEST(EventCore, BitIdenticalWithBackgroundTraffic)
@@ -122,16 +161,17 @@ TEST(EventCore, BitIdenticalWithBackgroundTraffic)
     cfg.seed = 9;
     BgTrafficConfig bg;
     bg.rate = 0.05;
-    RunMetrics legacy = runWith(cfg, bg, SimCoreMode::Legacy);
-    RunMetrics event = runWith(cfg, bg, SimCoreMode::Event);
-    expectFieldExact(legacy, event);
+    expectSkippingIsExact(cfg, bg);
 }
 
 TEST(EventCore, FuzzBitIdenticalAcrossConfigs)
 {
-    // Randomized sweep: the config space the two cores must agree on
-    // everywhere, not just on hand-picked workloads. Fixed RNG seed
-    // keeps the sweep reproducible; any failure names its config.
+    // Randomized sweep: the config space on which skipping must be
+    // invisible everywhere, not just on hand-picked workloads. Fixed
+    // RNG seed keeps the sweep reproducible; any failure names its
+    // config. The ledger is on, so the COH cause split (charged per
+    // cycle on one side, per skipped span on the other) is compared
+    // too.
     std::mt19937_64 rng(0xC0FFEE);
     for (int i = 0; i < 8; ++i) {
         SystemConfig cfg;
@@ -155,11 +195,7 @@ TEST(EventCore, FuzzBitIdenticalAcrossConfigs)
                      + std::to_string(bg.rate) + " drop="
                      + std::to_string(cfg.fault.dropRate) + " iters="
                      + std::to_string(iters));
-        RunMetrics legacy =
-            runWith(cfg, bg, SimCoreMode::Legacy, iters);
-        RunMetrics event =
-            runWith(cfg, bg, SimCoreMode::Event, iters);
-        expectFieldExact(legacy, event);
+        expectSkippingIsExact(cfg, bg, iters, true);
     }
 }
 
@@ -167,7 +203,7 @@ TEST(EventCore, TraceExportByteIdentical)
 {
     // The Chrome-JSON export includes per-event timestamps from every
     // traced component; byte equality means not one flit moved on a
-    // different cycle in event mode.
+    // different cycle when quiet spans are skipped.
     SystemConfig cfg;
     cfg.mesh = MeshShape{2, 2};
     cfg.numThreads = 4;
@@ -176,47 +212,74 @@ TEST(EventCore, TraceExportByteIdentical)
     BgTrafficConfig bg;
     bg.rate = 0.02;
 
-    auto traceOf = [&](SimCoreMode core) {
-        SimOptions opts;
-        opts.core = core;
-        Simulator sim(cfg, contendedPrograms(4, 3), bg, opts);
+    auto traceOf = [&](bool checked, std::uint64_t &skipped) {
+        SystemConfig c = cfg;
+        c.check.checks = checked ? allChecksMask() : 0;
+        Simulator sim(c, contendedPrograms(4, 3), bg);
         sim.run();
+        skipped = sim.wallProfile().cyclesSkipped;
         std::ostringstream os;
         sim.system().tracer()->exportChromeJson(os);
         return os.str();
     };
-    std::string legacy = traceOf(SimCoreMode::Legacy);
-    std::string event = traceOf(SimCoreMode::Event);
-    ASSERT_FALSE(legacy.empty());
-    EXPECT_EQ(legacy, event);
+    std::uint64_t checked_skipped = 0, unchecked_skipped = 0;
+    std::string checked = traceOf(true, checked_skipped);
+    std::string unchecked = traceOf(false, unchecked_skipped);
+    ASSERT_FALSE(checked.empty());
+    EXPECT_EQ(checked, unchecked);
+    EXPECT_EQ(checked_skipped, 0u);
+    EXPECT_GT(unchecked_skipped, 0u);
 }
 
 TEST(EventCore, CheckersPassAndMetricsMatchWhenArmed)
 {
-    // With every protocol checker armed the event loop may not skip
-    // any cycle (checkers observe per-cycle state); the run must
-    // still complete, violate nothing (checkers panic on violation)
-    // and agree with an armed legacy run.
+    // The armed run processes every cycle, violates nothing
+    // (checkers panic on violation) and agrees with the unarmed run.
     SystemConfig cfg;
     cfg.mesh = MeshShape{2, 2};
     cfg.numThreads = 4;
     cfg.maxCycles = 2'000'000;
-    cfg.check.checks = allChecksMask();
     BgTrafficConfig bg;
     bg.rate = 0.02;
-    RunMetrics legacy = runWith(cfg, bg, SimCoreMode::Legacy);
-    RunMetrics event = runWith(cfg, bg, SimCoreMode::Event);
-    expectFieldExact(legacy, event);
+    expectSkippingIsExact(cfg, bg);
 }
 
-TEST(EventCore, ResolvedModeDefaultsToEvent)
+TEST(EventCore, ProcessedPlusSkippedCoversTheRun)
 {
+    // A run that stops because its threads finished processes the
+    // finish cycle itself: processed + skipped == cycles + 1.
     SystemConfig cfg;
     cfg.mesh = MeshShape{2, 2};
     cfg.numThreads = 4;
-    Simulator sim(cfg, contendedPrograms(4, 1), {});
-    // Auto resolves through the process default (Event unless the
-    // environment overrides); the tests run without OCOR_SIM_CORE so
-    // assert only that Auto resolved to *something* concrete.
-    EXPECT_NE(sim.resolvedCoreMode(), SimCoreMode::Auto);
+    cfg.maxCycles = 2'000'000;
+    for (bool checked : {true, false}) {
+        SCOPED_TRACE(checked ? "checked" : "unchecked");
+        const LoopRun r = runWith(cfg, {}, checked);
+        ASSERT_LT(r.m.roiFinish, cfg.maxCycles);
+        EXPECT_EQ(r.wall.cycles, r.m.roiFinish);
+        EXPECT_EQ(r.wall.cyclesProcessed + r.wall.cyclesSkipped,
+                  r.wall.cycles + 1);
+    }
+
+    // A run cut at the maxCycles horizon never processes the horizon
+    // cycle: processed + skipped == cycles == maxCycles. Long compute
+    // spans let the unchecked run jump straight to the horizon.
+    cfg.maxCycles = 5000;
+    std::vector<Program> programs(4, ProgramBuilder().compute(100'000)
+                                         .build());
+    for (bool checked : {true, false}) {
+        SCOPED_TRACE(checked ? "checked" : "unchecked");
+        SystemConfig c = cfg;
+        c.check.checks = checked ? allChecksMask() : 0;
+        Simulator sim(c, programs, {});
+        const RunMetrics m = sim.run();
+        const WallProfile &w = sim.wallProfile();
+        EXPECT_EQ(m.roiFinish, cfg.maxCycles);
+        EXPECT_EQ(w.cycles, cfg.maxCycles);
+        EXPECT_EQ(w.cyclesProcessed + w.cyclesSkipped, w.cycles);
+        if (checked)
+            EXPECT_EQ(w.cyclesSkipped, 0u);
+        else
+            EXPECT_GT(w.cyclesSkipped, 0u);
+    }
 }

@@ -9,8 +9,8 @@
  *  - The NoC matrix covers the NoC configurations perfbench's golden
  *    digest (default NocParams, no faults, seed 1) does not: link
  *    faults with retransmission, 1 and 16 VCs, VC depths 1 and 3,
- *    two-cycle links, an OCOR rule ablation, armed checkers, the
- *    legacy per-cycle core and non-square meshes. Any refactor of
+ *    two-cycle links, an OCOR rule ablation, armed checkers (every
+ *    cycle processed) and non-square meshes. Any refactor of
  *    the router, link or NI layer that changes a single arbitration
  *    decision moves a row.
  *  - The profile rows run every benchmark profile, OCOR on and off,
@@ -55,7 +55,6 @@ struct GoldenCase
     unsigned threads;
     bool ocor;
     std::function<void(SystemConfig &)> tweak;
-    SimCoreMode core = SimCoreMode::Event;
 };
 
 RunMetrics
@@ -82,7 +81,6 @@ runCase(const GoldenCase &gc, std::string &counts)
         programs.push_back(buildSyntheticProgram(wl, cfg.seed, t));
 
     SimOptions opts;
-    opts.core = gc.core;
     opts.cohLedger = true;
     Simulator sim(cfg, std::move(programs), p.traffic, opts);
     RunMetrics m = sim.run();
@@ -179,10 +177,9 @@ nocMatrix()
     const MeshShape m4{4, 4};
     const MeshShape m2{2, 2};
     auto noc = [](std::string name, MeshShape mesh, unsigned threads,
-                  bool ocor, std::function<void(SystemConfig &)> tweak,
-                  SimCoreMode core = SimCoreMode::Event) {
+                  bool ocor, std::function<void(SystemConfig &)> tweak) {
         return GoldenCase{std::move(name), "can", 2, 1500, mesh,
-                          threads, ocor, std::move(tweak), core};
+                          threads, ocor, std::move(tweak)};
     };
     return {
         noc("base-16", m4, 16, false, {}),
@@ -216,7 +213,6 @@ nocMatrix()
             }),
         noc("checked", m4, 16, true,
             [](SystemConfig &c) { c.check.checks = allChecksMask(); }),
-        noc("legacy-core", m4, 16, true, {}, SimCoreMode::Legacy),
         noc("mesh-4x2", MeshShape{4, 2}, 8, true, {}),
         noc("mesh-3x2-base", MeshShape{3, 2}, 5, false, {}),
         noc("small-2x2", m2, 4, true, {}),

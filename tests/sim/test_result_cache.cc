@@ -24,7 +24,13 @@ class ResultCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "ocor_cache_test.tsv";
+        // Per-test file: ctest runs each test as its own process,
+        // possibly in parallel, so a shared name would collide.
+        path_ = ::testing::TempDir() + "ocor_cache_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".tsv";
         std::remove(path_.c_str());
     }
 
