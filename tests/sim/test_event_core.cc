@@ -265,8 +265,8 @@ TEST(EventCore, ProcessedPlusSkippedCoversTheRun)
     // cycle: processed + skipped == cycles == maxCycles. Long compute
     // spans let the unchecked run jump straight to the horizon.
     cfg.maxCycles = 5000;
-    std::vector<Program> programs(4, ProgramBuilder().compute(100'000)
-                                         .build());
+    const Program busy = ProgramBuilder().compute(100'000).build();
+    const std::vector<Program> programs(4, busy);
     for (bool checked : {true, false}) {
         SCOPED_TRACE(checked ? "checked" : "unchecked");
         SystemConfig c = cfg;
