@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,17 @@ struct LandingCase
     unsigned routerStages;
     bool jitter; ///< every flit stalls one extra cycle on every wire
 };
+
+/**
+ * Print a case by its name. Without this gtest prints the struct's raw
+ * bytes, the name pointer among them, and the listed test names would
+ * change with every process's load address.
+ */
+void
+PrintTo(const LandingCase &lc, std::ostream *os)
+{
+    *os << lc.name;
+}
 
 class LandingTiming : public ::testing::TestWithParam<LandingCase>
 {};
