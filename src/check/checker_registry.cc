@@ -7,7 +7,6 @@
 #include "common/log.hh"
 #include "common/stats_registry.hh"
 #include "common/trace.hh"
-#include "noc/fault.hh"
 #include "noc/flit.hh"
 #include "sim/system.hh"
 
@@ -224,20 +223,13 @@ CheckerRegistry::onHolderWalk(const std::vector<HolderView> &view,
 void
 CheckerRegistry::finalize(Cycle now)
 {
-    const bool lossy = fault_ &&
-        (fault_->stats().packetsDropped > 0 ||
-         fault_->stats().unrecoverable > 0 ||
-         fault_->stats().crcRejects > 0);
+    // A truncated run (hang watchdog, maxCycles) may cut a flit or a
+    // wakeup off in flight: only a drained run can prove one lost.
     const bool drained = !sys_ || sys_->drained();
-    if (credit_) {
-        const std::uint64_t dropped =
-            fault_ ? fault_->stats().flitsDropped : 0;
-        credit_->finalize(drained, dropped, now);
-    }
-    // A truncated run (hang watchdog, maxCycles) may cut a wakeup off
-    // in flight: only a drained, loss-free run can prove one lost.
+    if (credit_)
+        credit_->finalize(drained, now);
     if (wakeup_)
-        wakeup_->finalize(lossy || !drained, now);
+        wakeup_->finalize(drained, now);
 }
 
 } // namespace ocor

@@ -33,7 +33,6 @@ namespace ocor
 
 class System;
 class Tracer;
-class FaultInjector;
 struct Packet;
 struct Flit;
 
@@ -59,7 +58,6 @@ class CheckerRegistry
     // --- wiring (all optional; null is always safe) -----------------
     void attachSystem(System *sys) { sys_ = sys; }
     void attachTracer(const Tracer *t) { tracer_ = t; }
-    void attachFault(const FaultInjector *f) { fault_ = f; }
 
     /** Replace the dump-and-abort default (tests collect instead). */
     void setViolationHandler(ViolationHandler h)
@@ -126,7 +124,6 @@ class CheckerRegistry
 
     System *sys_ = nullptr;
     const Tracer *tracer_ = nullptr;
-    const FaultInjector *fault_ = nullptr;
 
     std::unique_ptr<MutexChecker> mutex_;
     std::unique_ptr<VcFifoChecker> fifo_;

@@ -249,8 +249,7 @@ CreditChecker::onCredit(NodeId node, unsigned port, unsigned vc,
 }
 
 void
-CreditChecker::finalize(bool drained, std::uint64_t dropped_flits,
-                        Cycle now)
+CreditChecker::finalize(bool drained, Cycle now)
 {
     if (!drained)
         return; // a hung / truncated run legitimately leaves flits
@@ -264,15 +263,13 @@ CreditChecker::finalize(bool drained, std::uint64_t dropped_flits,
                         static_cast<unsigned>(key & 0xff),
                         static_cast<long long>(out)));
     }
-    // Wire conservation: every flit sent was delivered, except the
-    // ones the fault injector dropped (whose credits it synthesized).
-    if (wireSent_ != wireDelivered_ + dropped_flits)
+    // Wire conservation: every flit sent was delivered.
+    if (wireSent_ != wireDelivered_)
         report_(CheckId::Credit, now,
                 fmt("link flit conservation broken: %llu sent != "
-                    "%llu delivered + %llu fault-dropped",
+                    "%llu delivered",
                     static_cast<unsigned long long>(wireSent_),
-                    static_cast<unsigned long long>(wireDelivered_),
-                    static_cast<unsigned long long>(dropped_flits)));
+                    static_cast<unsigned long long>(wireDelivered_)));
 }
 
 // --- RtrChecker -----------------------------------------------------
@@ -305,12 +302,14 @@ RtrChecker::onLockTry(ThreadId tid, unsigned rtr, Cycle now)
 // --- WakeupChecker --------------------------------------------------
 
 void
-WakeupChecker::onWakeSent(Addr lock, ThreadId tid, Cycle)
+WakeupChecker::onWakeSent(Addr lock, ThreadId tid, Cycle now)
 {
-    // A re-send to the same sleeper (watchdog rewake) keeps the one
-    // outstanding entry: it is still one logical wakeup.
-    outstanding_.emplace(lock, tid);
     ++sent_;
+    if (!outstanding_.emplace(lock, tid).second)
+        report_(CheckId::Wakeup, now,
+                fmt("second WAKE_UP for thread %u on lock %llx sent "
+                    "before it consumed the first", tid,
+                    static_cast<unsigned long long>(lock)));
 }
 
 void
@@ -329,12 +328,10 @@ WakeupChecker::onWakeConsumed(Addr lock, ThreadId tid, Cycle now)
 }
 
 void
-WakeupChecker::finalize(bool lossy, Cycle now)
+WakeupChecker::finalize(bool drained, Cycle now)
 {
-    if (outstanding_.empty())
-        return;
-    if (lossy)
-        return; // unrecoverable losses may eat a wake legitimately
+    if (!drained)
+        return; // a truncated run may cut a wake off in flight
     for (const auto &[lock, tid] : outstanding_) {
         report_(CheckId::Wakeup, now,
                 fmt("lost wakeup: WAKE_UP for thread %u on lock %llx "

@@ -24,13 +24,14 @@
  *  - CreditChecker     credit/flit conservation: per downstream VC,
  *                      outstanding flits never exceed the buffer
  *                      depth, no spurious credits, and at drain time
- *                      every flit put on a wire was delivered or
- *                      accounted as a fault-injected drop.
+ *                      every flit put on a wire was delivered.
  *  - RtrChecker        RTR is monotonically non-increasing across
  *                      the LockTry packets of one locking attempt
  *                      (Algorithm 1: RTR = MAX_SPIN_COUNT - retries).
  *  - WakeupChecker     no lost futex wakeups: every WAKE_UP the home
- *                      issues is consumed by exactly one sleeper.
+ *                      issues is consumed by exactly one sleeper, and
+ *                      a sleeper is never sent a second one before
+ *                      it consumes the first.
  *
  * Checkers are pure observers: they read hook arguments and System
  * oracles but never mutate simulation state, so a checked run is
@@ -189,12 +190,9 @@ class CreditChecker
     /**
      * End-of-run conservation: when the network drained, every
      * downstream VC must have all credits home, and flits put on
-     * wires must equal flits taken off them plus the fault
-     * injector's dropped-flit count (@p dropped_flits; 0 without
-     * fault injection).
+     * wires must equal flits taken off them.
      */
-    void finalize(bool drained, std::uint64_t dropped_flits,
-                  Cycle now);
+    void finalize(bool drained, Cycle now);
 
   private:
     static std::uint64_t slotKey(NodeId node, unsigned port,
@@ -240,12 +238,9 @@ class WakeupChecker
     void onWakeSent(Addr lock, ThreadId tid, Cycle now);
     void onWakeConsumed(Addr lock, ThreadId tid, Cycle now);
 
-    /**
-     * @p lossy: the run saw unrecoverable packet losses, so an
-     * outstanding wake may legitimately have died on a faulty link;
-     * the lost-wakeup check is skipped (FaultInjector accounting).
-     */
-    void finalize(bool lossy, Cycle now);
+    /** End-of-run: when the run drained, every WAKE_UP sent must have
+     * been consumed. */
+    void finalize(bool drained, Cycle now);
 
   private:
     ReportFn report_;

@@ -65,8 +65,6 @@ traceEvName(TraceEv ev)
       case TraceEv::VcAlloc: return "VcAlloc";
       case TraceEv::SaGrant: return "SaGrant";
       case TraceEv::PktEject: return "PktEject";
-      case TraceEv::CrcReject: return "CrcReject";
-      case TraceEv::Retransmit: return "Retransmit";
       case TraceEv::RunBegin: return "RunBegin";
       case TraceEv::RunEnd: return "RunEnd";
       case TraceEv::WatchdogFired: return "WatchdogFired";
@@ -80,7 +78,7 @@ traceEvCat(TraceEv ev)
 {
     if (ev <= TraceEv::LockHandover)
         return TraceCat::Lock;
-    if (ev <= TraceEv::Retransmit)
+    if (ev <= TraceEv::PktEject)
         return TraceCat::Noc;
     return TraceCat::Sim;
 }
@@ -180,8 +178,6 @@ evArgs(const TraceRecord &r)
       case TraceEv::VcAlloc:
       case TraceEv::SaGrant:
       case TraceEv::PktEject:
-      case TraceEv::CrcReject:
-      case TraceEv::Retransmit:
         os << ",\"msg\":" << r.a0 << ",\"val\":" << r.a1;
         break;
       default:

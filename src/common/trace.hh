@@ -80,8 +80,6 @@ enum class TraceEv : std::uint8_t
     VcAlloc,          ///< output VC allocated; a1 = out port
     SaGrant,          ///< head flit won switch allocation; a1 = rank
     PktEject,         ///< packet reassembled and delivered at the sink
-    CrcReject,        ///< corrupted packet discarded at ejection
-    Retransmit,       ///< unacked packet re-sent; a1 = attempt
 
     // --- simulation phases (cat Sim) --------------------------------
     RunBegin,         ///< Simulator::run entered

@@ -28,10 +28,6 @@ struct Flit
     unsigned index = 0;      ///< 0 .. pkt->numFlits-1
     unsigned vc = 0;         ///< VC currently occupied (rewritten per hop)
 
-    /** Payload was bit-flipped in flight (fault injection); the sink
-     * NI's CRC check catches it and discards the packet. */
-    bool corrupted = false;
-
     bool isHead() const
     {
         return type == FlitType::Head || type == FlitType::HeadTail;

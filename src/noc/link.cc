@@ -1,7 +1,5 @@
 #include "noc/link.hh"
 
-#include <algorithm>
-
 #include "check/checker_registry.hh"
 #include "common/log.hh"
 #include "noc/router.hh"
@@ -52,43 +50,7 @@ Link::sendFlit(Flit flit, Cycle now)
     if (check_)
         check_->onLinkFlitSent();
 
-    Cycle at = now + latency_;
-    if (fault_ && fault_->active()) {
-        Cycle extra = 0;
-        if (fault_->targets(linkId_, *flit.pkt)) {
-            // Drop decisions are per packet (made at the head) so the
-            // downstream agent never sees a partial packet; corruption
-            // and jitter are per flit.
-            if (flit.isHead() && fault_->drawDrop())
-                droppingPkts_.insert(flit.pkt->id);
-            auto it = droppingPkts_.find(flit.pkt->id);
-            if (it != droppingPkts_.end()) {
-                if (flit.isTail()) {
-                    droppingPkts_.erase(it);
-                    ++fault_->stats().packetsDropped;
-                }
-                ++fault_->stats().flitsDropped;
-                // The flit consumed wire bandwidth but will never
-                // occupy the downstream buffer slot the sender
-                // debited: synthesize its credit so flow control
-                // does not leak.
-                deliverCredit(flit.vc, now + latency_);
-                return;
-            }
-            if (fault_->drawCorrupt()) {
-                flit.corrupted = true;
-                ++fault_->stats().flitsCorrupted;
-            }
-            extra = fault_->drawJitter();
-            if (extra > 0)
-                ++fault_->stats().flitsDelayed;
-        }
-        // A stalled flit must not be overtaken by later ones (FIFO
-        // wire), and the wire still delivers at most one flit per
-        // cycle: arrivals are strictly increasing.
-        at = std::max(now + latency_ + extra, lastArrival_ + 1);
-        lastArrival_ = at;
-    }
+    const Cycle at = now + latency_;
     if (flitRx_) {
         if (check_)
             flitDelivered();

@@ -11,16 +11,15 @@
  * each input link (sendFlit lands the flit in the router's input VC,
  * stamped with its arrival cycle) and the upstream end of each output
  * link (sendCredit lands the credit in the router's due queue). The
- * wire policy (bandwidth, fault drop/corrupt/jitter, checker counts)
- * runs before the hand-over either way.
+ * wire policy (bandwidth, checker counts) runs before the hand-over
+ * either way.
  *
  * The rings serve only unbound ends: the NI's side of its two links
  * and test probes. Both are fixed-capacity. Credit flow control
  * bounds what is ever in flight: per downstream VC, upstream credits
  * plus flits on the wire plus buffered flits plus credits on the wire
  * make exactly vcDepth, so neither ring holds more than numVcs x
- * vcDepth entries (a dropped flit's synthesized credit replaces the
- * flit).
+ * vcDepth entries.
  */
 
 #ifndef OCOR_NOC_LINK_HH
@@ -28,12 +27,10 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 
 #include "common/log.hh"
 #include "common/types.hh"
-#include "noc/fault.hh"
 #include "noc/flit.hh"
 #include "noc/params.hh"
 #include "noc/ring.hh"
@@ -61,19 +58,6 @@ class Link
      */
     explicit Link(unsigned latency = 1,
                   unsigned capacity = defaultCapacity);
-
-    /**
-     * Attach the fault oracle (may be null / inactive: zero-overhead
-     * path). @p link_id identifies this link for per-link targeting.
-     * Faults happen on the wire: whole packets dropped (their buffer
-     * credits are synthesized so flow control never leaks), flits
-     * corrupted, or flits stalled — always preserving FIFO order.
-     */
-    void setFaultInjector(FaultInjector *fi, unsigned link_id)
-    {
-        fault_ = fi;
-        linkId_ = link_id;
-    }
 
     /** Attach the invariant checker (null = checking off): feeds the
      * wire-level flit conservation ledger. */
@@ -154,18 +138,17 @@ class Link
 
     /**
      * O(1) due tests, polled by unbound receivers every cycle.
-     * Arrival cycles are monotone within each queue (sendFlit keeps
-     * them strictly increasing even under fault jitter; credits are
-     * stamped now + latency with monotone now), so the front entry is
-     * the earliest and a front check is exact, not heuristic. The
-     * front arrivals are kept in the link itself so a poll is one
-     * load.
+     * Arrival cycles are monotone within each queue (flits and
+     * credits alike are stamped now + latency with monotone now), so
+     * the front entry is the earliest and a front check is exact, not
+     * heuristic. The front arrivals are kept in the link itself so a
+     * poll is one load.
      */
     bool flitDue(Cycle now) const { return flitAt_ <= now; }
     bool creditDue(Cycle now) const { return creditAt_ <= now; }
 
-    /** Flits ever put on the wire (dropped ones included): the
-     * utilization numerator sampled by interval telemetry. */
+    /** Flits ever put on the wire: the utilization numerator sampled
+     * by interval telemetry. */
     std::uint64_t flitsCarried() const { return flitsCarried_; }
 
   private:
@@ -204,14 +187,6 @@ class Link
     Cycle lastFlitSend_ = neverCycle;
     /** takeCredits() result storage, one slot per credit ring slot. */
     std::unique_ptr<unsigned[]> arrived_;
-
-    // --- fault injection (inert unless fault_ is active) -----------
-    FaultInjector *fault_ = nullptr;
-    unsigned linkId_ = 0;
-    /** Latest scheduled flit arrival: jitter must not reorder. */
-    Cycle lastArrival_ = 0;
-    /** Packets currently being dropped flit-by-flit on this link. */
-    std::set<std::uint64_t> droppingPkts_;
 };
 
 } // namespace ocor

@@ -6,7 +6,7 @@ namespace ocor
 {
 
 Network::Network(const MeshShape &mesh, const NocParams &params,
-                 const OcorConfig &ocor, FaultInjector *fault)
+                 const OcorConfig &ocor)
     : mesh_(mesh), params_(params), ocor_(ocor)
 {
     const unsigned n = mesh.numNodes();
@@ -17,22 +17,11 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
             std::make_unique<Router>(i, mesh, params, ocor));
         nis_.push_back(
             std::make_unique<NetworkInterface>(i, params, ocor));
-        if (fault) {
-            nis_[i]->setFaultInjector(fault);
-            nis_[i]->setAckChannel(
-                [this](NodeId src, std::uint64_t seq, Cycle now) {
-                    nis_[src]->onAcked(seq, now);
-                });
-        }
     }
 
-    unsigned next_link_id = 0;
     auto new_link = [&]() {
         links_.push_back(std::make_unique<Link>(
             params.linkLatency, params.numVcs * params.vcDepth));
-        if (fault)
-            links_.back()->setFaultInjector(fault, next_link_id);
-        ++next_link_id;
         return links_.back().get();
     };
 

@@ -44,16 +44,8 @@ struct NetworkStats
 class Network
 {
   public:
-    /**
-     * @p fault may be null (no fault modeling, zero overhead). When
-     * given, every link is registered with a stable id (construction
-     * order: per node, the east out/in pair then the south out/in
-     * pair, then NI<->router pairs per node) and the NIs are wired
-     * with CRC/retransmission support plus an out-of-band ack channel
-     * back to the source NI.
-     */
     Network(const MeshShape &mesh, const NocParams &params,
-            const OcorConfig &ocor, FaultInjector *fault = nullptr);
+            const OcorConfig &ocor);
 
     /** Node-side packet sink; wraps the NI deliver hook. */
     void setNodeSink(NodeId node, NetworkInterface::DeliverFn fn);

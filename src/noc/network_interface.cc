@@ -44,19 +44,9 @@ NetworkInterface::inject(const PacketPtr &pkt, Cycle now)
                        pkt->dst);
     if (pkt->dst == id_) {
         // Local traffic never enters the mesh; model a minimal
-        // loopback latency. It cannot fault, so it is never tracked.
+        // loopback latency.
         loopback_.emplace_back(now + 1, pkt);
         return;
-    }
-    if (fault_ && fault_->active()) {
-        // Source NI duties under the fault model: establish the
-        // retransmission lineage and stamp the header CRC.
-        if (pkt->seq == 0)
-            pkt->seq = pkt->id;
-        pkt->crc = packetCrc(*pkt);
-        if (fault_->config().retransmit && !outstanding_.count(pkt->seq))
-            outstanding_[pkt->seq] =
-                {pkt, now + fault_->backoff(0), 0};
     }
     injectQueue_.push_back({pkt, now + 1});
     stats_.injectQueuePeak =
@@ -64,58 +54,11 @@ NetworkInterface::inject(const PacketPtr &pkt, Cycle now)
                                 injectQueue_.size());
 }
 
-void
-NetworkInterface::onAcked(std::uint64_t seq, Cycle)
-{
-    outstanding_.erase(seq);
-}
-
-void
-NetworkInterface::checkRetransmits(Cycle now)
-{
-    const FaultConfig &cfg = fault_->config();
-    for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-        Outstanding &o = it->second;
-        if (o.deadline > now) {
-            ++it;
-            continue;
-        }
-        if (o.attempts >= cfg.maxRetries) {
-            ++fault_->stats().unrecoverable;
-            ocor_warn("NI %u: giving up on %s after %u "
-                      "retransmissions", id_,
-                      o.pkt->describe().c_str(), o.attempts);
-            it = outstanding_.erase(it);
-            continue;
-        }
-        // Re-send a fresh copy (the timed-out transmission may still
-        // be crawling through a congested mesh; the sink absorbs
-        // duplicates). The clone keeps the OCOR priority header of
-        // the original.
-        PacketPtr copy = clonePacket(*o.pkt);
-        copy->crc = packetCrc(*copy);
-        copy->injectCycle = now;
-        ++o.attempts;
-        o.pkt = copy;
-        o.deadline = now + fault_->backoff(o.attempts);
-        ++fault_->stats().retransmissions;
-        if (trace_)
-            trace_->record(TraceCat::Noc, TraceEv::Retransmit, now,
-                           id_, invalidThread, 0, copy->id,
-                           static_cast<std::uint32_t>(copy->type),
-                           o.attempts);
-        injectQueue_.push_back({copy, now + 1});
-        ++it;
-    }
-}
-
 bool
 NetworkInterface::idle() const
 {
     if (!injectQueue_.empty() || !loopback_.empty())
         return false;
-    if (!outstanding_.empty())
-        return false; // a retransmission may still be due
     return activeVcs_ == 0 && reassembling_ == 0;
 }
 
@@ -126,15 +69,7 @@ NetworkInterface::ejectIncoming(Cycle now)
     while (!loopback_.empty() && loopback_.front().first <= now) {
         auto pkt = loopback_.front().second;
         loopback_.pop_front();
-        pkt->ejectCycle = now;
-        ++stats_.packetsEjected;
-        if (trace_)
-            trace_->record(TraceCat::Noc, TraceEv::PktEject, now, id_,
-                           invalidThread, 0, pkt->id,
-                           static_cast<std::uint32_t>(pkt->type),
-                           pkt->src);
-        if (deliver_)
-            deliver_(pkt, now);
+        eject(pkt, now);
     }
 
     if (!fromRouter_)
@@ -146,65 +81,27 @@ NetworkInterface::ejectIncoming(Cycle now)
         fromRouter_->sendCredit(flit->vc, now);
         if (flit->vc >= reassembly_.size())
             ocor_panic("NI %u: bad flit vc %u", id_, flit->vc);
-        RxPacket &rx = reassembly_[flit->vc];
+        PacketPtr &rx = reassembly_[flit->vc];
         const bool tail = flit->isTail();
-        const bool corrupted = flit->corrupted;
         if (flit->isHead()) {
-            if (rx.pkt)
+            if (rx)
                 ocor_panic("NI %u: head over unfinished packet", id_);
-            rx.pkt = std::move(flit->pkt);
-            rx.corrupt = false;
+            rx = std::move(flit->pkt);
             ++reassembling_;
-        } else if (!rx.pkt) {
+        } else if (!rx) {
             ocor_panic("NI %u: flit without head", id_);
         }
-        rx.corrupt |= corrupted;
         if (tail) {
-            const PacketPtr pkt = std::exchange(rx.pkt, nullptr);
+            const PacketPtr pkt = std::exchange(rx, nullptr);
             --reassembling_;
-            deliverMeshPacket(pkt, rx.corrupt, now);
+            eject(pkt, now);
         }
     }
 }
 
 void
-NetworkInterface::deliverMeshPacket(const PacketPtr &pkt, bool corrupt,
-                                    Cycle now)
+NetworkInterface::eject(const PacketPtr &pkt, Cycle now)
 {
-    if (fault_ && fault_->active() && pkt->seq != 0) {
-        // Reassembly complete: re-compute the CRC over the received
-        // header/payload and compare against the source NI's stamp.
-        // A mismatch discards the packet; the sender's timeout will
-        // retransmit it.
-        if (corrupt || pkt->crc != packetCrc(*pkt)) {
-            ++fault_->stats().crcRejects;
-            if (trace_)
-                trace_->record(
-                    TraceCat::Noc, TraceEv::CrcReject, now, id_,
-                    invalidThread, 0, pkt->id,
-                    static_cast<std::uint32_t>(pkt->type), pkt->src);
-            return;
-        }
-        if (ack_)
-            ack_(pkt->src, pkt->seq, now);
-
-        // Absorb duplicates (an original that outlived the sender's
-        // timeout, or a redundant retransmission).
-        if (!deliveredSeqs_.insert(pkt->seq).second) {
-            ++fault_->stats().duplicatesDropped;
-            return;
-        }
-        deliveredAge_.emplace_back(now, pkt->seq);
-        // Age out lineages no retransmission can still revive: the
-        // sender stops after the full backoff sequence has elapsed.
-        Cycle horizon = 2 * fault_->backoff(
-            fault_->config().maxRetries + 1);
-        while (!deliveredAge_.empty() &&
-               deliveredAge_.front().first + horizon < now) {
-            deliveredSeqs_.erase(deliveredAge_.front().second);
-            deliveredAge_.pop_front();
-        }
-    }
     pkt->ejectCycle = now;
     ++stats_.packetsEjected;
     if (trace_)
@@ -305,22 +202,12 @@ NetworkInterface::sendOneFlit(Cycle now)
 void
 NetworkInterface::tick(Cycle now)
 {
-    bool due = (toRouter_ && toRouter_->creditDue(now)) ||
-               (fromRouter_ && fromRouter_->flitDue(now)) ||
-               (!loopback_.empty() && loopback_.front().first <= now) ||
-               (!injectQueue_.empty() &&
-                injectQueue_.front().ready <= now) ||
-               (activeVcs_ & creditedVcs_) != 0;
-    const bool retransmit =
-        fault_ && fault_->active() && fault_->config().retransmit;
-    if (!due && retransmit) {
-        for (const auto &[seq, o] : outstanding_) {
-            if (o.deadline <= now) {
-                due = true;
-                break;
-            }
-        }
-    }
+    const bool due =
+        (toRouter_ && toRouter_->creditDue(now)) ||
+        (fromRouter_ && fromRouter_->flitDue(now)) ||
+        (!loopback_.empty() && loopback_.front().first <= now) ||
+        (!injectQueue_.empty() && injectQueue_.front().ready <= now) ||
+        (activeVcs_ & creditedVcs_) != 0;
     if (!due)
         return;
 
@@ -340,8 +227,6 @@ NetworkInterface::tick(Cycle now)
     }
 
     ejectIncoming(now);
-    if (retransmit)
-        checkRetransmits(now);
     assignVcs(now);
     sendOneFlit(now);
 }

@@ -22,15 +22,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "core/ocor_config.hh"
 #include "noc/arbiter.hh"
-#include "noc/fault.hh"
 #include "noc/link.hh"
 #include "noc/params.hh"
 
@@ -56,11 +53,6 @@ class NetworkInterface
   public:
     using DeliverFn = std::function<void(const PacketPtr &, Cycle)>;
 
-    /** Out-of-band delivery confirmation back to a source NI (modeled
-     * like the credit wires: lossless and instantaneous). */
-    using AckFn = std::function<void(NodeId src, std::uint64_t seq,
-                                     Cycle now)>;
-
     NetworkInterface(NodeId id, const NocParams &params,
                      const OcorConfig &ocor);
 
@@ -71,25 +63,6 @@ class NetworkInterface
     void setDeliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
     /**
-     * Enable fault tolerance: stamp a CRC into every injected packet,
-     * verify it at ejection (discarding corrupted packets), absorb
-     * duplicates, and — when the config enables retransmission —
-     * track every in-flight packet and re-send unacked ones with
-     * exponential backoff until maxRetries is exhausted. Inert while
-     * @p fi is null or inactive.
-     */
-    void setFaultInjector(FaultInjector *fi) { fault_ = fi; }
-
-    /** Route for delivery confirmations (set by the Network). */
-    void setAckChannel(AckFn fn) { ack_ = std::move(fn); }
-
-    /** A packet this NI sent reached its destination intact. */
-    void onAcked(std::uint64_t seq, Cycle now);
-
-    /** Packets awaiting delivery confirmation (tests). */
-    std::size_t outstandingCount() const { return outstanding_.size(); }
-
-    /**
      * Queue a packet for injection during cycle @p now; the caller
      * has already stamped priority fields (see stampAndInject for
      * the common path). Same-node packets take a 1-cycle loopback.
@@ -97,14 +70,14 @@ class NetworkInterface
     void inject(const PacketPtr &pkt, Cycle now);
 
     /**
-     * Advance one cycle: credit intake, ejection, retransmission, VC
-     * assignment, flit send. Runs only when some stage provably has
-     * work at @p now — a credit or flit due on the router links, a
-     * loopback or injection-queue entry whose ready cycle has arrived
-     * (both FIFOs are monotone, so front checks are exact), an active
-     * output VC with credit to send, or a due retransmission
-     * deadline. When none hold, the stages would mutate nothing (no
-     * arbiter pick, no stats, no callbacks), so the cycle is skipped.
+     * Advance one cycle: credit intake, ejection, VC assignment, flit
+     * send. Runs only when some stage provably has work at @p now — a
+     * credit or flit due on the router links, a loopback or
+     * injection-queue entry whose ready cycle has arrived (both FIFOs
+     * are monotone, so front checks are exact), or an active output
+     * VC with credit to send. When none hold, the stages would mutate
+     * nothing (no arbiter pick, no stats, no callbacks), so the cycle
+     * is skipped.
      */
     void tick(Cycle now);
 
@@ -128,8 +101,6 @@ class NetworkInterface
             w = std::min(w, injectQueue_.front().ready);
         if (activeVcs_ != 0 || reassembling_ != 0)
             return std::min(w, now + 1);
-        for (const auto &[seq, o] : outstanding_)
-            w = std::min(w, o.deadline);
         return w;
     }
 
@@ -152,9 +123,7 @@ class NetworkInterface
     void ejectIncoming(Cycle now);
     void assignVcs(Cycle now);
     void sendOneFlit(Cycle now);
-    void deliverMeshPacket(const PacketPtr &pkt, bool corrupt,
-                           Cycle now);
-    void checkRetransmits(Cycle now);
+    void eject(const PacketPtr &pkt, Cycle now);
 
     NodeId id_;
     NocParams params_;
@@ -191,37 +160,13 @@ class NetworkInterface
     std::uint32_t rankedVcs_ = 0;
     Arbiter sendArb_;
 
-    /** Reassembly of incoming packets, one slot per VC (null pkt =
-     * no packet in progress on that VC). */
-    struct RxPacket
-    {
-        PacketPtr pkt;
-        bool corrupt = false; ///< any flit corrupted in flight
-    };
-    std::vector<RxPacket> reassembly_;
+    /** Reassembly of incoming packets, one slot per VC (null = no
+     * packet in progress on that VC). */
+    std::vector<PacketPtr> reassembly_;
     unsigned reassembling_ = 0; ///< slots with a packet in progress
 
     /** Same-node loopback (src == dst), 1-cycle latency. */
     std::deque<std::pair<Cycle, PacketPtr>> loopback_;
-
-    // --- fault tolerance (inert unless fault_ is active) -----------
-    FaultInjector *fault_ = nullptr;
-    AckFn ack_;
-
-    /** Sender side: packets awaiting the delivery ack, keyed by
-     * lineage seq. */
-    struct Outstanding
-    {
-        PacketPtr pkt;     ///< latest transmission (original or clone)
-        Cycle deadline;    ///< next retransmission time
-        unsigned attempts; ///< retransmissions so far
-    };
-    std::map<std::uint64_t, Outstanding> outstanding_;
-
-    /** Sink side: recently delivered lineages (duplicate absorption),
-     * aged out once no retransmission can still be in flight. */
-    std::set<std::uint64_t> deliveredSeqs_;
-    std::deque<std::pair<Cycle, std::uint64_t>> deliveredAge_;
 
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;

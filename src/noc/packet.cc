@@ -92,20 +92,6 @@ makePacket(MsgType type, NodeId src, NodeId dst, Addr addr)
     return pkt;
 }
 
-PacketPtr
-clonePacket(const Packet &orig)
-{
-    auto pkt = makePacket(orig.type, orig.src, orig.dst, orig.addr);
-    pkt->numFlits = orig.numFlits;
-    pkt->priority = orig.priority;
-    pkt->thread = orig.thread;
-    pkt->requester = orig.requester;
-    pkt->aux = orig.aux;
-    pkt->seq = orig.seq;
-    pkt->attempt = orig.attempt + 1;
-    return pkt;
-}
-
 std::string
 Packet::describe() const
 {

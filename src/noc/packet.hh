@@ -84,16 +84,6 @@ struct Packet
     NodeId requester = invalidNode;  ///< original requester (3-party)
     std::uint32_t aux = 0;      ///< ack counts, flags, etc.
 
-    // --- fault tolerance (populated only under fault injection) -----
-    /** Retransmission lineage: the id of the first transmission; all
-     * retransmitted clones share it (sink-side duplicate detection,
-     * ack matching). 0 = never tracked. */
-    std::uint64_t seq = 0;
-    /** Header CRC stamped by the source NI, re-checked at ejection. */
-    std::uint32_t crc = 0;
-    /** Retransmission attempt (0 = original transmission). */
-    unsigned attempt = 0;
-
     // --- bookkeeping -------------------------------------------------
     Cycle injectCycle = 0;      ///< enqueued at the source NI
     Cycle networkEnter = 0;     ///< first flit left the source NI
@@ -109,14 +99,6 @@ using SendFn = std::function<void(const PacketPtr &, Cycle)>;
 
 /** Allocate a packet with a fresh id and a size implied by its type. */
 PacketPtr makePacket(MsgType type, NodeId src, NodeId dst, Addr addr);
-
-/**
- * Retransmission copy: a fresh packet (new id) carrying the same
- * protocol content, priority header and lineage @c seq as @p orig,
- * with @c attempt incremented. The original may still be in flight;
- * the clone must be an independent object so its flits never alias.
- */
-PacketPtr clonePacket(const Packet &orig);
 
 /** Number of flits for a message of type @p t (1 or dataPacketFlits). */
 unsigned packetFlits(MsgType t);

@@ -378,8 +378,8 @@ Router::traverse(unsigned op, unsigned p, unsigned v, std::int64_t rank,
     const unsigned ovc = m.outVc;
     out.vc = ovc;
     const bool isTail = out.isTail();
-    // Trace before the send: a fault drop inside sendFlit destroys the
-    // flit, which may hold the packet's last reference.
+    // Trace before the send: sendFlit takes the flit, and with it the
+    // packet reference.
     if (trace_ && out.isHead())
         trace_->record(TraceCat::Noc, TraceEv::SaGrant, now, id_,
                        invalidThread, 0, out.pkt->id,

@@ -104,19 +104,14 @@ LockManager::process(const PacketPtr &pkt, Cycle now)
     // The protocol decision itself is the pure step shared with the
     // model checker (DESIGN.md §15); everything below maps its
     // outcome onto stats, traces, checker hooks and real packets.
-    proto::HomeResult res = proto::homeStep(
-        lock.core, kind, pkt->thread, pkt->src,
-        params_.sleepWatchdogCycles > 0);
+    proto::HomeResult res =
+        proto::homeStep(lock.core, kind, pkt->thread, pkt->src);
 
     switch (res.outcome) {
       case proto::HomeOutcome::Granted:
         ++stats_.tries;
         ++stats_.grants;
         noteGrant(lock, pkt->addr, pkt->thread, now);
-        break;
-      case proto::HomeOutcome::ReGranted:
-        ++stats_.tries;
-        ++stats_.duplicateTries;
         break;
       case proto::HomeOutcome::Failed:
         ++stats_.tries;
@@ -127,9 +122,7 @@ LockManager::process(const PacketPtr &pkt, Cycle now)
         lock.lastRelease = now;
         break;
       case proto::HomeOutcome::StrayRelease:
-        // A duplicate of a release already processed, an
-        // orphan-grant return racing a legitimate re-acquisition,
-        // or (fault-free) a buggy client.
+        // Only a buggy client releases a lock it does not hold.
         ++stats_.strayReleases;
         ocor_warn("LockManager %u: stray release of %llx by t%u "
                   "(held=%d holder=%u) absorbed", node_,
@@ -140,21 +133,10 @@ LockManager::process(const PacketPtr &pkt, Cycle now)
       case proto::HomeOutcome::Queued:
         ++stats_.futexWaits;
         break;
-      case proto::HomeOutcome::DuplicateWait:
-        ++stats_.futexWaits;
-        ++stats_.duplicateWaits;
-        break;
       case proto::HomeOutcome::ImmediateWake:
         ++stats_.futexWaits;
         ++stats_.immediateWakes;
         noteGrant(lock, pkt->addr, pkt->thread, now);
-        break;
-      case proto::HomeOutcome::HolderRewake:
-        ++stats_.futexWaits;
-        ++stats_.rewakes;
-        break;
-      case proto::HomeOutcome::HolderWaitNoop:
-        ++stats_.futexWaits;
         break;
       case proto::HomeOutcome::Woken:
         ++stats_.wakes;
@@ -163,6 +145,7 @@ LockManager::process(const PacketPtr &pkt, Cycle now)
                       now);
         break;
       case proto::HomeOutcome::WakeNoop:
+      case proto::HomeOutcome::NumOutcomes:
         break;
     }
 

@@ -42,12 +42,7 @@ struct LockMgrStats
     std::uint64_t immediateWakes = 0; ///< lock free at FUTEX_WAIT time
     std::uint64_t wakes = 0;
     std::uint64_t notifies = 0; ///< release invalidations sent
-
-    // --- fault recovery (all zero in fault-free runs) ---------------
-    std::uint64_t duplicateTries = 0;  ///< LockTry from current holder
-    std::uint64_t strayReleases = 0;   ///< release of free/foreign lock
-    std::uint64_t rewakes = 0;         ///< WakeNotify re-sent to holder
-    std::uint64_t duplicateWaits = 0;  ///< FutexWait while already queued
+    std::uint64_t strayReleases = 0; ///< release of a free/foreign lock
 
     /** Release -> next grant gap at this home (lock-handover
      * latency, the quantity OCOR's priority rules compress). */

@@ -84,23 +84,6 @@ struct OsParams
      * paper studies.
      */
     unsigned wakeRetryDelay = 6000;
-
-    /**
-     * Fault-recovery watchdog: a thread that issued a LockTry and saw
-     * neither LockGrant nor LockFail for this many cycles re-issues
-     * it (the home absorbs duplicates idempotently). 0 disables the
-     * watchdog — the default, so fault-free runs are bit-identical to
-     * builds without the fault subsystem.
-     */
-    unsigned tryWatchdogCycles = 0;
-
-    /**
-     * Fault-recovery watchdog: a thread that has been futex-sleeping
-     * for this many cycles re-registers via FutexWait; if the home
-     * already granted it the lock (the WakeNotify was lost), the home
-     * re-sends the wake. 0 disables (default).
-     */
-    unsigned sleepWatchdogCycles = 0;
 };
 
 } // namespace ocor

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
+
+#include "common/log.hh"
 
 namespace ocor
 {
@@ -38,6 +41,47 @@ msgKindFromName(const char *name)
 
 // --- client ---------------------------------------------------------
 
+namespace
+{
+
+void
+require(bool holds, const char *violation)
+{
+    if (!holds)
+        ocor_panic("clientStep: %s", violation);
+}
+
+/** The attempt's one LockTry awaits its verdict: the state a
+ * LockGrant or LockFail must find. */
+bool
+awaitingVerdict(const ClientState &s, const ClientInputs &in)
+{
+    return s.active && in.sameLock && s.tryInFlight &&
+        s.phase == ClientPhase::Spinning;
+}
+
+void
+enterCs(ClientState &s, ClientResult &out)
+{
+    s.active = false;
+    s.holding = true;
+    s.tryInFlight = false;
+    s.timer = ClientTimer::None;
+    s.phase = ClientPhase::Idle;
+    out.action = ClientAction::EnterCs;
+}
+
+void
+beginSleepPrep(ClientState &s, ClientResult &out)
+{
+    s.everSlept = true;
+    s.phase = ClientPhase::SleepPrep;
+    s.timer = ClientTimer::SleepPrep;
+    out.action = ClientAction::BeginSleepPrep;
+}
+
+} // namespace
+
 ClientResult
 clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
 {
@@ -45,6 +89,7 @@ clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
 
     switch (ev) {
       case ClientEvent::Acquire:
+        require(!s.active && !s.holding, "acquire while busy");
         s.active = true;
         s.everSlept = false;
         s.tryInFlight = true;
@@ -53,42 +98,15 @@ clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
         break;
 
       case ClientEvent::MsgLockGrant:
-        if (s.active && in.sameLock) {
-            // A grant can land while the thread is preparing to
-            // sleep (the futex value re-check window); it is
-            // accepted in every waiting state.
-            s.active = false;
-            s.holding = true;
-            s.tryInFlight = false;
-            s.timer = ClientTimer::None;
-            s.phase = ClientPhase::Idle;
-            out.action = ClientAction::EnterCs;
-            break;
-        }
-        if (s.holding && in.sameLock) {
-            // Duplicate of the grant that already won: absorbing is
-            // the only safe move; releasing would break mutual
-            // exclusion.
-            out.action = ClientAction::AbsorbDuplicate;
-            break;
-        }
-        // Orphan grant: hand it straight back or the lock leaks.
-        out.action = ClientAction::ReturnOrphan;
+        require(awaitingVerdict(s, in), "LockGrant with no try in flight");
+        enterCs(s, out);
         break;
 
       case ClientEvent::MsgLockFail:
-        if (!s.active || !in.sameLock) {
-            out.staleFail = true;
-            break;
-        }
+        require(awaitingVerdict(s, in), "LockFail with no try in flight");
         s.tryInFlight = false;
-        if (s.phase != ClientPhase::Spinning)
-            break; // already heading to sleep
         if (in.budgetExhausted) {
-            s.everSlept = true;
-            s.phase = ClientPhase::SleepPrep;
-            s.timer = ClientTimer::SleepPrep;
-            out.action = ClientAction::BeginSleepPrep;
+            beginSleepPrep(s, out);
             break;
         }
         // Keep polling locally and revalidate remotely at the
@@ -98,11 +116,14 @@ clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
         break;
 
       case ClientEvent::MsgLockFreeNotify:
-        // The home invalidated our cached lock line: the lock was
-        // released. Race a fresh atomic locking request immediately
-        // (Fig. 4a) instead of waiting out the remote-try timer.
-        if (s.active && s.phase == ClientPhase::Spinning &&
-            !s.tryInFlight) {
+        // The home invalidated our cached copy of this lock's line:
+        // the lock was released. Race a fresh atomic locking request
+        // immediately (Fig. 4a) instead of waiting out the remote-try
+        // timer. A notice for another lock, one that finds a try
+        // already in flight, or one that reaches a thread no longer
+        // spinning is ignored.
+        if (in.sameLock && s.active &&
+            s.phase == ClientPhase::Spinning && !s.tryInFlight) {
             s.timer = ClientTimer::None;
             s.tryInFlight = true;
             out.action = ClientAction::SendTry;
@@ -113,47 +134,22 @@ clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
       case ClientEvent::MsgWakeNotify:
         // The home woke this thread *and* reserved the lock for it
         // (queue-spinlock: the woken waiter secures the lock).
-        if (s.active && in.sameLock) {
-            if (s.phase == ClientPhase::Sleeping) {
-                s.phase = ClientPhase::Waking;
-                s.timer = ClientTimer::Wakeup;
-                out.action = ClientAction::StartWaking;
-            } else if (s.phase == ClientPhase::Waking) {
-                // Re-wake raced the original; the context switch in
-                // is already under way.
-                out.action = ClientAction::AbsorbDuplicate;
-            } else {
-                // Home reserved the lock while we are still on-core:
-                // enter directly, no wakeup cost to pay.
-                s.active = false;
-                s.holding = true;
-                s.tryInFlight = false;
-                s.timer = ClientTimer::None;
-                s.phase = ClientPhase::Idle;
-                out.action = ClientAction::EnterCs;
-            }
-            break;
-        }
-        if (s.holding && in.sameLock) {
-            out.action = ClientAction::AbsorbDuplicate;
-            break;
-        }
-        out.action = ClientAction::ReturnOrphan;
+        require(s.active && in.sameLock &&
+                    s.phase == ClientPhase::Sleeping,
+                "WakeNotify to a thread that is not asleep");
+        s.phase = ClientPhase::Waking;
+        s.timer = ClientTimer::Wakeup;
+        out.action = ClientAction::StartWaking;
         break;
 
-      case ClientEvent::TimerFire: {
-        ClientTimer t = s.timer;
-        s.timer = ClientTimer::None;
-        switch (t) {
+      case ClientEvent::TimerFire:
+        switch (std::exchange(s.timer, ClientTimer::None)) {
           case ClientTimer::Retry:
-            if (!s.active || s.phase != ClientPhase::Spinning ||
-                s.tryInFlight)
-                break;
+            require(s.active && s.phase == ClientPhase::Spinning &&
+                        !s.tryInFlight,
+                    "retry timer outside a spinning wait");
             if (in.budgetExhausted) {
-                s.everSlept = true;
-                s.phase = ClientPhase::SleepPrep;
-                s.timer = ClientTimer::SleepPrep;
-                out.action = ClientAction::BeginSleepPrep;
+                beginSleepPrep(s, out);
                 break;
             }
             s.tryInFlight = true;
@@ -162,29 +158,25 @@ clientStep(ClientState &s, ClientEvent ev, const ClientInputs &in)
             break;
 
           case ClientTimer::SleepPrep:
-            if (!s.active)
-                break; // grant slipped in during the re-check window
+            require(s.active && s.phase == ClientPhase::SleepPrep,
+                    "sleep-prep timer outside sleep prep");
             s.phase = ClientPhase::Sleeping;
             out.action = ClientAction::RegisterWait;
             break;
 
           case ClientTimer::Wakeup:
-            if (s.active) {
-                s.active = false;
-                s.holding = true;
-                s.tryInFlight = false;
-                s.phase = ClientPhase::Idle;
-                out.action = ClientAction::EnterCs;
-            }
+            require(s.active && s.phase == ClientPhase::Waking,
+                    "wakeup timer outside waking");
+            enterCs(s, out);
             break;
 
-          default:
-            break;
+          case ClientTimer::None:
+            ocor_panic("clientStep: timer fired with none armed");
         }
         break;
-      }
 
       case ClientEvent::Release:
+        require(s.holding, "release without hold");
         s.holding = false;
         s.phase = ClientPhase::Idle;
         out.action = ClientAction::SendRelease;
@@ -206,34 +198,30 @@ dropPoller(HomeLockState &lock, ThreadId tid)
     });
 }
 
-void
-dropWaiter(HomeLockState &lock, ThreadId tid)
+bool
+listed(const auto &entries, ThreadId tid)
 {
-    std::erase_if(lock.waitQueue, [tid](const auto &p) {
-        return p.first == tid;
-    });
+    return std::any_of(entries.begin(), entries.end(),
+                       [tid](const auto &p) { return p.first == tid; });
 }
 
 } // namespace
 
 HomeResult
-homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src,
-         bool rewakeEnabled)
+homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src)
 {
     HomeResult out;
+    const bool fromHolder = lock.held && lock.holder == tid;
 
     switch (kind) {
       case MsgKind::LockTry:
-        if (lock.held && lock.holder == tid) {
-            // Retransmitted LockTry whose original already won:
-            // re-grant idempotently. Unreachable in fault-free runs.
-            out.outcome = HomeOutcome::ReGranted;
-            out.sends.push_back({MsgKind::LockGrant, tid, src});
-        } else if (!lock.held) {
+        if (fromHolder)
+            ocor_panic("homeStep: LockTry from t%u, which holds the "
+                       "lock", tid);
+        if (!lock.held) {
             lock.held = true;
             lock.holder = tid;
             dropPoller(lock, tid);
-            dropWaiter(lock, tid);
             out.outcome = HomeOutcome::Granted;
             out.grantDecision = true;
             out.sends.push_back({MsgKind::LockGrant, tid, src});
@@ -241,10 +229,7 @@ homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src,
             // The loser keeps a cached (shared) copy of the lock
             // line and polls it locally; remember to invalidate it
             // on release (Figure 4).
-            bool known = std::any_of(
-                lock.pollers.begin(), lock.pollers.end(),
-                [&](const auto &p) { return p.first == tid; });
-            if (!known)
+            if (!listed(lock.pollers, tid))
                 lock.pollers.emplace_back(tid, src);
             out.outcome = HomeOutcome::Failed;
             out.sends.push_back({MsgKind::LockFail, tid, src});
@@ -252,7 +237,7 @@ homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src,
         break;
 
       case MsgKind::LockRelease:
-        if (!lock.held || lock.holder != tid) {
+        if (!fromHolder) {
             // Stray release: absorb — honoring it would free a lock
             // someone else holds.
             out.outcome = HomeOutcome::StrayRelease;
@@ -272,29 +257,13 @@ homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src,
         break;
 
       case MsgKind::FutexWait:
+        if (fromHolder)
+            ocor_panic("homeStep: FutexWait from t%u, which holds the "
+                       "lock", tid);
+        if (listed(lock.waitQueue, tid))
+            ocor_panic("homeStep: FutexWait from t%u, which is "
+                       "already queued", tid);
         dropPoller(lock, tid);
-        if (lock.held && lock.holder == tid) {
-            // A grant won the re-check race; never sleep. Under the
-            // sleep watchdog this is also the lost-WakeNotify path:
-            // a re-registering sleeper that already owns the lock
-            // needs the wake re-sent or it parks forever.
-            if (rewakeEnabled) {
-                out.outcome = HomeOutcome::HolderRewake;
-                out.sends.push_back({MsgKind::WakeNotify, tid, src});
-            } else {
-                out.outcome = HomeOutcome::HolderWaitNoop;
-            }
-            break;
-        }
-        if (std::any_of(lock.waitQueue.begin(), lock.waitQueue.end(),
-                        [&](const auto &p) {
-                            return p.first == tid;
-                        })) {
-            // Duplicate registration: absorb, a thread must never
-            // occupy two queue slots.
-            out.outcome = HomeOutcome::DuplicateWait;
-            break;
-        }
         if (!lock.held) {
             // Futex value re-check semantics: the lock was released
             // between the budget expiry and the registration, so
@@ -333,10 +302,7 @@ homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid, NodeId src,
         break;
 
       default:
-        // Client-bound kinds never reach the home; the caller
-        // panics on them before stepping.
-        out.outcome = HomeOutcome::WakeNoop;
-        break;
+        ocor_panic("homeStep: %s is not home-bound", msgKindName(kind));
     }
     return out;
 }

@@ -20,13 +20,16 @@
  * "has a timer fired?" — are *inputs* to clientStep: the simulator
  * computes them from real cycle arithmetic, the model checker
  * enumerates both truth values. Everything discrete (phase changes,
- * message emission, duplicate/orphan handling, queue/poller
- * bookkeeping, grant decisions) lives below this line and is shared.
+ * message emission, queue/poller bookkeeping, grant decisions) lives
+ * below this line and is shared.
  *
- * Scope: the fault-free protocol. The fault-recovery watchdog
- * re-sends (OsParams::tryWatchdogCycles / sleepWatchdogCycles) stay
- * in QSpinlock::tick — they re-issue messages without changing the
- * protocol state, and the model checker runs with watchdogs off.
+ * Scope: the protocol over a reliable NoC, where every message
+ * arrives exactly once. An event this protocol cannot produce — a
+ * grant or LockFail with no try in flight, a WakeNotify to a thread
+ * that is not asleep, a LockTry or FutexWait from the holder, a
+ * second FutexWait from a queued thread — violates a step
+ * function's precondition and panics inside it, so QSpinlock,
+ * LockManager and the model checker reject it in one place.
  */
 
 #ifndef OCOR_OS_PROTOCOL_STEP_HH
@@ -126,16 +129,15 @@ struct ClientInputs
 /** What the caller must do after a client step. */
 enum class ClientAction : std::uint8_t
 {
-    None,           ///< nothing (event absorbed / stale)
+    None,           ///< nothing (an ignored LockFreeNotify)
     SendTry,        ///< issue a LockTry (stamp RTR/PROG, send)
     ArmRetryTimer,  ///< arm Timer::Retry at the remote-try cadence
     BeginSleepPrep, ///< arm Timer::SleepPrep (sleep path entered)
     RegisterWait,   ///< send FutexWait (now Sleeping)
     EnterCs,        ///< the lock is won: run the entry bookkeeping
     StartWaking,    ///< arm Timer::Wakeup (context switch in)
-    AbsorbDuplicate,///< count a duplicate grant/wake, nothing else
-    ReturnOrphan,   ///< send a LockRelease returning an unwanted grant
-    SendRelease     ///< send LockRelease + arm the FUTEX_WAKE delay
+    SendRelease,    ///< send LockRelease + arm the FUTEX_WAKE delay
+    NumActions
 };
 
 /** Result of one client step. */
@@ -145,19 +147,20 @@ struct ClientResult
 
     /** The step consumed one failed-try retry (pcb counter). */
     bool countRetry = false;
-
-    /** A LockFail arrived outside any matching attempt (warn). */
-    bool staleFail = false;
 };
 
 /**
  * Advance the client state machine by one event.
  *
- * Preconditions (the callers ocor_panic on violations, exactly as
- * before the extraction): Acquire requires !active && !holding;
- * Release requires holding. TimerFire consumes the armed timer
- * (state.timer is cleared before dispatch, matching
- * QSpinlock::tick's one-shot semantics).
+ * Preconditions, each an ocor_panic when violated: Acquire requires
+ * no acquisition in progress and no lock held; LockGrant and
+ * LockFail require a spinning attempt on the same lock with its try
+ * in flight; WakeNotify requires a sleeping attempt on the same
+ * lock; TimerFire requires an armed timer whose phase still holds;
+ * Release requires the lock held. A LockFreeNotify is accepted in
+ * any state. TimerFire consumes the armed timer (state.timer is
+ * cleared before dispatch, matching QSpinlock::tick's one-shot
+ * semantics).
  */
 ClientResult clientStep(ClientState &s, ClientEvent ev,
                         const ClientInputs &in);
@@ -184,17 +187,14 @@ struct HomeLockState
 enum class HomeOutcome : std::uint8_t
 {
     Granted,        ///< LockTry won: fresh grant
-    ReGranted,      ///< duplicate LockTry from the holder re-granted
     Failed,         ///< LockTry lost: poller registered
     Released,       ///< release accepted, pollers invalidated
     StrayRelease,   ///< release of a free/foreign lock absorbed
     Queued,         ///< FutexWait parked the thread
-    DuplicateWait,  ///< FutexWait from an already-queued thread
     ImmediateWake,  ///< FutexWait found the lock free: granted
-    HolderRewake,   ///< FutexWait from the holder: wake re-sent
-    HolderWaitNoop, ///< FutexWait from the holder absorbed (no rewake)
     Woken,          ///< FutexWake granted the queue head
-    WakeNoop        ///< FutexWake found lock held / queue empty
+    WakeNoop,       ///< FutexWake found lock held / queue empty
+    NumOutcomes
 };
 
 /** One message the home must send after a step. */
@@ -224,13 +224,14 @@ struct HomeResult
 /**
  * Process one inbound protocol message at the lock word's home.
  *
- * @p rewakeEnabled mirrors OsParams::sleepWatchdogCycles > 0: a
- * FutexWait from the current holder re-sends the WakeNotify only
- * when the sleep watchdog (which produces such re-registrations) is
- * configured.
+ * Preconditions, each an ocor_panic when violated: @p kind is
+ * home-bound; a LockTry or FutexWait never comes from the holder; a
+ * FutexWait never comes from a thread already queued. A LockRelease
+ * from a thread that does not hold the lock is absorbed
+ * (StrayRelease): a buggy client must not free someone else's lock.
  */
 HomeResult homeStep(HomeLockState &lock, MsgKind kind, ThreadId tid,
-                    NodeId src, bool rewakeEnabled);
+                    NodeId src);
 
 } // namespace proto
 } // namespace ocor

@@ -51,7 +51,6 @@ QSpinlock::registerWait(Cycle now)
 {
     // sys_futex(FUTEX_WAIT): register in the home lock queue.
     pcb_.state = ThreadState::Sleeping;
-    sleepingSince_ = now;
     auto pkt = makePacket(MsgType::FutexWait, pcb_.node,
                           amap_.homeOf(lock_), lock_);
     pkt->thread = pcb_.tid;
@@ -73,11 +72,11 @@ QSpinlock::currentRtr(Cycle now) const
 }
 
 void
-QSpinlock::applyAction(const proto::ClientResult &res, Addr addr,
-                       Cycle now)
+QSpinlock::applyAction(const proto::ClientResult &res, Cycle now)
 {
     switch (res.action) {
       case proto::ClientAction::None:
+      case proto::ClientAction::NumActions:
         break;
 
       case proto::ClientAction::SendTry:
@@ -110,15 +109,6 @@ QSpinlock::applyAction(const proto::ClientResult &res, Addr addr,
         timerAt_ = now + os_.wakeupCycles;
         break;
 
-      case proto::ClientAction::AbsorbDuplicate:
-        ++duplicatesAbsorbed_;
-        break;
-
-      case proto::ClientAction::ReturnOrphan:
-        ++duplicatesAbsorbed_;
-        returnOrphanGrant(addr, now);
-        break;
-
       case proto::ClientAction::SendRelease: {
         // Algorithm 2: atomic_release, PROG++, then FUTEX_WAKE with
         // the lowest priority (Table 1 rule 4) after the syscall
@@ -146,8 +136,6 @@ QSpinlock::applyAction(const proto::ClientResult &res, Addr addr,
 void
 QSpinlock::acquire(Addr lock_word, Cycle now, AcquiredFn done)
 {
-    if (cs_.active || cs_.holding)
-        ocor_panic("QSpinlock t%u: acquire while busy", pcb_.tid);
     proto::ClientResult res =
         proto::clientStep(cs_, proto::ClientEvent::Acquire, {});
     lock_ = lock_word;
@@ -162,7 +150,7 @@ QSpinlock::acquire(Addr lock_word, Cycle now, AcquiredFn done)
         trace_->record(TraceCat::Lock, TraceEv::LockAcquireStart, now,
                        pcb_.node, pcb_.tid, lock_, 0,
                        currentRtr(now));
-    applyAction(res, lock_, now);
+    applyAction(res, now);
 }
 
 void
@@ -228,22 +216,18 @@ QSpinlock::handle(const PacketPtr &pkt, Cycle now)
       case MsgType::LockGrant:
         applyAction(proto::clientStep(
                         cs_, proto::ClientEvent::MsgLockGrant, in),
-                    pkt->addr, now);
+                    now);
         break;
 
       case MsgType::LockFail: {
         in.budgetExhausted = now >= sleepDeadline();
         proto::ClientResult res = proto::clientStep(
             cs_, proto::ClientEvent::MsgLockFail, in);
-        if (res.staleFail) {
-            ocor_warn("QSpinlock t%u: stale LockFail", pcb_.tid);
-            break;
-        }
         if (trace_)
             trace_->record(TraceCat::Lock, TraceEv::LockFailRecv, now,
                            pcb_.node, pcb_.tid, lock_, pkt->id,
                            currentRtr(now));
-        applyAction(res, pkt->addr, now);
+        applyAction(res, now);
         break;
       }
 
@@ -251,24 +235,21 @@ QSpinlock::handle(const PacketPtr &pkt, Cycle now)
         applyAction(proto::clientStep(
                         cs_, proto::ClientEvent::MsgLockFreeNotify,
                         in),
-                    pkt->addr, now);
+                    now);
         break;
 
       case MsgType::WakeNotify: {
-        // Every WakeNotify arrival is one delivered wakeup: the sink
-        // NI absorbs network duplicates, so each arrival pairs with a
-        // distinct home-side send (watchdog rewakes re-arm the
-        // checker's outstanding entry).
+        // Every WakeNotify arrival is one delivered wakeup, paired
+        // with exactly one home-side send.
         if (check_)
             check_->onWakeConsumed(pkt->addr, pcb_.tid, now);
-        bool wasActive = cs_.active;
         proto::ClientResult res = proto::clientStep(
             cs_, proto::ClientEvent::MsgWakeNotify, in);
-        if (wasActive && in.sameLock && trace_)
+        if (trace_)
             trace_->record(TraceCat::Lock, TraceEv::WakeupRecv,
                            now, pcb_.node, pcb_.tid, lock_,
                            pkt->id);
-        applyAction(res, pkt->addr, now);
+        applyAction(res, now);
         break;
       }
 
@@ -279,49 +260,8 @@ QSpinlock::handle(const PacketPtr &pkt, Cycle now)
 }
 
 void
-QSpinlock::returnOrphanGrant(Addr lock_word, Cycle now)
-{
-    ocor_warn("QSpinlock t%u: returning orphan grant of %llx",
-              pcb_.tid, static_cast<unsigned long long>(lock_word));
-    auto rel = makePacket(MsgType::LockRelease, pcb_.node,
-                          amap_.homeOf(lock_word), lock_word);
-    rel->thread = pcb_.tid;
-    rel->priority = makePriority(ocor_, PriorityClass::LockRelease,
-                                 1, pcb_.prog);
-    send_(rel, now);
-}
-
-void
 QSpinlock::tick(Cycle now)
 {
-    // Fault-recovery watchdogs (inert at the default knob values).
-    // These re-issue messages without changing protocol state, so
-    // they live outside the pure step (see protocol_step.hh).
-    if (os_.tryWatchdogCycles > 0 && cs_.active &&
-        cs_.tryInFlight && pcb_.state == ThreadState::Spinning &&
-        now >= trySentAt_ + os_.tryWatchdogCycles) {
-        // The LockTry or its answer was lost: re-issue. The home
-        // re-grants idempotently if the original actually won.
-        ++recoveries_;
-        ++pcb_.counters.retries;
-        issueTry(now);
-    }
-    if (os_.sleepWatchdogCycles > 0 && cs_.active &&
-        pcb_.state == ThreadState::Sleeping &&
-        now >= sleepingSince_ + os_.sleepWatchdogCycles) {
-        // Sleeping suspiciously long: the FutexWait registration or
-        // the WakeNotify may be lost. Re-register; the home dedups
-        // queued waiters and re-wakes an already-granted one.
-        ++recoveries_;
-        sleepingSince_ = now;
-        auto pkt = makePacket(MsgType::FutexWait, pcb_.node,
-                              amap_.homeOf(lock_), lock_);
-        pkt->thread = pcb_.tid;
-        pkt->priority = makePriority(ocor_, PriorityClass::Wakeup,
-                                     1, pcb_.prog);
-        send_(pkt, now);
-    }
-
     if (pendingWakeAt_ != neverCycle && pendingWakeAt_ <= now) {
         pendingWakeAt_ = neverCycle;
         auto wake = makePacket(MsgType::FutexWake, pcb_.node,
@@ -339,20 +279,18 @@ QSpinlock::tick(Cycle now)
     in.budgetExhausted = now >= sleepDeadline();
     applyAction(proto::clientStep(
                     cs_, proto::ClientEvent::TimerFire, in),
-                lock_, now);
+                now);
 }
 
 void
 QSpinlock::release(Cycle now)
 {
-    if (!cs_.holding)
-        ocor_panic("QSpinlock t%u: release without hold", pcb_.tid);
     proto::ClientResult res =
         proto::clientStep(cs_, proto::ClientEvent::Release, {});
     if (trace_)
         trace_->record(TraceCat::Lock, TraceEv::CsExit, now,
                        pcb_.node, pcb_.tid, lock_);
-    applyAction(res, lock_, now);
+    applyAction(res, now);
 }
 
 } // namespace ocor

@@ -84,36 +84,18 @@ class QSpinlock
 
     /**
      * Earliest cycle tick() would do any work (neverCycle = none),
-     * mirroring tick()'s guards term by term: the two fault-recovery
-     * watchdogs, the deferred FUTEX_WAKE, and the retry/sleep-prep/
-     * wakeup timer. Everything else this class does is handle()
-     * traffic or an acquire()/release() call, not tick() work.
+     * mirroring tick()'s guards term by term: the deferred FUTEX_WAKE
+     * and the retry/sleep-prep/wakeup timer. Everything else this
+     * class does is handle() traffic or an acquire()/release() call,
+     * not tick() work.
      */
     Cycle
     nextWake() const
     {
-        Cycle w = neverCycle;
-        if (os_.tryWatchdogCycles > 0 && cs_.active &&
-            cs_.tryInFlight &&
-            pcb_.state == ThreadState::Spinning)
-            w = std::min(w, trySentAt_ + os_.tryWatchdogCycles);
-        if (os_.sleepWatchdogCycles > 0 && cs_.active &&
-            pcb_.state == ThreadState::Sleeping &&
-            sleepingSince_ != neverCycle)
-            w = std::min(w, sleepingSince_ + os_.sleepWatchdogCycles);
-        w = std::min(w, pendingWakeAt_);
+        Cycle w = pendingWakeAt_;
         if (cs_.timer != proto::ClientTimer::None)
             w = std::min(w, timerAt_);
         return w;
-    }
-
-    /** Watchdog re-issues of a LockTry / FutexWait (fault recovery). */
-    std::uint64_t recoveries() const { return recoveries_; }
-
-    /** Duplicate or orphan grants/wakes absorbed idempotently. */
-    std::uint64_t duplicatesAbsorbed() const
-    {
-        return duplicatesAbsorbed_;
     }
 
     /** Current RTR value (Algorithm 1 line 5). */
@@ -147,11 +129,7 @@ class QSpinlock
     Cycle sleepDeadline() const;
 
     /** Map a clientStep result onto packets, timers and counters. */
-    void applyAction(const proto::ClientResult &res, Addr addr,
-                     Cycle now);
-
-    /** Return an unwanted grant/wake so the home frees the lock. */
-    void returnOrphanGrant(Addr lock_word, Cycle now);
+    void applyAction(const proto::ClientResult &res, Cycle now);
 
     Pcb &pcb_;
     const OcorConfig &ocor_;
@@ -174,12 +152,7 @@ class QSpinlock
     Cycle pendingWakeAt_ = neverCycle;
     Addr pendingWakeLock_ = 0;
 
-    // --- fault-recovery watchdogs (inert while the OsParams
-    //     *WatchdogCycles knobs stay 0, their default) --------------
-    Cycle trySentAt_ = neverCycle;    ///< last LockTry departure
-    Cycle sleepingSince_ = neverCycle; ///< entered Sleeping state
-    std::uint64_t recoveries_ = 0;
-    std::uint64_t duplicatesAbsorbed_ = 0;
+    Cycle trySentAt_ = neverCycle; ///< last LockTry departure
 
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;

@@ -32,7 +32,6 @@ SystemConfig::validate() const
         ocor_fatal("SystemConfig: os.retryInterval must be > 0");
     if (os.remoteTryInterval == 0)
         ocor_fatal("SystemConfig: os.remoteTryInterval must be > 0");
-    fault.validate();
 }
 
 MeshShape

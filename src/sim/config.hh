@@ -13,7 +13,6 @@
 #include "common/types.hh"
 #include "core/ocor_config.hh"
 #include "mem/params.hh"
-#include "noc/fault.hh"
 #include "noc/params.hh"
 #include "noc/routing.hh"
 #include "os/params.hh"
@@ -37,9 +36,6 @@ struct SystemConfig
 
     /** Hard stop for runaway experiments. */
     Cycle maxCycles = 50'000'000;
-
-    /** Fault-injection model (disabled by default: all rates 0). */
-    FaultConfig fault;
 
     /**
      * Forward-progress watchdog: abort the run (with per-thread lock

@@ -59,8 +59,9 @@ struct RunMetrics
     double p95LockHandover = 0.0;
     double p99LockHandover = 0.0;
 
-    // Fault injection and recovery (all zero with faults disabled).
-    std::uint64_t faultsInjected = 0;   ///< drops + corruptions + stalls
+    // Counters of the retired fault model, always zero. They keep
+    // every recorded digest that fingerprints them unchanged.
+    std::uint64_t faultsInjected = 0;
     std::uint64_t flitsDropped = 0;
     std::uint64_t flitsCorrupted = 0;
     std::uint64_t crcRejects = 0;

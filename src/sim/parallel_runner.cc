@@ -4,9 +4,9 @@
 #include <cmath>
 #include <exception>
 
+#include "common/crc32.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "noc/fault.hh"
 #include "sim/crashdump.hh"
 
 namespace ocor

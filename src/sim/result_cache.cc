@@ -13,8 +13,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/crc32.hh"
 #include "common/log.hh"
-#include "noc/fault.hh"
 
 namespace ocor
 {

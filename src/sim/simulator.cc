@@ -542,17 +542,6 @@ Simulator::run()
     m.p95LockHandover = handover.percentile(95);
     m.p99LockHandover = handover.percentile(99);
 
-    if (const FaultInjector *fi = system_->faultInjector()) {
-        const FaultStats &fs = fi->stats();
-        m.faultsInjected = fs.faultsInjected();
-        m.flitsDropped = fs.flitsDropped;
-        m.flitsCorrupted = fs.flitsCorrupted;
-        m.crcRejects = fs.crcRejects;
-        m.retransmissions = fs.retransmissions;
-        m.duplicatesDropped = fs.duplicatesDropped;
-        m.unrecoverable = fs.unrecoverable;
-    }
-    m.watchdogRecoveries = system_->watchdogRecoveries();
     m.hangDetected = hangDetected_;
     m.cancelled = cancelled_;
 

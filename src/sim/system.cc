@@ -17,11 +17,8 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
         ocor_fatal("System: %zu programs for %u threads",
                    programs.size(), cfg_.numThreads);
 
-    if (cfg_.fault.enabled())
-        fault_ = std::make_unique<FaultInjector>(cfg_.fault,
-                                                 cfg_.seed);
     network_ = std::make_unique<Network>(cfg_.mesh, cfg_.noc,
-                                         cfg_.ocor, fault_.get());
+                                         cfg_.ocor);
 
     SendFn send = [this](const PacketPtr &pkt, Cycle now) {
         network_->send(pkt, now);
@@ -77,7 +74,6 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
             cfg_.check, cfg_.ocor, cfg_.noc.vcDepth);
         checks_->attachSystem(this);
         checks_->attachTracer(tracer_.get());
-        checks_->attachFault(fault_.get());
         network_->setChecker(checks_.get());
         for (auto &lm : lockMgrs_)
             lm->setChecker(checks_.get());
@@ -146,10 +142,7 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
         reg.addScalar(m + ".immediate_wakes", &ms.immediateWakes);
         reg.addScalar(m + ".wakes", &ms.wakes);
         reg.addScalar(m + ".notifies", &ms.notifies);
-        reg.addScalar(m + ".duplicate_tries", &ms.duplicateTries);
         reg.addScalar(m + ".stray_releases", &ms.strayReleases);
-        reg.addScalar(m + ".rewakes", &ms.rewakes);
-        reg.addScalar(m + ".duplicate_waits", &ms.duplicateWaits);
         reg.addSample(m + ".handover_latency", &ms.handoverLatency);
         reg.addHistogram(m + ".handover_latency_hist",
                          &ms.handoverLatencyHist);
@@ -333,17 +326,6 @@ System::drained() const
         if (!mc->idle())
             return false;
     return true;
-}
-
-std::uint64_t
-System::watchdogRecoveries() const
-{
-    std::uint64_t n = 0;
-    for (const auto &lm : lockMgrs_)
-        n += lm->stats().rewakes;
-    for (const auto &qs : qspins_)
-        n += qs->recoveries();
-    return n;
 }
 
 bool

@@ -74,9 +74,6 @@ class System
     const SystemConfig &config() const { return cfg_; }
     Network &network() { return *network_; }
 
-    /** Fault oracle; null when cfg.fault has every rate at zero. */
-    FaultInjector *faultInjector() { return fault_.get(); }
-
     /** Event tracer; null when cfg.trace is off. */
     Tracer *tracer() { return tracer_.get(); }
 
@@ -96,8 +93,6 @@ class System
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix = "system");
 
-    /** OS-layer watchdog recoveries (lost lock messages re-issued). */
-    std::uint64_t watchdogRecoveries() const;
     const AddressMap &addressMap() const { return amap_; }
     unsigned numThreads() const
     {
@@ -130,7 +125,6 @@ class System
 
     SystemConfig cfg_;
     AddressMap amap_;
-    std::unique_ptr<FaultInjector> fault_; ///< before network_
     std::unique_ptr<Tracer> tracer_;       ///< null when tracing off
     std::unique_ptr<Network> network_;
     std::unique_ptr<CheckerRegistry> checks_; ///< null: checking off

@@ -89,6 +89,11 @@ explore(const VerifyConfig &cfg, std::uint64_t maxStates)
             WorldState next = curState;
             StepOutcome so = applyStep(cfg, next, step);
             ++out.stats.transitions;
+            if (so.action != proto::ClientAction::NumActions)
+                ++out.stats.actions[static_cast<std::size_t>(so.action)];
+            if (so.outcome != proto::HomeOutcome::NumOutcomes)
+                ++out.stats.outcomes[static_cast<std::size_t>(
+                    so.outcome)];
 
             if (so.violated == Property::None)
                 so = checkState(cfg, next, false);

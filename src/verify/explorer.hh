@@ -14,6 +14,7 @@
 #ifndef OCOR_VERIFY_EXPLORER_HH
 #define OCOR_VERIFY_EXPLORER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,6 +32,16 @@ struct ExploreStats
     std::uint64_t states = 0;      ///< distinct states reached
     std::uint64_t transitions = 0; ///< steps applied
     unsigned maxDepth = 0;         ///< longest schedule examined
+
+    /** Transitions per clientStep action and per homeStep outcome,
+     * indexed by enum value: protocol coverage, where a zero marks a
+     * branch no explored schedule takes. */
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(proto::ClientAction::NumActions)>
+        actions{};
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(proto::HomeOutcome::NumOutcomes)>
+        outcomes{};
 };
 
 /** Outcome of one bounded exploration. */

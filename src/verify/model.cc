@@ -601,6 +601,7 @@ applyClientResult(const VerifyConfig &cfg, WorldState &s, ThreadId t,
                   StepOutcome &out)
 {
     ThreadModel &tm = s.threads[t];
+    out.action = res.action;
     switch (res.action) {
       case proto::ClientAction::SendTry:
         sendTry(cfg, s, t, step.kind == StepKind::Acquire, step, out);
@@ -621,15 +622,6 @@ applyClientResult(const VerifyConfig &cfg, WorldState &s, ThreadId t,
         tm.overtaken = 0;
         break;
 
-      case proto::ClientAction::ReturnOrphan: {
-        Msg m;
-        m.kind = proto::MsgKind::LockRelease;
-        m.tid = t;
-        m.prog = tm.prog;
-        pushHomeBound(s, m);
-        break;
-      }
-
       case proto::ClientAction::SendRelease: {
         Msg m;
         m.kind = proto::MsgKind::LockRelease;
@@ -645,7 +637,7 @@ applyClientResult(const VerifyConfig &cfg, WorldState &s, ThreadId t,
       case proto::ClientAction::ArmRetryTimer:
       case proto::ClientAction::BeginSleepPrep:
       case proto::ClientAction::StartWaking:
-      case proto::ClientAction::AbsorbDuplicate:
+      case proto::ClientAction::NumActions:
         break; // pure-state / bookkeeping-only effects
     }
 }
@@ -747,8 +739,8 @@ applyStep(const VerifyConfig &cfg, WorldState &s, ScheduleStep &step)
 
             proto::HomeResult res = proto::homeStep(
                 s.home, step.msg, step.tid,
-                static_cast<NodeId>(step.tid),
-                /*rewakeEnabled=*/false);
+                static_cast<NodeId>(step.tid));
+            out.outcome = res.outcome;
 
             switch (res.outcome) {
               case proto::HomeOutcome::Granted:

@@ -46,7 +46,7 @@ namespace verify
 /** One deliberately seeded protocol defect (None = verify). */
 enum class BugKind : std::uint8_t
 {
-    None,      ///< fault-free protocol: all properties must hold
+    None,      ///< no seeded bug: all properties must hold
     ForceHold, ///< client 0 believes it holds the lock (testForceHold)
     ArbInvert, ///< arbitration grants the *lowest* Table-1 rank
     LostWake,  ///< a WakeNotify can be dropped in flight
@@ -206,6 +206,11 @@ struct StepOutcome
 {
     Property violated = Property::None;
     std::string detail;
+
+    /** The clientStep action or homeStep outcome the step produced
+     * (NumActions / NumOutcomes: it ran neither step function). */
+    proto::ClientAction action = proto::ClientAction::NumActions;
+    proto::HomeOutcome outcome = proto::HomeOutcome::NumOutcomes;
 };
 
 /** Build the initial world state (seeds ForceHold if configured). */

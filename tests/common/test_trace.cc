@@ -48,7 +48,7 @@ TEST(TraceCats, EveryEventMapsToItsCategory)
     EXPECT_EQ(traceEvCat(TraceEv::LockAcquireStart), TraceCat::Lock);
     EXPECT_EQ(traceEvCat(TraceEv::LockHandover), TraceCat::Lock);
     EXPECT_EQ(traceEvCat(TraceEv::PktInject), TraceCat::Noc);
-    EXPECT_EQ(traceEvCat(TraceEv::Retransmit), TraceCat::Noc);
+    EXPECT_EQ(traceEvCat(TraceEv::PktEject), TraceCat::Noc);
     EXPECT_EQ(traceEvCat(TraceEv::RunBegin), TraceCat::Sim);
     EXPECT_EQ(traceEvCat(TraceEv::TelemetrySample), TraceCat::Sim);
 }

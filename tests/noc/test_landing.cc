@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/trace.hh"
-#include "noc/fault.hh"
 #include "noc/network.hh"
 
 using namespace ocor;
@@ -37,7 +36,6 @@ struct LandingCase
     const char *name;
     unsigned linkLatency;
     unsigned routerStages;
-    bool jitter; ///< every flit stalls one extra cycle on every wire
 };
 
 /**
@@ -65,13 +63,7 @@ traceHops(const LandingCase &lc, NodeId src, NodeId dst, Cycle &enter)
     params.linkLatency = lc.linkLatency;
     params.routerStages = lc.routerStages;
     OcorConfig ocor;
-    // Jitter is uniform in [1, jitterMax]: rate 1 and max 1 stall every
-    // flit on every link by exactly one cycle.
-    FaultConfig fc;
-    fc.jitterRate = lc.jitter ? 1.0 : 0.0;
-    fc.jitterMax = 1;
-    FaultInjector fi(fc, 1);
-    Network net(MeshShape{3, 1}, params, ocor, lc.jitter ? &fi : nullptr);
+    Network net(MeshShape{3, 1}, params, ocor);
     TraceConfig tc;
     tc.categories = traceCatBit(TraceCat::Noc);
     Tracer tracer(tc);
@@ -109,7 +101,6 @@ TEST_P(LandingTiming, HopTimingIndependentOfTickOrder)
     // after it. Both must see VA at arrival + 1 and traversal at
     // arrival + routerStages on every router.
     const LandingCase lc = GetParam();
-    const Cycle wire = lc.linkLatency + (lc.jitter ? 1 : 0);
     const std::vector<NodeId> east{0, 1, 2};
     const std::vector<NodeId> west{2, 1, 0};
     std::vector<std::vector<Cycle>> offsets;
@@ -120,7 +111,7 @@ TEST_P(LandingTiming, HopTimingIndependentOfTickOrder)
         Cycle sent = enter; // the NI puts the head on the wire here
         std::vector<Cycle> off;
         for (NodeId n : path) {
-            const Cycle arrival = sent + wire;
+            const Cycle arrival = sent + lc.linkLatency;
             EXPECT_EQ(hops[n].va, arrival + 1)
                 << lc.name << " node " << n;
             EXPECT_EQ(hops[n].st, arrival + lc.routerStages)
@@ -136,11 +127,9 @@ TEST_P(LandingTiming, HopTimingIndependentOfTickOrder)
 
 INSTANTIATE_TEST_SUITE_P(
     Links, LandingTiming,
-    ::testing::Values(LandingCase{"lat1", 1, 2, false},
-                      LandingCase{"lat2", 2, 2, false},
-                      LandingCase{"lat1_stages3", 1, 3, false},
-                      LandingCase{"jitter", 1, 2, true},
-                      LandingCase{"lat2_jitter", 2, 3, true}),
+    ::testing::Values(LandingCase{"lat1", 1, 2},
+                      LandingCase{"lat2", 2, 2},
+                      LandingCase{"lat1_stages3", 1, 3}),
     [](const auto &info) { return std::string(info.param.name); });
 
 namespace

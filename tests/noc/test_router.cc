@@ -9,8 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/trace.hh"
-#include "noc/fault.hh"
 #include "noc/router.hh"
 
 using namespace ocor;
@@ -243,42 +241,4 @@ TEST(Router, StatsCountRoutedFlits)
     EXPECT_EQ(rig.router->stats().flitsRouted, 1u);
     EXPECT_EQ(rig.router->stats().lockFlitsRouted, 1u);
     EXPECT_GE(rig.router->stats().vaGrants, 1u);
-}
-
-TEST(Router, TracedTraversalSurvivesDropOfLastPacketReference)
-{
-    // A fault drop on the output link destroys the flit it is handed.
-    // When that flit holds a one-flit packet's only reference, the
-    // SaGrant trace must not read the packet after the send; sanitizer
-    // builds report the use-after-free if it does.
-    RouterRig rig;
-    FaultConfig cfg;
-    cfg.dropRate = 1.0;
-    FaultInjector fi(cfg, 1);
-    rig.outOfEast.setFaultInjector(&fi, 0);
-    TraceConfig tc;
-    tc.categories = traceCatBit(TraceCat::Noc);
-    Tracer tracer(tc);
-    rig.router->setTracer(&tracer);
-
-    std::uint64_t id = 0;
-    {
-        auto pkt = makePacket(MsgType::GetS, 0, 1, 0x80);
-        id = pkt->id;
-        rig.sendFlit(rig.intoWest, pkt, 0, 0, 0);
-    } // the flit on the wire now holds the only reference
-    for (Cycle c = 1; c <= 6; ++c)
-        rig.router->tick(c);
-
-    EXPECT_EQ(rig.router->stats().flitsRouted, 1u);
-    EXPECT_EQ(fi.stats().packetsDropped, 1u);
-    unsigned grants = 0;
-    for (const TraceRecord &r : tracer.snapshot()) {
-        if (r.ev != TraceEv::SaGrant)
-            continue;
-        ++grants;
-        EXPECT_EQ(r.pkt, id);
-        EXPECT_EQ(r.a0, static_cast<std::uint32_t>(MsgType::GetS));
-    }
-    EXPECT_EQ(grants, 1u);
 }

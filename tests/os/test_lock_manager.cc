@@ -235,8 +235,7 @@ TEST(LockManager, StatsTrackTraffic)
     EXPECT_EQ(s.wakes, 1u);
 }
 
-// Stray releases (a duplicate of an already-processed release, or an
-// orphan-grant return racing a re-acquisition) are absorbed, not
+// Stray releases (only a buggy client sends one) are absorbed, not
 // honored: honoring one would free a lock someone else holds.
 TEST(LockManager, ReleaseOfFreeLockAbsorbed)
 {
@@ -260,58 +259,13 @@ TEST(LockManager, ReleaseByNonHolderAbsorbed)
     EXPECT_EQ(rig.mgr.stats().releases, 0u);
 }
 
-TEST(LockManager, DuplicateTryFromHolderRegrants)
-{
-    LmRig rig;
-    rig.deliver(MsgType::LockTry, 1, 1);
-    rig.deliver(MsgType::LockTry, 1, 1); // retransmitted duplicate
-    EXPECT_TRUE(rig.mgr.heldNow(0x1000));
-    EXPECT_EQ(rig.mgr.holderOf(0x1000), 1u);
-    EXPECT_EQ(rig.countOfType(MsgType::LockGrant), 2u);
-    EXPECT_EQ(rig.countOfType(MsgType::LockFail), 0u);
-    EXPECT_EQ(rig.mgr.stats().duplicateTries, 1u);
-    EXPECT_EQ(rig.mgr.stats().grants, 1u);
-}
-
-TEST(LockManager, DuplicateFutexWaitQueuesOnce)
+// A thread already in the futex queue is asleep and cannot register
+// again; a second FutexWait is a protocol bug, not a message to absorb.
+TEST(LockManagerDeath, FutexWaitFromQueuedThreadPanics)
 {
     LmRig rig;
     rig.deliver(MsgType::LockTry, 1, 1);
     rig.deliver(MsgType::FutexWait, 2, 2);
-    rig.deliver(MsgType::FutexWait, 2, 2); // retransmitted duplicate
-    EXPECT_EQ(rig.mgr.queueLength(0x1000), 1u);
-    EXPECT_EQ(rig.mgr.stats().duplicateWaits, 1u);
-}
-
-// Lost-WakeNotify recovery: a sleeper that already owns the lock
-// re-registers (sleep watchdog) and the home re-sends the wake — but
-// only when the watchdog is enabled, so default runs stay untouched.
-TEST(LockManager, RewakeOnlyUnderSleepWatchdog)
-{
-    LmRig off;
-    off.deliver(MsgType::LockTry, 1, 1);
-    off.deliver(MsgType::FutexWait, 1, 1); // holder re-registers
-    EXPECT_EQ(off.countOfType(MsgType::WakeNotify), 0u);
-    EXPECT_EQ(off.mgr.stats().rewakes, 0u);
-
-    LmRig on;
-    on.params.sleepWatchdogCycles = 1000;
-    LockManager mgr(0, on.params,
-                    [&on](const PacketPtr &pkt, Cycle) {
-                        on.sent.push_back(pkt);
-                    });
-    auto deliver = [&](MsgType type, ThreadId tid) {
-        auto pkt = makePacket(type, tid, 0, 0x1000);
-        pkt->thread = tid;
-        mgr.handle(pkt, on.now);
-        for (Cycle end = on.now + on.params.homeLatency + 1;
-             on.now < end; ++on.now)
-            mgr.tick(on.now);
-    };
-    deliver(MsgType::LockTry, 1);
-    deliver(MsgType::FutexWait, 1);
-    EXPECT_EQ(on.countOfType(MsgType::WakeNotify), 1u);
-    EXPECT_EQ(mgr.stats().rewakes, 1u);
-    EXPECT_TRUE(mgr.heldNow(0x1000));
-    EXPECT_EQ(mgr.holderOf(0x1000), 1u);
+    ASSERT_EQ(rig.mgr.queueLength(0x1000), 1u);
+    EXPECT_DEATH(rig.deliver(MsgType::FutexWait, 2, 2), "already queued");
 }

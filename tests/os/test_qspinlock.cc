@@ -45,11 +45,11 @@ struct QsRig
             qs->tick(now);
     }
 
-    /** Respond to the last outstanding message of the given type. */
+    /** Deliver a home-sent message of @p type for @p lock. */
     void
-    respond(MsgType type)
+    respond(MsgType type, Addr lock = 0x1000)
     {
-        auto pkt = makePacket(type, 1, 0, 0x1000);
+        auto pkt = makePacket(type, 1, 0, lock);
         pkt->thread = 0;
         qs->handle(pkt, now);
     }
@@ -130,6 +130,19 @@ TEST(QSpinlock, NotifyIgnoredWhileTryInFlight)
     EXPECT_EQ(rig.countOfType(MsgType::LockTry), 1u);
 }
 
+// A release notice names the lock whose line it invalidated: a notice
+// for another lock must not make a thread spinning on this one retry.
+TEST(QSpinlock, NotifyForAnotherLockIgnored)
+{
+    QsRig rig;
+    rig.qs->acquire(0x1000, rig.now, [](Cycle) {});
+    rig.respond(MsgType::LockFail);
+    ASSERT_FALSE(rig.qs->tryInFlight());
+    rig.respond(MsgType::LockFreeNotify, 0x2000);
+    EXPECT_EQ(rig.countOfType(MsgType::LockTry), 1u);
+    EXPECT_EQ(rig.pcb.counters.retries, 0u);
+}
+
 TEST(QSpinlock, RtrDecreasesWithSpinTime)
 {
     QsRig rig(true);
@@ -156,8 +169,7 @@ TEST(QSpinlock, BudgetExhaustionLeadsToFutexWait)
     for (Cycle end = rig.now + budget + rig.os.sleepPrepCycles + 10;
          rig.now < end; ++rig.now) {
         rig.qs->tick(rig.now);
-        if (rig.lastSent()->type == MsgType::LockTry &&
-            rig.pcb.state == ThreadState::Spinning)
+        if (rig.qs->tryInFlight())
             rig.respond(MsgType::LockFail);
     }
     EXPECT_EQ(rig.countOfType(MsgType::FutexWait), 1u);
@@ -179,8 +191,7 @@ TEST(QSpinlock, WakeNotifyEntersCsAfterWakeupCost)
     for (Cycle end = rig.now + budget + rig.os.sleepPrepCycles + 10;
          rig.now < end; ++rig.now) {
         rig.qs->tick(rig.now);
-        if (rig.pcb.state == ThreadState::Spinning &&
-            rig.lastSent()->type == MsgType::LockTry)
+        if (rig.qs->tryInFlight())
             rig.respond(MsgType::LockFail);
     }
     ASSERT_EQ(rig.pcb.state, ThreadState::Sleeping);
@@ -250,4 +261,23 @@ TEST(QSpinlockDeath, ReleaseWithoutHoldPanics)
 {
     QsRig rig;
     EXPECT_DEATH(rig.qs->release(rig.now), "without hold");
+}
+
+// Over a reliable NoC each LockTry gets exactly one verdict, so a
+// grant or LockFail with no try in flight is a protocol bug.
+TEST(QSpinlockDeath, DuplicateGrantWhileHoldingPanics)
+{
+    QsRig rig;
+    rig.qs->acquire(0x1000, rig.now, [](Cycle) {});
+    rig.respond(MsgType::LockGrant);
+    ASSERT_TRUE(rig.qs->holding());
+    EXPECT_DEATH(rig.respond(MsgType::LockGrant),
+                 "LockGrant with no try in flight");
+}
+
+TEST(QSpinlockDeath, LockFailWithNoAttemptPanics)
+{
+    QsRig rig;
+    EXPECT_DEATH(rig.respond(MsgType::LockFail),
+                 "LockFail with no try in flight");
 }

@@ -1,19 +1,17 @@
 /**
  * @file
- * Failure injection: stray, stale and duplicate protocol messages
- * must be absorbed gracefully (counted, warned about, never
- * corrupting state). These are the races a real NoC produces under
- * reordering, so every handler needs a safe default path.
+ * Failure injection: stale coherence messages, redundant FUTEX_WAKEs
+ * and stray lock releases must be absorbed gracefully (counted,
+ * warned about, never corrupting state). Reordering in the NoC
+ * produces the first two; only a buggy client sends the third. Lock
+ * messages the protocol cannot produce at all panic instead (see
+ * the QSpinlock and LockManager death tests).
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "mem/l2_directory.hh"
 #include "os/lock_manager.hh"
-#include "os/qspinlock.hh"
 
 using namespace ocor;
 
@@ -127,189 +125,6 @@ TEST(FailureInjection, DuplicateWakesGrantOnlyOnce)
     EXPECT_EQ(mgr.holderOf(0x1000), 2u);
 }
 
-TEST(FailureInjection, StaleLockFailWarnsOnly)
-{
-    MeshShape mesh{2, 2};
-    AddressMap amap(mesh, 128);
-    OcorConfig ocor;
-    OsParams os;
-    Pcb pcb;
-    pcb.tid = 0;
-    pcb.node = 0;
-    QSpinlock qs(pcb, ocor, os, amap, nullSend());
-    auto fail = makePacket(MsgType::LockFail, 1, 0, 0x1000);
-    fail->thread = 0;
-    qs.handle(fail, 0); // no acquisition in progress
-    EXPECT_FALSE(qs.waiting());
-    EXPECT_FALSE(qs.holding());
-}
-
-TEST(FailureInjection, LateGrantDuringSleepPrepStillAccepted)
-{
-    // The futex re-check window: a grant that arrives after the
-    // budget expired (thread in SleepPrep) must still take effect
-    // and cancel the sleep.
-    MeshShape mesh{2, 2};
-    AddressMap amap(mesh, 128);
-    OcorConfig ocor;
-    OsParams os;
-    Pcb pcb;
-    pcb.tid = 0;
-    pcb.node = 0;
-    unsigned futex_waits = 0;
-    QSpinlock qs(pcb, ocor, os, amap,
-                 [&](const PacketPtr &pkt, Cycle) {
-                     if (pkt->type == MsgType::FutexWait)
-                         ++futex_waits;
-                 });
-    bool acquired = false;
-    qs.acquire(0x1000, 0, [&](Cycle) { acquired = true; });
-
-    // Fail immediately, then run to budget expiry (SleepPrep).
-    auto fail = makePacket(MsgType::LockFail, 1, 0, 0x1000);
-    fail->thread = 0;
-    qs.handle(fail, 0);
-    Cycle budget =
-        static_cast<Cycle>(ocor.maxSpinCount) * os.retryInterval;
-    Cycle now = 0;
-    while (now < budget + 10 &&
-           pcb.state != ThreadState::SleepPrep) {
-        qs.tick(now);
-        if (pcb.state == ThreadState::Spinning && qs.waiting()) {
-            auto f = makePacket(MsgType::LockFail, 1, 0, 0x1000);
-            f->thread = 0;
-            qs.handle(f, now);
-        }
-        ++now;
-    }
-    ASSERT_EQ(pcb.state, ThreadState::SleepPrep);
-
-    auto grant = makePacket(MsgType::LockGrant, 1, 0, 0x1000);
-    grant->thread = 0;
-    qs.handle(grant, now);
-    EXPECT_TRUE(acquired);
-    EXPECT_EQ(pcb.state, ThreadState::InCS);
-    // The pending SleepPrep timer must not register a futex wait.
-    for (Cycle end = now + os.sleepPrepCycles + 10; now < end; ++now)
-        qs.tick(now);
-    EXPECT_EQ(futex_waits, 0u);
-}
-
-namespace
-{
-
-/** A QSpinlock wired to capture everything it sends. */
-struct QsRig
-{
-    MeshShape mesh{2, 2};
-    AddressMap amap{mesh, 128};
-    OcorConfig ocor;
-    OsParams os;
-    Pcb pcb;
-    std::vector<PacketPtr> sent;
-    std::unique_ptr<QSpinlock> qs;
-    bool acquired = false;
-
-    QsRig()
-    {
-        pcb.tid = 0;
-        pcb.node = 0;
-        qs = std::make_unique<QSpinlock>(
-            pcb, ocor, os, amap,
-            [this](const PacketPtr &pkt, Cycle) {
-                sent.push_back(pkt);
-            });
-    }
-
-    void
-    recv(MsgType t, Cycle now, Addr lock = 0x1000)
-    {
-        auto pkt = makePacket(t, 1, 0, lock);
-        pkt->thread = 0;
-        qs->handle(pkt, now);
-    }
-
-    unsigned
-    countOfType(MsgType t) const
-    {
-        unsigned n = 0;
-        for (const auto &p : sent)
-            n += p->type == t ? 1 : 0;
-        return n;
-    }
-};
-
-} // namespace
-
-// A retransmitted LockTry answered twice: the second grant reaches a
-// thread already inside its critical section and must be absorbed —
-// releasing would hand the lock to someone else mid-CS.
-TEST(FailureInjection, DuplicateGrantWhileHoldingAbsorbed)
-{
-    QsRig rig;
-    rig.qs->acquire(0x1000, 0, [&](Cycle) { rig.acquired = true; });
-    rig.recv(MsgType::LockGrant, 5);
-    ASSERT_TRUE(rig.acquired);
-    ASSERT_TRUE(rig.qs->holding());
-
-    rig.recv(MsgType::LockGrant, 6); // duplicate
-    EXPECT_TRUE(rig.qs->holding());
-    EXPECT_EQ(rig.pcb.state, ThreadState::InCS);
-    EXPECT_EQ(rig.qs->duplicatesAbsorbed(), 1u);
-    EXPECT_EQ(rig.countOfType(MsgType::LockRelease), 0u)
-        << "absorbing a duplicate must never release";
-}
-
-// A grant for a lock the thread is no longer acquiring (a stale
-// retransmission outliving the protocol round) is handed back so the
-// home does not leak a permanently-held lock.
-TEST(FailureInjection, OrphanGrantReturnedToHome)
-{
-    QsRig rig;
-    rig.recv(MsgType::LockGrant, 0); // no acquisition in progress
-    EXPECT_FALSE(rig.qs->holding());
-    EXPECT_FALSE(rig.qs->waiting());
-    EXPECT_EQ(rig.qs->duplicatesAbsorbed(), 1u);
-    ASSERT_EQ(rig.countOfType(MsgType::LockRelease), 1u);
-    EXPECT_EQ(rig.sent.back()->addr, 0x1000u);
-}
-
-// Duplicate WakeNotify while the context switch in is already under
-// way: absorbed, the thread enters the CS exactly once.
-TEST(FailureInjection, DuplicateWakeNotifyAbsorbed)
-{
-    QsRig rig;
-    rig.qs->acquire(0x1000, 0, [&](Cycle) { rig.acquired = true; });
-    // Burn the whole spin budget so the fail parks the thread, then
-    // complete the context switch out (FUTEX_WAIT registration).
-    Cycle deadline = static_cast<Cycle>(rig.ocor.maxSpinCount)
-        * rig.os.retryInterval;
-    rig.recv(MsgType::LockFail, deadline);
-    ASSERT_EQ(rig.pcb.state, ThreadState::SleepPrep);
-    Cycle now = deadline;
-    for (Cycle end = now + rig.os.sleepPrepCycles + 1; now < end;
-         ++now)
-        rig.qs->tick(now);
-    ASSERT_EQ(rig.pcb.state, ThreadState::Sleeping);
-    ASSERT_EQ(rig.countOfType(MsgType::FutexWait), 1u);
-
-    rig.recv(MsgType::WakeNotify, now);
-    ASSERT_EQ(rig.pcb.state, ThreadState::Waking);
-
-    rig.recv(MsgType::WakeNotify, now + 1); // duplicate
-    EXPECT_EQ(rig.pcb.state, ThreadState::Waking);
-    EXPECT_EQ(rig.qs->duplicatesAbsorbed(), 1u);
-
-    for (Cycle end = now + rig.os.wakeupCycles + 2; now < end; ++now)
-        rig.qs->tick(now);
-    EXPECT_TRUE(rig.acquired);
-    EXPECT_EQ(rig.pcb.state, ThreadState::InCS);
-
-    rig.recv(MsgType::WakeNotify, now); // straggler after entry
-    EXPECT_EQ(rig.qs->duplicatesAbsorbed(), 2u);
-    EXPECT_EQ(rig.countOfType(MsgType::LockRelease), 0u);
-}
-
 // Home-side: a stray LockRelease from a thread that does not hold the
 // lock must not free it (mutual exclusion) — counted and dropped.
 TEST(FailureInjection, StrayLockReleaseFromNonHolder)
@@ -325,106 +140,8 @@ TEST(FailureInjection, StrayLockReleaseFromNonHolder)
             mgr.tick(now);
     };
     deliver(MsgType::LockTry, 1);
-    deliver(MsgType::LockRelease, 2); // liar / stale duplicate
+    deliver(MsgType::LockRelease, 2); // a buggy client
     EXPECT_TRUE(mgr.heldNow(0x1000));
     EXPECT_EQ(mgr.holderOf(0x1000), 1u);
     EXPECT_EQ(mgr.stats().strayReleases, 1u);
-}
-
-// Home-side: a retransmitted LockTry from the thread that already won
-// re-grants instead of queueing the holder behind itself.
-TEST(FailureInjection, RetransmittedLockTryIdempotent)
-{
-    OsParams os;
-    std::vector<PacketPtr> sent;
-    LockManager mgr(0, os, [&](const PacketPtr &pkt, Cycle) {
-        sent.push_back(pkt);
-    });
-    Cycle now = 0;
-    auto deliver = [&](MsgType t, ThreadId tid) {
-        auto pkt = makePacket(t, tid, 0, 0x1000);
-        pkt->thread = tid;
-        mgr.handle(pkt, now);
-        for (Cycle end = now + os.homeLatency + 2; now < end; ++now)
-            mgr.tick(now);
-    };
-    deliver(MsgType::LockTry, 1);
-    deliver(MsgType::LockTry, 1); // retransmitted duplicate
-    EXPECT_EQ(mgr.holderOf(0x1000), 1u);
-    EXPECT_EQ(mgr.stats().duplicateTries, 1u);
-    unsigned grants = 0, fails = 0;
-    for (const auto &p : sent) {
-        grants += p->type == MsgType::LockGrant ? 1 : 0;
-        fails += p->type == MsgType::LockFail ? 1 : 0;
-    }
-    EXPECT_EQ(grants, 2u) << "duplicate try must be re-granted";
-    EXPECT_EQ(fails, 0u);
-    EXPECT_EQ(mgr.pollerCount(0x1000), 0u)
-        << "the holder must not be queued as a poller behind itself";
-}
-
-// A LockTry (or its answer) lost in flight: the try watchdog re-issues
-// it at its cadence until an answer arrives.
-TEST(FailureInjection, LostLockTryRecoveredByTryWatchdog)
-{
-    QsRig rig;
-    rig.os.tryWatchdogCycles = 2'000;
-    rig.qs = std::make_unique<QSpinlock>(
-        rig.pcb, rig.ocor, rig.os, rig.amap,
-        [&rig](const PacketPtr &pkt, Cycle) {
-            rig.sent.push_back(pkt);
-        });
-    rig.qs->acquire(0x1000, 0, [&](Cycle) { rig.acquired = true; });
-    ASSERT_EQ(rig.countOfType(MsgType::LockTry), 1u);
-
-    Cycle now = 0;
-    for (; now < rig.os.tryWatchdogCycles + 2; ++now)
-        rig.qs->tick(now);
-    EXPECT_EQ(rig.countOfType(MsgType::LockTry), 2u)
-        << "try watchdog must re-issue the lost LockTry";
-    EXPECT_EQ(rig.qs->recoveries(), 1u);
-
-    // The re-issued try wins (home re-grants idempotently even if the
-    // original actually landed).
-    rig.recv(MsgType::LockGrant, now);
-    EXPECT_TRUE(rig.acquired);
-    EXPECT_TRUE(rig.qs->holding());
-}
-
-// Lost-WakeNotify recovery end to end at the unit level: the sleep
-// watchdog re-registers, the home re-wakes, the thread enters the CS.
-TEST(FailureInjection, LostWakeNotifyRecoveredBySleepWatchdog)
-{
-    QsRig full;
-    full.os.lockMode = LockMode::PureSleep; // park immediately
-    full.os.sleepWatchdogCycles = 5'000;
-    full.qs = std::make_unique<QSpinlock>(
-        full.pcb, full.ocor, full.os, full.amap,
-        [&full](const PacketPtr &pkt, Cycle) {
-            full.sent.push_back(pkt);
-        });
-    full.qs->acquire(0x1000, 0, [&](Cycle) { full.acquired = true; });
-    full.recv(MsgType::LockFail, 0); // budget is zero: sleep prep
-    Cycle now = 0;
-    for (Cycle end = full.os.sleepPrepCycles + 2; now < end; ++now)
-        full.qs->tick(now);
-    ASSERT_EQ(full.pcb.state, ThreadState::Sleeping);
-    ASSERT_EQ(full.countOfType(MsgType::FutexWait), 1u);
-
-    // The FutexWait (or its WakeNotify) is lost; nothing arrives.
-    for (Cycle end = now + full.os.sleepWatchdogCycles + 2;
-         now < end; ++now)
-        full.qs->tick(now);
-    EXPECT_EQ(full.countOfType(MsgType::FutexWait), 2u)
-        << "sleep watchdog must re-register";
-    EXPECT_GE(full.qs->recoveries(), 1u);
-
-    // The re-registration reaches the home this time: it wakes the
-    // thread, which enters the CS.
-    full.recv(MsgType::WakeNotify, now);
-    EXPECT_EQ(full.pcb.state, ThreadState::Waking);
-    for (Cycle end = now + full.os.wakeupCycles + 2; now < end; ++now)
-        full.qs->tick(now);
-    EXPECT_TRUE(full.acquired);
-    EXPECT_EQ(full.pcb.state, ThreadState::InCS);
 }

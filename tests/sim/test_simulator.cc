@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the Simulator: accounting oracle, ROI bookkeeping,
- * timeline recording, determinism.
+ * timeline recording, determinism, the forward-progress watchdog.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sim/simulator.hh"
 
@@ -127,6 +129,32 @@ TEST(Simulator, MaxCyclesGuardStopsRunaway)
     Simulator sim(cfg, contendedPrograms(4), BgTrafficConfig{});
     RunMetrics m = sim.run();
     EXPECT_EQ(m.roiFinish, cfg.maxCycles);
+}
+
+TEST(Simulator, ProgressWatchdogFailsFastOnHang)
+{
+    auto cfg = smallConfig();
+    cfg.progressWindow = 30'000;
+
+    Simulator sim(cfg, contendedPrograms(4, 5), BgTrafficConfig{});
+    // The lock's home swallows every packet: no LockTry is ever
+    // answered, so no thread retires work again.
+    const NodeId home =
+        sim.system().addressMap().homeOf(cfg.lockRegionBase);
+    sim.system().network().setNodeSink(home,
+                                       [](const PacketPtr &, Cycle) {});
+    RunMetrics m = sim.run();
+
+    EXPECT_TRUE(m.hangDetected);
+    EXPECT_LT(m.roiFinish, cfg.maxCycles) << "must fail fast";
+    EXPECT_LT(m.totalAcquisitions(), 4u * 5u);
+    EXPECT_EQ(m.retransmissions, 0u);
+    // The diagnosis names every thread and its lock state.
+    const std::string &d = sim.hangDiagnosis();
+    ASSERT_FALSE(d.empty());
+    EXPECT_NE(d.find("t0:"), std::string::npos);
+    EXPECT_NE(d.find("t3:"), std::string::npos);
+    EXPECT_NE(d.find("lock=0x"), std::string::npos);
 }
 
 // ---- HolderMemo (per-cycle lockHolderInCs cache) ----------------------

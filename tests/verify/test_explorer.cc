@@ -1,8 +1,8 @@
 /**
  * @file
  * Exploration tests (DESIGN.md §15): clean bounded configs are
- * exhausted with zero violations, and every seeded bug yields a
- * counterexample for the matching property.
+ * exhausted with zero violations and take every protocol branch, and
+ * every seeded bug yields a counterexample for the matching property.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,35 @@ TEST(VerifyExplorer, TwoThreadsOneAcqIsCleanAndExhausted)
     EXPECT_FALSE(res.capped);
     EXPECT_GT(res.stats.states, 100u);
     EXPECT_GT(res.stats.transitions, res.stats.states);
+}
+
+// Protocol coverage. The smallest config already takes every
+// clientStep action and every homeStep outcome except StrayRelease,
+// which only a client releasing a lock it never won reaches: the
+// force-hold seeded bug. A zero count flags a branch that a protocol
+// change left dead.
+TEST(VerifyExplorer, SmallestConfigTakesEveryProtocolBranch)
+{
+    VerifyConfig cfg; // 2 threads x 1 acquisition x budget 1
+    ExploreResult res = explore(cfg);
+    ASSERT_TRUE(res.clean());
+    ASSERT_FALSE(res.capped);
+    for (std::size_t a = 0; a < res.stats.actions.size(); ++a)
+        EXPECT_GT(res.stats.actions[a], 0u)
+            << "ClientAction " << a << " never taken";
+    const auto stray =
+        static_cast<std::size_t>(proto::HomeOutcome::StrayRelease);
+    for (std::size_t o = 0; o < res.stats.outcomes.size(); ++o) {
+        if (o == stray)
+            EXPECT_EQ(res.stats.outcomes[o], 0u)
+                << "a clean client released a lock it does not hold";
+        else
+            EXPECT_GT(res.stats.outcomes[o], 0u)
+                << "HomeOutcome " << o << " never taken";
+    }
+
+    cfg.bug = BugKind::ForceHold;
+    EXPECT_GT(explore(cfg).stats.outcomes[stray], 0u);
 }
 
 TEST(VerifyExplorer, TwoThreadsTwoAcqsCleanBothArbModes)
