@@ -10,8 +10,9 @@
  *   --seed N      experiment seed (default 1)
  *   --quick       shorthand for --threads 16 (fast smoke runs)
  *   --fresh       ignore the result cache for this invocation
- *   --jobs N      simulations run concurrently (default: OCOR_JOBS
- *                 env var, else hardware concurrency)
+ *   --jobs N      simulations run concurrently, a positive integer
+ *                 (default: OCOR_JOBS env var, else hardware
+ *                 concurrency)
  *   --profile P   restrict a suite bench to one benchmark profile by
  *                 name (benches that run fixed profiles ignore it)
  *
@@ -42,22 +43,19 @@
  *                           "arbitration", "credit", "rtr", "wakeup"
  *                           (comma-separated; bare --check means all)
  *
- * Crash safety / supervision flags (see DESIGN.md §12):
+ * Crash safety flags (see DESIGN.md §12):
  *   --deadline SEC   wall-clock deadline for a 16-thread 4-iteration
- *                    run, scaled with the request size; a miss
- *                    cancels and retries (0 = off, the default)
- *   --retries N      retries per failed/timed-out request (default 2
- *                    once supervision is on)
- *   --quarantine N   attempt failures after which a configuration is
- *                    skipped for the rest of the sweep (default 3)
+ *                    run, scaled with the request size (0 = off, the
+ *                    default); a run that passes it stops with
+ *                    partial metrics, which are never journaled
  *   --replay FILE    re-run the exact simulation recorded in a crash
  *                    dump, deterministically, then exit
  *
  * Every bench installs a crash handler that writes
  * crash_<prog>.dump next to the working directory on SIGSEGV,
- * SIGABRT or SIGTERM; feed that file back via --replay. Benches
- * running under supervision exit 75 (EX_TEMPFAIL) when the sweep
- * completed but some requests were degraded.
+ * SIGABRT or SIGTERM; feed that file back via --replay. A sweep in
+ * which any run passed its deadline still completes and exits 75
+ * (EX_TEMPFAIL); rerunning it is the retry.
  */
 
 #ifndef OCOR_BENCH_BENCH_UTIL_HH
@@ -105,34 +103,12 @@ struct Options
     /** --check selection ("" = the build's default mask). */
     std::string checkList;
 
-    // --- crash safety / supervision (DESIGN.md §12) -----------------
+    // --- crash safety (DESIGN.md §12) -------------------------------
     std::string replay;      ///< crash dump to re-run ("" = none)
     double deadline = 0.0;   ///< base deadline seconds (0 = off)
-    unsigned retries = 2;    ///< retries per failed request
-    bool retriesSet = false; ///< --retries given explicitly
-    unsigned quarantine = 3; ///< failures before a config is skipped
 
     bool tracing() const { return !traceCats.empty(); }
     bool checking() const { return !checkList.empty(); }
-
-    /** Supervision is on once any of its knobs is exercised. */
-    bool
-    supervised() const
-    {
-        return deadline > 0.0 || retriesSet;
-    }
-
-    /** The SupervisePolicy these options describe. */
-    SupervisePolicy
-    supervision() const
-    {
-        SupervisePolicy p;
-        p.deadlineSeconds = deadline;
-        p.maxAttempts = retries + 1;
-        p.quarantineAfter = quarantine;
-        p.enabled = supervised();
-        return p;
-    }
 
     /** The --check mask for a directly built SystemConfig. */
     unsigned
@@ -165,8 +141,9 @@ struct Options
     }
 };
 
-/** Exit code for a degraded-but-complete supervised sweep. */
-constexpr int kExitDegraded = 75; // EX_TEMPFAIL
+/** Exit code for a complete sweep in which some run passed its
+ * deadline. */
+constexpr int kExitTimedOut = 75; // EX_TEMPFAIL
 
 /**
  * Re-run the simulation recorded in crash dump @p dumpPath exactly
@@ -207,7 +184,29 @@ runReplay(const std::string &dumpPath)
     return m.hangDetected ? 1 : 0;
 }
 
-/** Parse the common flags; unknown flags abort with usage. */
+/** Print @p what and the usage line, then exit 1. */
+[[noreturn]] inline void
+usageError(const char *prog, const std::string &what)
+{
+    std::fprintf(stderr,
+                 "%s\n"
+                 "usage: %s [--threads N] [--iters N] "
+                 "[--seed N] [--quick] [--fresh] "
+                 "[--profile P] [--coh-ledger] "
+                 "[--coh-breakdown] "
+                 "[--jobs N] [--trace[=CATS]] "
+                 "[--trace-out FILE] [--trace-capacity N] "
+                 "[--stats-json FILE] "
+                 "[--telemetry-interval N] "
+                 "[--telemetry-out FILE] [--pool-util] "
+                 "[--check[=LIST]] [--deadline SEC] "
+                 "[--replay DUMP]\n",
+                 what.c_str(), prog);
+    std::exit(1);
+}
+
+/** Parse the common flags; unknown flags and a bad --jobs abort
+ * with usage. */
 inline Options
 parseOptions(int argc, char **argv)
 {
@@ -260,8 +259,14 @@ parseOptions(int argc, char **argv)
             opt.cohBreakdown = true;
             opt.cohLedger = true;
         }
-        else if (a == "--jobs")
-            opt.jobs = static_cast<unsigned>(std::atoi(next()));
+        else if (a == "--jobs") {
+            const std::string n = next();
+            const auto jobs = ThreadPool::parseJobs(n);
+            if (!jobs)
+                usageError(argv[0], "--jobs takes a positive integer, "
+                                    "not '" + n + "'");
+            opt.jobs = *jobs;
+        }
         else if (a == "--trace")
             opt.traceCats = "all"; // bare form: everything
         else if (valueOf("--trace", v))
@@ -288,31 +293,8 @@ parseOptions(int argc, char **argv)
             opt.replay = v;
         else if (valueOf("--deadline", v))
             opt.deadline = std::strtod(v.c_str(), nullptr);
-        else if (valueOf("--retries", v)) {
-            opt.retries = static_cast<unsigned>(
-                std::atoi(v.c_str()));
-            opt.retriesSet = true;
-        } else if (valueOf("--quarantine", v))
-            opt.quarantine = static_cast<unsigned>(
-                std::atoi(v.c_str()));
-        else {
-            std::fprintf(stderr,
-                         "unknown flag %s\n"
-                         "usage: %s [--threads N] [--iters N] "
-                         "[--seed N] [--quick] [--fresh] "
-                         "[--profile P] [--coh-ledger] "
-                         "[--coh-breakdown] "
-                         "[--jobs N] [--trace[=CATS]] "
-                         "[--trace-out FILE] [--trace-capacity N] "
-                         "[--stats-json FILE] "
-                         "[--telemetry-interval N] "
-                         "[--telemetry-out FILE] [--pool-util] "
-                         "[--check[=LIST]] [--deadline SEC] "
-                         "[--retries N] [--quarantine N] "
-                         "[--replay DUMP]\n",
-                         a.c_str(), argv[0]);
-            std::exit(1);
-        }
+        else
+            usageError(argv[0], "unknown flag " + a);
     }
 
     // Crash capture is always armed: a fatal signal leaves
@@ -331,46 +313,21 @@ parseOptions(int argc, char **argv)
 }
 
 /**
- * Install the Options' supervision policy on @p runner (no-op when
- * supervision is off, keeping the sweep bit-identical to an
- * unsupervised run).
- */
-inline void
-superviseRunner(ParallelRunner &runner, const Options &opt)
-{
-    if (opt.supervised())
-        runner.setSupervision(opt.supervision());
-}
-
-/**
- * Report degraded outcomes of the last sweep and return the bench
- * exit code: 0 for a clean sweep, kExitDegraded (75) when requests
- * timed out / failed / were quarantined but the sweep completed.
+ * The bench exit code after a sweep: 0 for a clean sweep,
+ * kExitTimedOut (75) when some run passed its deadline (each was
+ * already named by a warning) but the sweep completed.
  */
 inline int
 sweepExitStatus(const ParallelRunner &runner)
 {
-    if (runner.degradedRuns() == 0)
+    if (runner.timeouts() == 0)
         return 0;
-    const auto outcomes = runner.outcomes();
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const RunOutcome &o = outcomes[i];
-        if (o.status == RunStatus::Ok)
-            continue;
-        std::fprintf(stderr,
-                     "degraded request %zu: %s after %u attempt(s)"
-                     "%s%s\n",
-                     i, runStatusName(o.status), o.attempts,
-                     o.detail.empty() ? "" : " -- ",
-                     o.detail.c_str());
-    }
     std::fprintf(stderr,
-                 "sweep degraded: %llu of %zu requests did not "
-                 "complete cleanly (exit %d)\n",
-                 static_cast<unsigned long long>(
-                     runner.degradedRuns()),
-                 outcomes.size(), kExitDegraded);
-    return kExitDegraded;
+                 "sweep incomplete: %llu run(s) passed their deadline "
+                 "and report partial metrics (exit %d)\n",
+                 static_cast<unsigned long long>(runner.timeouts()),
+                 kExitTimedOut);
+    return kExitTimedOut;
 }
 
 /** The shared cache (per-working-directory TSV). */
@@ -398,7 +355,7 @@ openArtifact(const std::string &path)
 
 /**
  * The --stats-json export shared by every suite bench: the runner's
- * sweep counters (cache hit rates, pool utilization, degraded runs)
+ * sweep counters (pool utilization, run times, timeouts)
  * plus the process-global "sim.wall.*" run aggregates (wall-clock
  * phase totals and processed/skipped cycles). No-op without
  * --stats-json.

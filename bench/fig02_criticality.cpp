@@ -22,8 +22,7 @@ main(int argc, char **argv)
            "(original queue spinlock)");
 
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     ExperimentConfig exp = opt.experiment();
 
     // Baseline-only sweep: one request per profile, fanned across

@@ -22,8 +22,7 @@ main(int argc, char **argv)
     banner("Figure 11: COH reduction and spinning-phase win rate");
 
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     // --profile narrows the sweep to one benchmark (the README's
     // wake-attribution walkthrough profiles a single slow profile).
     std::vector<BenchmarkResult> results =

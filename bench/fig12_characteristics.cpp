@@ -23,8 +23,7 @@ main(int argc, char **argv)
            "utilization (baseline runs)");
 
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
         runner.runSuite(allProfiles(), opt.experiment());
 

@@ -23,8 +23,7 @@ main(int argc, char **argv)
     banner("Figure 15: normalized COH at 4 / 16 / 32 / 64 threads");
 
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     const unsigned scales[] = {4, 16, 32, 64};
 
     // A representative subset spanning the characteristic classes

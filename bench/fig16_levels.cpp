@@ -151,8 +151,7 @@ main(int argc, char **argv)
     banner("Figure 16: COH improvement vs priority levels "
            "(+ rule ablations)");
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     levelSweep(runner, opt);
     if (ablate)
         ablation(runner, opt);

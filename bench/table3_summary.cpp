@@ -27,8 +27,7 @@ main(int argc, char **argv)
            "improvement, characteristics)");
 
     ResultCache cache = cacheFor(opt);
-    ParallelRunner runner(opt.jobs, &cache);
-    superviseRunner(runner, opt);
+    ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<BenchmarkResult> results =
         runner.runSuite(opt.profiles(), opt.experiment());

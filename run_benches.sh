@@ -4,7 +4,9 @@
 # The sweep fans simulations out across a task pool (see DESIGN.md
 # §9): each bench takes --jobs N and full 64-thread runs are memoized
 # in ocor_results.tsv (build directory), so the 25-benchmark sweep is
-# simulated only once even across benches.
+# simulated only once even across benches. The journal is crash-safe
+# (DESIGN.md §12): rerunning an interrupted sweep re-simulates only
+# the configurations whose rows never became durable.
 #
 # Usage: ./run_benches.sh [options] [extra bench flags...]
 #   --jobs N          worker threads per bench (default: $OCOR_JOBS,
@@ -20,10 +22,6 @@
 #                     (build/telemetry.csv); table3 reports worker-pool
 #                     utilization, which is folded into
 #                     build/BENCH_sweep.json
-#   --resume          crash recovery (DESIGN.md §12): reuse the
-#                     results journal from an interrupted sweep, so
-#                     only configurations whose rows never became
-#                     durable are re-simulated
 #   --baseline FILE   after the sweep, diff build/BENCH_sweep.json
 #                     against FILE (a previous sweep's JSON) with
 #                     scripts/bench_compare.py; a wall-clock, status
@@ -35,7 +33,8 @@
 #
 # Per-bench and total wall-clock times are printed and written as
 # machine-readable JSON to build/BENCH_sweep.json, together with a
-# per-bench status ("ok", "degraded" for exit 75, "failed").
+# per-bench status ("ok", "degraded" for exit 75, when a run passed
+# its --deadline, "failed").
 #
 # A failing benchmark no longer aborts the sweep: every bench runs,
 # failures are summarized at the end, and the script exits 1 if any
@@ -49,7 +48,6 @@ JOBS="${OCOR_JOBS:-$(nproc)}"
 QUICK=0
 COMPARE_SERIAL=0
 OBSERVE=0
-RESUME=0
 BASELINE=""
 EXTRA=()
 while [ $# -gt 0 ]; do
@@ -59,21 +57,15 @@ while [ $# -gt 0 ]; do
       --quick) QUICK=1; shift ;;
       --compare-serial) COMPARE_SERIAL=1; shift ;;
       --observe) OBSERVE=1; shift ;;
-      --resume) RESUME=1; shift ;;
       --baseline) BASELINE="$2"; shift 2 ;;
       --baseline=*) BASELINE="${1#--baseline=}"; shift ;;
       -h|--help)
-        sed -n '2,35p' "$SELF" | sed 's/^# \{0,1\}//'
+        sed -n '2,33p' "$SELF" | sed 's/^# \{0,1\}//'
         exit 0 ;;
       *) EXTRA+=("$1"); shift ;;
     esac
 done
 
-if [ "$RESUME" -eq 1 ] && [ "$COMPARE_SERIAL" -eq 1 ]; then
-    echo "error: --resume is mutually exclusive with" \
-         "--compare-serial (it forces --fresh)" >&2
-    exit 1
-fi
 if [ -n "$BASELINE" ]; then
     case "$BASELINE" in
       /*) ;;
@@ -82,16 +74,6 @@ if [ -n "$BASELINE" ]; then
     if [ ! -f "$BASELINE" ]; then
         echo "error: --baseline $BASELINE: no such file" >&2
         exit 1
-    fi
-fi
-if [ "$RESUME" -eq 1 ]; then
-    if [ -f ocor_results.tsv ]; then
-        rows=$(grep -c -v '^#' ocor_results.tsv || true)
-        echo "resume: $rows durable result row(s) in" \
-             "ocor_results.tsv; matching configurations are" \
-             "recalled, not re-simulated"
-    else
-        echo "resume: no ocor_results.tsv yet; running from scratch"
     fi
 fi
 
@@ -219,11 +201,6 @@ fi
         echo "  \"quick\": true,"
     else
         echo "  \"quick\": false,"
-    fi
-    if [ "$RESUME" -eq 1 ]; then
-        echo "  \"resume\": true,"
-    else
-        echo "  \"resume\": false,"
     fi
     echo "  \"benches\": ["
     last=$((${#ROWS[@]} - 1))

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hh"
 
 #include <cstdlib>
+#include <limits>
 
 namespace ocor
 {
@@ -38,22 +39,13 @@ thread_local unsigned currentWorker = 0;
 } // namespace
 
 void
-ThreadPool::submitRaw(std::function<void()> task)
+ThreadPool::enqueue(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
         queue_.push_back(std::move(task));
     }
     cv_.notify_one();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    submitRaw([this, t = std::move(task)]() {
-        Timed timed(*this);
-        t();
-    });
 }
 
 void
@@ -76,15 +68,8 @@ ThreadPool::workerLoop(unsigned worker)
                 return; // stop_ set and nothing left to run
             task = std::move(queue_.front());
             queue_.pop_front();
-            ++running_;
         }
         task();
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            --running_;
-            if (running_ == 0 && queue_.empty())
-                idleCv_.notify_all();
-        }
     }
 }
 
@@ -93,15 +78,6 @@ ThreadPool::queueDepth() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return queue_.size();
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    idleCv_.wait(lk, [this]() {
-        return queue_.empty() && running_ == 0;
-    });
 }
 
 std::uint64_t
@@ -117,12 +93,27 @@ unsigned
 ThreadPool::defaultConcurrency()
 {
     if (const char *env = std::getenv("OCOR_JOBS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
+        if (auto n = parseJobs(env))
+            return *n;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+std::optional<unsigned>
+ThreadPool::parseJobs(const std::string &text)
+{
+    if (text.empty() || text.size() > 10)
+        return std::nullopt;
+    std::uint64_t v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    if (v == 0 || v > std::numeric_limits<unsigned>::max())
+        return std::nullopt;
+    return static_cast<unsigned>(v);
 }
 
 } // namespace ocor

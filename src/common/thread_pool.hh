@@ -24,35 +24,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace ocor
 {
-
-/**
- * Cooperative cancellation flag shared between a supervisor and one
- * task. The supervisor flips it (e.g. when a wall-clock deadline
- * expires); the task polls it at safe points and winds down. Plain
- * relaxed atomics: the flag carries no data, only the request.
- */
-class CancelToken
-{
-  public:
-    void cancel() { flag_.store(true, std::memory_order_relaxed); }
-
-    bool
-    cancelled() const
-    {
-        return flag_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { flag_.store(false, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<bool> flag_{false};
-};
 
 /** Fixed-size FIFO task pool; joins all workers on destruction. */
 class ThreadPool
@@ -68,11 +47,8 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue fire-and-forget work. */
-    void submit(std::function<void()> task);
-
-    /** Enqueue a value-returning task; the future carries the result
-     * (or the task's exception). */
+    /** Enqueue a task; the future carries its result (or its
+     * exception). */
     template <typename F>
     auto run(F fn) -> std::future<decltype(fn())>
     {
@@ -86,7 +62,7 @@ class ThreadPool
                 return fn();
             });
         std::future<R> fut = task->get_future();
-        submitRaw([task]() { (*task)(); });
+        enqueue([task]() { (*task)(); });
         return fut;
     }
 
@@ -120,18 +96,18 @@ class ThreadPool
     std::size_t queueDepth() const;
 
     /**
-     * Block until the queue is empty and every worker is idle.
-     * Supervision/test hook; tasks submitted concurrently with the
-     * wait may extend it.
-     */
-    void waitIdle();
-
-    /**
      * Worker count used when the caller does not choose one: the
-     * OCOR_JOBS environment variable when set to a positive integer,
+     * OCOR_JOBS environment variable when parseJobs() accepts it,
      * otherwise std::thread::hardware_concurrency() (minimum 1).
      */
     static unsigned defaultConcurrency();
+
+    /**
+     * Parse a worker count as given to --jobs or OCOR_JOBS: a whole
+     * positive decimal integer that fits in unsigned ("4"), nothing
+     * else (no sign, blanks, suffix or zero). nullopt on rejection.
+     */
+    static std::optional<unsigned> parseJobs(const std::string &text);
 
   private:
     /** Times one task and books it to the executing worker; the
@@ -157,9 +133,7 @@ class ThreadPool
         std::chrono::steady_clock::time_point t0_;
     };
 
-    /** Enqueue without the accounting wrapper (run() tasks account
-     * for themselves inside the packaged task). */
-    void submitRaw(std::function<void()> task);
+    void enqueue(std::function<void()> task);
 
     /** Book @p ns of task time to the calling worker thread. */
     void account(std::uint64_t ns);
@@ -168,9 +142,7 @@ class ThreadPool
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
-    std::condition_variable idleCv_; ///< signalled when work drains
     std::deque<std::function<void()>> queue_;
-    unsigned running_ = 0; ///< tasks currently executing (mu_ held)
     bool stop_ = false;
     std::vector<std::thread> workers_;
 

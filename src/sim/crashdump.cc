@@ -40,7 +40,6 @@ char g_path[512] = {0};
 std::atomic<bool> g_installed{false};
 std::atomic<const Tracer *> g_tracer{nullptr};
 std::atomic<std::uint64_t> g_runs{0};
-std::atomic<std::uint64_t> g_degraded{0};
 
 // BEGIN signal-handler-context -- everything below this marker up to
 // the matching END runs (also) inside a signal handler and must stay
@@ -117,8 +116,6 @@ writeDump(const char *why)
     writeStr(fd, why);
     writeStr(fd, "\nruns=");
     writeDec(fd, g_runs.load(std::memory_order_relaxed));
-    writeStr(fd, "\ndegraded=");
-    writeDec(fd, g_degraded.load(std::memory_order_relaxed));
     writeStr(fd, "\n");
 
     for (int i = 0; i < RunScope::kSlots; ++i) {
@@ -215,10 +212,9 @@ setTracer(const Tracer *tracer)
 }
 
 void
-noteRunnerProgress(std::uint64_t runs, std::uint64_t degraded)
+noteRunnerProgress(std::uint64_t runs)
 {
     g_runs.store(runs, std::memory_order_relaxed);
-    g_degraded.store(degraded, std::memory_order_relaxed);
 }
 
 std::string

@@ -62,7 +62,7 @@ const char *dumpPath();
 void setTracer(const Tracer *tracer);
 
 /** Coarse sweep progress shown in the dump header (runner hook). */
-void noteRunnerProgress(std::uint64_t runs, std::uint64_t degraded);
+void noteRunnerProgress(std::uint64_t runs);
 
 /**
  * The `repro\t...` line identifying one simulation (no newline):

@@ -71,9 +71,9 @@ struct RunMetrics
     std::uint64_t unrecoverable = 0;
     bool hangDetected = false;          ///< progress watchdog fired
 
-    /** Cooperative cancellation (a supervision deadline) stopped the
-     * run early. Cancelled metrics are partial: they are never
-     * cached and never enter figure data. */
+    /** A wall-clock deadline (SimOptions::deadline) stopped the run
+     * early. Cancelled metrics are partial: they are never journaled,
+     * and a bench that receives one exits 75. */
     bool cancelled = false;
 
     // --- sums over threads ------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parallel experiment engine: fans a suite of (profile, OCOR on/off)
- * simulations across a worker pool, optionally under supervision
- * (per-request deadlines, seeded retry with backoff, quarantine).
+ * simulations across a worker pool, optionally under a wall-clock
+ * deadline per request.
  *
  * Every Simulator::run owns its own System, and every stochastic
  * component draws from RNGs seeded purely from (config, seed), so
@@ -14,26 +14,19 @@
  * thread-safety and in-flight dedup: two requests for the same key
  * (e.g. the shared baseline of a level sweep) cost one simulation.
  *
- * Supervision (DESIGN.md §12) is off by default and adds nothing to
- * the unsupervised path, which stays bit-identical to the
- * pre-supervision engine. With a SupervisePolicy installed, every
- * request gets a wall-clock deadline derived from its profile's
- * expected work; a deadline miss cancels the simulation
- * cooperatively, failed attempts retry with deterministic seeded
- * exponential backoff + jitter, and configurations that keep failing
- * are quarantined so one bad config cannot take a sweep down. The
- * sweep then completes with a per-request RunStatus instead of
- * aborting.
+ * The deadline (DESIGN.md §12) is off by default. When set, every
+ * request gets a wall-clock budget scaled by its size; a run that
+ * passes it stops at the simulator's next poll cycle and its slot
+ * keeps the partial metrics, flagged RunMetrics::cancelled. There is
+ * no retry: a simulation is deterministic, so rerunning the sweep is
+ * the retry.
  */
 
 #ifndef OCOR_SIM_PARALLEL_RUNNER_HH
 #define OCOR_SIM_PARALLEL_RUNNER_HH
 
-#include <condition_variable>
-#include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/stats.hh"
@@ -53,55 +46,6 @@ struct RunRequest
     bool ocorEnabled = false;
 };
 
-/** Terminal state of one supervised request. */
-enum class RunStatus : std::uint8_t
-{
-    Ok,          ///< completed (possibly after retries)
-    TimedOut,    ///< every attempt hit its wall-clock deadline
-    Failed,      ///< every attempt failed (hang / exception)
-    Quarantined  ///< config exceeded the failure budget; not run
-};
-
-/** Stable lowercase name ("ok", "timed-out", ...). */
-const char *runStatusName(RunStatus s);
-
-/** Per-request supervision verdict (parallel to run()'s results). */
-struct RunOutcome
-{
-    RunStatus status = RunStatus::Ok;
-    unsigned attempts = 0;   ///< simulation attempts consumed
-    double seconds = 0.0;    ///< wall clock across all attempts
-    std::string detail;      ///< human-readable failure context
-};
-
-/** Watchdog / retry / quarantine policy (all knobs per request). */
-struct SupervisePolicy
-{
-    /**
-     * Base wall-clock deadline in seconds for a 16-thread,
-     * 4-iteration request; scaled linearly with threads x iterations
-     * (deadlineFor()). 0 disables deadlines.
-     */
-    double deadlineSeconds = 0.0;
-
-    /** Total attempts per request (first try + retries). */
-    unsigned maxAttempts = 3;
-
-    /** Backoff before retry k is base * 2^(k-1), capped, with
-     * +/- jitter drawn from a deterministic per-(key, attempt) RNG. */
-    double backoffBaseSeconds = 0.05;
-    double backoffMaxSeconds = 2.0;
-    double backoffJitter = 0.25; ///< fraction of the delay
-
-    /** Attempt failures (across requests) after which a cache key is
-     * quarantined: subsequent requests short-circuit. */
-    unsigned quarantineAfter = 3;
-
-    /** Supervision master switch; when false the runner behaves
-     * exactly like the unsupervised engine. */
-    bool enabled = false;
-};
-
 /** Pool-backed experiment runner; optionally cache-write-through. */
 class ParallelRunner
 {
@@ -110,27 +54,22 @@ class ParallelRunner
      * @p jobs worker count (0 = ThreadPool::defaultConcurrency());
      * @p cache when non-null, every run goes through
      * ResultCache::get (memoized + deduplicated), otherwise each
-     * request is simulated directly.
+     * request is simulated directly; @p deadlineSeconds the
+     * wall-clock budget of a 16-thread, 4-iteration request
+     * (deadlineFor() scales it; 0 = no deadline).
      */
     explicit ParallelRunner(unsigned jobs = 0,
-                            ResultCache *cache = nullptr);
+                            ResultCache *cache = nullptr,
+                            double deadlineSeconds = 0.0);
 
-    ~ParallelRunner();
-
-    /** Install (or disable) the supervision policy. Not thread-safe
-     * against concurrent run() calls; set it up front. */
-    void setSupervision(const SupervisePolicy &policy);
-
-    const SupervisePolicy &supervision() const { return policy_; }
-
-    /** Deadline in seconds for @p req under the current policy:
-     * deadlineSeconds x (threads/16) x (iterations/4), floored at
-     * the base. 0 when deadlines are off. */
+    /** Deadline in seconds for @p req: deadlineSeconds x
+     * (threads/16) x (iterations/4), floored at deadlineSeconds.
+     * 0 when there is no deadline. */
     double deadlineFor(const RunRequest &req) const;
 
-    /** Run every request concurrently; results in request order.
-     * Under supervision, degraded requests yield empty metrics and
-     * their status is left in outcomes(). */
+    /** Run every request concurrently; results in request order. A
+     * request that passed its deadline keeps its partial metrics,
+     * flagged cancelled. */
     std::vector<RunMetrics> run(const std::vector<RunRequest> &reqs);
 
     /** Original/OCOR pairs for heterogeneous (profile, exp) combos,
@@ -147,18 +86,10 @@ class ParallelRunner
 
     unsigned jobs() const { return pool_.size(); }
 
-    /** Per-request outcomes of the most recent run() (request
-     * order). Empty before the first run. */
-    std::vector<RunOutcome> outcomes() const;
-
-    /** Requests (lifetime total) that did not end Ok. */
-    std::uint64_t degradedRuns() const;
-
-    /** Lifetime supervision counters. */
+    /** Requests (lifetime total) whose metrics came back cancelled
+     * by a deadline; an in-flight duplicate of such a request shares
+     * its partial metrics and counts too. */
     std::uint64_t timeouts() const;
-    std::uint64_t failures() const;
-    std::uint64_t retries() const;
-    std::uint64_t quarantined() const;
 
     /** Wall-clock seconds per simulated run (thread-safe). */
     SampleStat runSeconds() const;
@@ -184,62 +115,15 @@ class ParallelRunner
   private:
     RunMetrics runOne(const RunRequest &req);
 
-    /** Supervised wrapper: deadline + retry + quarantine. */
-    RunMetrics runSupervised(const RunRequest &req,
-                             RunOutcome &outcome);
-
-    /** One attempt under a deadline token; returns the metrics. */
-    RunMetrics attemptOnce(const RunRequest &req, double deadline);
-
-    // --- deadline watchdog ------------------------------------------
-    struct ActiveRun
-    {
-        std::chrono::steady_clock::time_point deadlineAt;
-        CancelToken *token;
-    };
-
-    /** Register/unregister an attempt with the watchdog thread. */
-    std::uint64_t armDeadline(double seconds, CancelToken *token);
-    void disarmDeadline(std::uint64_t id);
-    void watchdogLoop();
-    void stopWatchdog();
-
     ThreadPool pool_;
     ResultCache *cache_;
-
-    SupervisePolicy policy_;
+    double deadlineSeconds_;
 
     mutable std::mutex statsMu_;
     SampleStat runSeconds_;
     std::uint64_t runsExecuted_ = 0;
     std::uint64_t timeouts_ = 0;
-    std::uint64_t failures_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t quarantined_ = 0;
-    std::uint64_t degraded_ = 0;
-    std::vector<RunOutcome> outcomes_; ///< last run(), request order
-
-    /** Attempt-failure counts and quarantine set, by cache key. */
-    std::map<std::string, unsigned> failCounts_;
-
-    // Watchdog state (separate mutex: armed/disarmed on the hot
-    // request path, scanned by the watchdog thread).
-    std::mutex wdMu_;
-    std::condition_variable wdCv_;
-    std::map<std::uint64_t, ActiveRun> active_;
-    std::uint64_t nextArmId_ = 1;
-    bool wdStop_ = false;
-    std::thread watchdog_; ///< started lazily by setSupervision
 };
-
-/**
- * Convenience wrapper: the parallel, uncached equivalent of
- * runSuite(). Bit-identical to the serial version (the determinism
- * test enforces this).
- */
-std::vector<BenchmarkResult>
-runSuiteParallel(const std::vector<BenchmarkProfile> &profiles,
-                 const ExperimentConfig &exp, unsigned jobs = 0);
 
 } // namespace ocor
 

@@ -210,6 +210,26 @@ parseRow(const std::string &line)
     return parsePayload(payload);
 }
 
+/** Write all of @p data to @p fd, retrying on EINTR; false (errno
+ * set) on any other error. */
+bool
+writeAll(int fd, const std::string &data)
+{
+    const char *p = data.data();
+    std::size_t left = data.size();
+    while (left > 0) {
+        ssize_t w = ::write(fd, p, left);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        p += w;
+        left -= static_cast<std::size_t>(w);
+    }
+    return true;
+}
+
 } // namespace
 
 void
@@ -241,33 +261,21 @@ ResultCache::loadLocked() const
         return;
     }
 
-    // Identify the format from the header line.
-    bool v2 = false;
-    std::size_t pos = 0;
-    if (text[0] == '#') {
-        std::size_t eol = text.find('\n');
-        std::string header = text.substr(
-            0, eol == std::string::npos ? total : eol);
-        if (header == headerLine()) {
-            v2 = true;
-            pos = eol == std::string::npos ? total : eol + 1;
-        } else {
-            // Foreign or future version: nothing loadable. The next
-            // flush compacts, rewriting the file in this version's
-            // format from whatever this process computes.
-            ocor_warn("ResultCache: %s has unknown header '%s'; "
-                      "treating as empty",
-                      path_.c_str(), header.c_str());
-            legacy_ = true;
-            ::flock(fd, LOCK_UN);
-            ::close(fd);
-            return;
-        }
-    } else {
-        // Headerless v1 file (pre-journal): rows carry no CRC.
-        // Loadable, but scheduled for migration on the next flush.
-        legacy_ = true;
+    // A file without this version's header (headerless, foreign or
+    // from a future version) has nothing loadable: it loads empty
+    // and the next flush rewrites it in this version's format.
+    const std::size_t headerEnd = text.find('\n');
+    if (text.compare(0, headerEnd, headerLine()) != 0) {
+        ocor_warn("ResultCache: %s does not start with '%s'; "
+                  "treating as empty",
+                  path_.c_str(), headerLine());
+        rewrite_ = true;
+        ::flock(fd, LOCK_UN);
+        ::close(fd);
+        return;
     }
+    std::size_t pos =
+        headerEnd == std::string::npos ? total : headerEnd + 1;
 
     // lastGood: byte offset just past the last successfully parsed
     // row (or the header). Anything after it that fails to parse is
@@ -278,7 +286,7 @@ ResultCache::loadLocked() const
         const bool terminated = eol != std::string::npos;
         const std::size_t end = terminated ? eol : total;
         std::string line = text.substr(pos, end - pos);
-        auto kv = v2 ? parseRow(line) : parsePayload(line);
+        auto kv = parseRow(line);
         if (kv) {
             // Duplicate keys resolve last-write-wins: journal order
             // is append order, so the newest row is authoritative
@@ -293,7 +301,7 @@ ResultCache::loadLocked() const
                 // it (it is surfaced through parse_errors and
                 // scrubbed by the next compaction) but keep reading;
                 // rows after it are usually intact.
-                legacy_ = true;
+                rewrite_ = true;
         }
         pos = terminated ? eol + 1 : total;
     }
@@ -332,13 +340,12 @@ ResultCache::flushLocked()
 {
     if (ephemeral_) {
         pending_.clear();
-        legacy_ = false;
+        rewrite_ = false;
         return;
     }
-    if (legacy_) {
-        // v1 migration / corrupt-row scrub: rewrite the whole
+    if (rewrite_) {
+        // Foreign file / corrupt-row scrub: rewrite the whole
         // journal (pending rows included) instead of appending.
-        loadLocked();
         compactLocked();
         return;
     }
@@ -359,20 +366,9 @@ ResultCache::flushLocked()
         batch = std::string(headerLine()) + '\n';
     for (const auto &row : pending_)
         batch += row + '\n';
-    const char *p = batch.data();
-    std::size_t left = batch.size();
-    while (left > 0) {
-        ssize_t w = ::write(fd, p, left);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            ocor_warn("ResultCache: write to %s failed: %s",
-                      path_.c_str(), std::strerror(errno));
-            break;
-        }
-        p += w;
-        left -= static_cast<std::size_t>(w);
-    }
+    if (!writeAll(fd, batch))
+        ocor_warn("ResultCache: write to %s failed: %s", path_.c_str(),
+                  std::strerror(errno));
     ::fsync(fd);
     ::flock(fd, LOCK_UN);
     pending_.clear();
@@ -390,7 +386,7 @@ ResultCache::compactLocked()
 {
     if (ephemeral_) {
         pending_.clear();
-        legacy_ = false;
+        rewrite_ = false;
         return;
     }
     loadLocked();
@@ -415,20 +411,7 @@ ResultCache::compactLocked()
     std::string out = std::string(headerLine()) + '\n';
     for (const auto &k : keys)
         out += formatRow(k + '\t' + metricsToTsv(mem_[k])) + '\n';
-    const char *p = out.data();
-    std::size_t left = out.size();
-    bool ok = true;
-    while (left > 0) {
-        ssize_t w = ::write(tfd, p, left);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            ok = false;
-            break;
-        }
-        p += w;
-        left -= static_cast<std::size_t>(w);
-    }
+    const bool ok = writeAll(tfd, out);
     ::fsync(tfd);
     ::close(tfd);
     if (!ok) {
@@ -467,7 +450,7 @@ ResultCache::compactLocked()
         ::close(jfd);
         fd_ = -1;
     }
-    legacy_ = false;
+    rewrite_ = false;
     ++compactions_;
 }
 
@@ -490,15 +473,21 @@ ResultCache::lookup(const CacheKey &key) const
 }
 
 void
-ResultCache::store(const CacheKey &key, const RunMetrics &metrics)
+ResultCache::storeLocked(const std::string &ks,
+                         const RunMetrics &metrics)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    loadLocked();
-    const std::string ks = key.toString();
     mem_[ks] = metrics;
     pending_.push_back(formatRow(ks + '\t' + metricsToTsv(metrics)));
     if (pending_.size() >= kFlushBatch)
         flushLocked();
+}
+
+void
+ResultCache::store(const CacheKey &key, const RunMetrics &metrics)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    loadLocked();
+    storeLocked(key.toString(), metrics);
 }
 
 RunMetrics
@@ -537,34 +526,15 @@ ResultCache::get(const BenchmarkProfile &profile,
     simulationsRun_.fetch_add(1, std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!m.cancelled) {
-            mem_.emplace(ks, m);
-            pending_.push_back(
-                formatRow(ks + '\t' + metricsToTsv(m)));
-            if (pending_.size() >= kFlushBatch)
-                flushLocked();
-        }
-        // A cancelled (deadline-aborted) run is never cached: its
+        // A cancelled (deadline-stopped) run is never cached: its
         // metrics are partial. Losers of the in-flight race still
-        // observe it and let the supervisor decide on a retry.
+        // receive them, flagged cancelled.
+        if (!m.cancelled)
+            storeLocked(ks, m);
         inflight_.erase(ks);
     }
     prom.set_value(m);
     return m;
-}
-
-BenchmarkResult
-ResultCache::getComparison(const BenchmarkProfile &profile,
-                           const ExperimentConfig &exp)
-{
-    BenchmarkResult r;
-    r.name = profile.name;
-    r.suite = profile.suite;
-    r.highCsRate = profile.highCsRate;
-    r.highNetUtil = profile.highNetUtil;
-    r.base = get(profile, exp, false);
-    r.ocor = get(profile, exp, true);
-    return r;
 }
 
 std::uint64_t

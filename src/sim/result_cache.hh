@@ -21,8 +21,10 @@
  *  - duplicate keys resolve last-write-wins, deterministically, and
  *    compact() rewrites the journal via write-temp-then-atomic-rename
  *    so readers never observe a half-written file,
- *  - an advisory flock() serializes appends and compactions across
- *    processes (`run_benches.sh --resume` relies on this).
+ *  - an advisory flock() serializes loads, appends and compactions
+ *    across processes: two benches started in one build directory
+ *    share `ocor_results.tsv`, and so does a sweep started while an
+ *    orphaned bench of a killed one still appends.
  *
  * The cache is safe to hammer from many threads at once (the
  * parallel experiment engine does exactly that): lookups hit an
@@ -78,10 +80,9 @@ CacheKey makeCacheKey(const BenchmarkProfile &profile,
 class ResultCache
 {
   public:
-    /** Journal format version written in the header line. */
-    static constexpr unsigned kFormatVersion = 2;
-
-    /** The header line (without newline) of a current journal. */
+    /** The header line (without newline) of a current journal. A
+     * file that does not start with it loads as empty and is
+     * rewritten by the next flush. */
     static const char *headerLine();
 
     /**
@@ -106,16 +107,12 @@ class ResultCache
      * threads concurrently: losers of the in-flight race block until
      * the winner's simulation finishes, so a key is never simulated
      * twice. @p opts is forwarded to the simulation on a miss (the
-     * supervised runner threads its cancellation token through here);
-     * cancelled results are returned but never stored.
+     * runner passes its deadline through here); cancelled results
+     * are returned, to in-flight waiters too, but never stored.
      */
     RunMetrics get(const BenchmarkProfile &profile,
                    const ExperimentConfig &exp, bool ocor_enabled,
                    Simulator::Options opts = {});
-
-    /** Paired Original/OCOR result through the cache. */
-    BenchmarkResult getComparison(const BenchmarkProfile &profile,
-                                  const ExperimentConfig &exp);
 
     /** Durably write any batched rows to the journal now (append +
      * fsync under the advisory file lock). */
@@ -123,8 +120,8 @@ class ResultCache
 
     /**
      * Rewrite the journal as header + one row per live key (sorted,
-     * deduplicated) via write-temp-then-atomic-rename. Also the
-     * migration path for headerless v1 files.
+     * deduplicated) via write-temp-then-atomic-rename. Also how a
+     * foreign file or corrupt rows are scrubbed.
      */
     void compact();
 
@@ -146,7 +143,7 @@ class ResultCache
     /** Bytes dropped by tail truncation. */
     std::uint64_t truncatedBytes() const;
 
-    /** Compactions performed (including v1 migrations). */
+    /** Compactions performed (including scrubs). */
     std::uint64_t compactions() const;
 
     /** Keys currently resident (disk + this process). */
@@ -172,6 +169,9 @@ class ResultCache
     void compactLocked();
     /** Open (lazily) the append fd; returns -1 on failure. */
     int appendFdLocked();
+    /** Index @p metrics under @p ks and queue its journal row
+     * (mu_ held). */
+    void storeLocked(const std::string &ks, const RunMetrics &metrics);
 
     /** Rows buffered before this many stores hit the disk. */
     static constexpr std::size_t kFlushBatch = 16;
@@ -181,8 +181,8 @@ class ResultCache
 
     mutable std::mutex mu_;
     mutable bool loaded_ = false;
-    mutable bool legacy_ = false; ///< v1 file: compact on first flush
-    mutable int fd_ = -1;         ///< append descriptor (lazy)
+    mutable bool rewrite_ = false; ///< compact on the next flush
+    mutable int fd_ = -1;          ///< append descriptor (lazy)
     mutable std::unordered_map<std::string, RunMetrics> mem_;
     std::vector<std::string> pending_;
     std::unordered_map<std::string, std::shared_future<RunMetrics>>

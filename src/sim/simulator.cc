@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "os/lock_ledger.hh"
 #include "sim/crashdump.hh"
 
@@ -23,7 +22,7 @@ secondsSince(sim_clock::time_point a, sim_clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** The watchdog/cancel poll stride of the run loop (cycles with
+/** The watchdog/deadline poll stride of the run loop (cycles with
  * (now & kStrideMask) == 0 are poll cycles). */
 constexpr Cycle kStrideMask = 0x7ff;
 
@@ -398,8 +397,8 @@ Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
     // so cycle skipping is off; System::tick still ticks only the
     // components that are due.
     const bool skipping = (ck == nullptr);
-    const bool stride_active =
-        cfg_.progressWindow > 0 || opts_.cancel != nullptr;
+    const bool has_deadline = opts_.deadline != sim_clock::time_point{};
+    const bool stride_active = cfg_.progressWindow > 0 || has_deadline;
     Cycle last_progress_at = 0;
     std::uint64_t last_progress = 0;
     for (now_ = 0; now_ < cfg_.maxCycles;) {
@@ -427,18 +426,15 @@ Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
         }
         if (system_->allFinished())
             break;
-        // Cooperative cancellation (supervision deadline) and the
-        // forward-progress watchdog, polled at a coarse stride so an
-        // unsupervised run stays cheap.
+        // The wall-clock deadline and the forward-progress watchdog,
+        // polled at a coarse stride so the clock read stays cheap.
         if ((now_ & kStrideMask) == 0) {
-            if (opts_.cancel && opts_.cancel->cancelled()) {
+            if (has_deadline && sim_clock::now() >= opts_.deadline) {
                 cancelled_ = true;
                 if (tr)
                     tr->record(TraceCat::Sim, TraceEv::WatchdogFired,
                                now_, invalidNode, invalidThread, 0, 0,
-                               1 /* a0 = cancelled, not wedged */);
-                ocor_warn("run cancelled by supervisor at cycle %llu",
-                          static_cast<unsigned long long>(now_));
+                               1 /* a0 = past deadline, not wedged */);
                 break;
             }
             if (cfg_.progressWindow > 0) {

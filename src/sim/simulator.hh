@@ -8,6 +8,7 @@
 #define OCOR_SIM_SIMULATOR_HH
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 namespace ocor
 {
 
-class CancelToken;
 class Tracer;
 class LockLedger;
 
@@ -87,12 +87,13 @@ struct SimOptions
     bool profileWall = false;
 
     /**
-     * Cooperative cancellation: when non-null, run() polls the token
-     * at the (coarse) watchdog stride and winds down early with
-     * RunMetrics::cancelled set once it fires. Null (the default)
-     * keeps the loop bit-identical to an unsupervised run.
+     * Wall-clock deadline: when set (not the default epoch value),
+     * run() reads the clock on the (coarse) watchdog poll stride and
+     * stops at the first poll cycle past it, with
+     * RunMetrics::cancelled set. Unset (the default) adds no clock
+     * read.
      */
-    const CancelToken *cancel = nullptr;
+    std::chrono::steady_clock::time_point deadline{};
 
     /**
      * COH attribution ledger: split every blocked-idle (competition
@@ -118,7 +119,7 @@ struct WallProfile
      * Cycles the loop ticked and the quiet cycles it jumped over.
      * Together they cover cycles 0..stop: processed + skipped ==
      * cycles + 1 when the run stops on a processed cycle (threads
-     * finished, watchdog, cancel), and == cycles when it runs out at
+     * finished, watchdog, deadline), and == cycles when it runs out at
      * the maxCycles horizon, which is never processed.
      */
     std::uint64_t cyclesProcessed = 0;
@@ -199,7 +200,7 @@ class Simulator
      * The simulation loop: process a cycle (gated System::tick,
      * accounting, checkers, telemetry, stop tests), then jump to the
      * earliest of System::nextWake, the telemetry sampler and the
-     * watchdog/cancel poll stride, charging the skipped span in bulk.
+     * watchdog/deadline poll stride, charging the skipped span in bulk.
      * With checkers armed every cycle is processed.
      */
     void runLoop(Tracer *tr, CheckerRegistry *ck);

@@ -36,7 +36,7 @@ TEST(ThreadPool, DestructorRunsQueuedTasks)
     {
         ThreadPool pool(2);
         for (int i = 0; i < 100; ++i)
-            pool.submit([&count] {
+            (void)pool.run([&count] {
                 count.fetch_add(1, std::memory_order_relaxed);
             });
     } // join-on-destruction: every queued task still runs
@@ -80,14 +80,16 @@ TEST(ThreadPool, BusyTimeAndTaskCountsAccumulate)
     EXPECT_EQ(pool.tasksExecuted(), 0u);
     EXPECT_EQ(pool.totalBusyNs(), 0u);
 
-    std::vector<std::future<int>> futs;
+    std::vector<std::future<unsigned>> futs;
     for (int i = 0; i < 16; ++i)
         futs.push_back(pool.run([] {
             // Enough work for steady_clock to register nonzero time.
-            volatile int x = 0;
-            for (int k = 0; k < 200000; ++k)
+            // Unsigned: the sum passes INT_MAX and must wrap, not
+            // overflow.
+            volatile unsigned x = 0;
+            for (unsigned k = 0; k < 200000; ++k)
                 x = x + k;
-            return static_cast<int>(x);
+            return static_cast<unsigned>(x);
         }));
     for (auto &f : futs)
         f.get();
@@ -103,12 +105,27 @@ TEST(ThreadPool, BusyTimeAndTaskCountsAccumulate)
 
 TEST(ThreadPool, DefaultConcurrencyHonorsEnv)
 {
+    ::unsetenv("OCOR_JOBS");
+    const unsigned fallback = ThreadPool::defaultConcurrency();
+    EXPECT_GE(fallback, 1u);
     ::setenv("OCOR_JOBS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultConcurrency(), 3u);
-    ::setenv("OCOR_JOBS", "0", 1); // non-positive -> fall through
-    EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
+    // Values parseJobs() rejects fall through to the hardware count.
+    for (const char *bad : {"0", "3x"}) {
+        ::setenv("OCOR_JOBS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultConcurrency(), fallback) << bad;
+    }
     ::unsetenv("OCOR_JOBS");
-    EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
     ThreadPool pool(0); // 0 = defaultConcurrency()
     EXPECT_GE(pool.size(), 1u);
+}
+
+TEST(ThreadPool, ParseJobsAcceptsOnlyPositiveIntegers)
+{
+    // Parsing only: no pool is built from any of these values.
+    EXPECT_EQ(ThreadPool::parseJobs("4"), 4u);
+    EXPECT_EQ(ThreadPool::parseJobs("4294967295"), 4294967295u);
+    for (const char *bad : {"-1", "0", "abc", "4x", "", " 4", "+4",
+                            "4294967296", "99999999999"})
+        EXPECT_FALSE(ThreadPool::parseJobs(bad).has_value()) << bad;
 }

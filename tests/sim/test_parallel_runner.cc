@@ -85,8 +85,8 @@ TEST(ParallelRunner, SuiteBitIdenticalToSerial)
         ExperimentConfig exp = tinyExp(seed);
         std::vector<BenchmarkResult> serial =
             runSuite(profiles, exp);
-        std::vector<BenchmarkResult> par =
-            runSuiteParallel(profiles, exp, 4);
+        ParallelRunner runner(4);
+        std::vector<BenchmarkResult> par = runner.runSuite(profiles, exp);
         ASSERT_EQ(par.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(par[i].name, serial[i].name);

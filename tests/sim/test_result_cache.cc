@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "sim/result_cache.hh"
 
 using namespace ocor;
@@ -123,7 +124,7 @@ TEST_F(ResultCacheTest, StoreThenLookupRoundTrips)
 
 TEST_F(ResultCacheTest, PrePercentileSchemaLinesAreMisses)
 {
-    // Grow the on-disk schema, don't break on old files: a cache line
+    // Grow the on-disk schema, don't break on old files: a row
     // written before the percentile columns existed fails to parse
     // and is treated as a miss (the run is redone, not corrupted).
     {
@@ -131,24 +132,27 @@ TEST_F(ResultCacheTest, PrePercentileSchemaLinesAreMisses)
         cache.store(sampleKey(), sampleMetrics());
         cache.flush();
     }
-    // Fake a legacy (headerless, CRC-less) file whose row predates
-    // the percentile columns: strip the v2 header, the CRC stamp and
-    // the last 6 columns.
+    // Rewrite the row without its last 6 columns, CRC-stamped anew
+    // so that only the schema, not the stamp, rejects it.
     std::ifstream in(path_);
     std::string header, line;
     ASSERT_TRUE(std::getline(in, header));
     ASSERT_EQ(header, std::string(ResultCache::headerLine()));
     ASSERT_TRUE(std::getline(in, line));
     in.close();
-    line.erase(0, line.find('\t') + 1); // CRC stamp
+    std::string payload = line.substr(line.find('\t') + 1);
     for (int i = 0; i < 6; ++i)
-        line.erase(line.find_last_of('\t'));
+        payload.erase(payload.find_last_of('\t'));
+    char stamp[9];
+    std::snprintf(stamp, sizeof(stamp), "%08x",
+                  crc32Update(0, payload.data(), payload.size()));
     std::ofstream out(path_, std::ios::trunc);
-    out << line << '\n';
+    out << header << '\n' << stamp << '\t' << payload << '\n';
     out.close();
 
     ResultCache reopened(path_);
     EXPECT_FALSE(reopened.lookup(sampleKey()).has_value());
+    EXPECT_EQ(reopened.parseErrors(), 1u);
 }
 
 TEST_F(ResultCacheTest, KeysAreDiscriminating)

@@ -2,8 +2,9 @@
  * @file
  * Crash-safety tests for the journaled result cache (DESIGN.md §12):
  * torn-tail recovery at every byte boundary, CRC detection of
- * mid-file corruption, duplicate-key resolution, v1 migration,
- * compaction and the exported journal-health counters.
+ * mid-file corruption, duplicate-key resolution, rewriting of
+ * headerless and foreign files, compaction and the exported
+ * journal-health counters.
  */
 
 #include <gtest/gtest.h>
@@ -279,32 +280,29 @@ TEST_F(ResultCacheJournalTest, CompactionDeduplicatesAndSorts)
     EXPECT_EQ(hit->roiFinish, 3u);
 }
 
-TEST_F(ResultCacheJournalTest, LegacyV1FileLoadsAndMigrates)
+TEST_F(ResultCacheJournalTest, HeaderlessFileLoadsEmptyAndIsRewritten)
 {
     buildJournal();
-    // Synthesize the pre-journal v1 format: no header, no CRC stamp.
-    std::istringstream in(readFile());
-    std::ostringstream v1;
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line)); // drop the header
-    while (std::getline(in, line))
-        v1 << line.substr(line.find('\t') + 1) << '\n';
-    writeFile(v1.str());
+    // Strip the header: valid CRC-stamped rows, but no header line.
+    std::string text = readFile();
+    text.erase(0, text.find('\n') + 1);
+    writeFile(text);
 
+    // Like a foreign header, nothing loads.
     ResultCache cache(path_);
-    EXPECT_TRUE(cache.lookup(keyFor("alpha")).has_value());
-    EXPECT_TRUE(cache.lookup(keyFor("gamma")).has_value());
-    EXPECT_EQ(cache.rowsLoaded(), 3u);
+    EXPECT_FALSE(cache.lookup(keyFor("alpha")).has_value());
+    EXPECT_EQ(cache.rowsLoaded(), 0u);
 
-    // The first flush migrates the whole file to v2 via compaction.
+    // The next flush rewrites the file in this version's format.
     cache.store(keyFor("delta"), metricsWithRoi(4));
     cache.flush();
     EXPECT_EQ(cache.compactions(), 1u);
-    std::string migrated = readFile();
-    EXPECT_EQ(migrated.rfind(ResultCache::headerLine(), 0), 0u);
+    EXPECT_EQ(readFile().rfind(ResultCache::headerLine(), 0), 0u);
     ResultCache again(path_);
-    EXPECT_EQ(again.rowsLoaded(), 4u);
+    EXPECT_EQ(again.rowsLoaded(), 1u);
     EXPECT_EQ(again.parseErrors(), 0u);
+    EXPECT_TRUE(again.lookup(keyFor("delta")).has_value());
+    EXPECT_FALSE(again.lookup(keyFor("alpha")).has_value());
 }
 
 TEST_F(ResultCacheJournalTest, ForeignHeaderTreatedAsEmpty)

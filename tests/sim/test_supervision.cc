@@ -1,14 +1,15 @@
 /**
  * @file
- * Task-supervision tests (DESIGN.md §12): deadlines cancel runs
- * cooperatively, failed attempts retry, repeat offenders are
- * quarantined, degraded sweeps complete with per-request outcomes,
- * and supervision off (or satisfied) is bit-identical to the
- * unsupervised engine.
+ * Run supervision tests (DESIGN.md §12): the runner's one wall-clock
+ * deadline. A run that passes it stops at the next poll cycle with
+ * its partial metrics flagged cancelled, counts once as a timeout and
+ * is never cached; a deadline that never fires is bit-identical to
+ * no deadline.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -30,39 +31,22 @@ smallExp(unsigned threads = 4, unsigned iters = 2)
     return exp;
 }
 
-/** A policy whose deadline no real simulation can meet. */
-SupervisePolicy
-impossibleDeadline(unsigned maxAttempts, unsigned quarantineAfter)
+/** Options whose deadline has already passed: the run stops at its
+ * first poll cycle. */
+Simulator::Options
+pastDeadline()
 {
-    SupervisePolicy p;
-    p.deadlineSeconds = 1e-5;
-    p.maxAttempts = maxAttempts;
-    p.backoffBaseSeconds = 1e-3;
-    p.backoffMaxSeconds = 2e-3;
-    p.backoffJitter = 0.0;
-    p.quarantineAfter = quarantineAfter;
-    p.enabled = true;
-    return p;
+    Simulator::Options opts;
+    opts.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    return opts;
 }
 
 } // namespace
 
-TEST(ParallelRunnerSupervisionTest, RunStatusNamesAreStable)
-{
-    EXPECT_STREQ(runStatusName(RunStatus::Ok), "ok");
-    EXPECT_STREQ(runStatusName(RunStatus::TimedOut), "timed-out");
-    EXPECT_STREQ(runStatusName(RunStatus::Failed), "failed");
-    EXPECT_STREQ(runStatusName(RunStatus::Quarantined),
-                 "quarantined");
-}
-
 TEST(ParallelRunnerSupervisionTest, DeadlineScalesWithRequestSize)
 {
-    ParallelRunner runner(1);
-    SupervisePolicy p;
-    p.deadlineSeconds = 2.0;
-    p.enabled = true;
-    runner.setSupervision(p);
+    ParallelRunner runner(1, nullptr, 2.0);
 
     RunRequest req;
     req.profile = profileByName("ferret");
@@ -78,22 +62,18 @@ TEST(ParallelRunnerSupervisionTest, DeadlineScalesWithRequestSize)
     req.exp = smallExp(4, 1); // smaller than base: floored
     EXPECT_DOUBLE_EQ(runner.deadlineFor(req), 2.0);
 
-    SupervisePolicy off;
-    runner.setSupervision(off);
+    ParallelRunner off(1);
     req.exp = smallExp(64, 20);
-    EXPECT_DOUBLE_EQ(runner.deadlineFor(req), 0.0);
+    EXPECT_DOUBLE_EQ(off.deadlineFor(req), 0.0);
 }
 
 TEST(ParallelRunnerSupervisionTest, CancelledRunReportsCancelled)
 {
-    // A pre-fired token cancels at the first poll: the run winds
-    // down with cancelled set instead of simulating to completion.
-    CancelToken token;
-    token.cancel();
-    Simulator::Options opts;
-    opts.cancel = &token;
-    RunMetrics m =
-        runOnce(profileByName("ferret"), smallExp(), false, opts);
+    // A deadline that has already passed stops the run at the first
+    // poll: it winds down with cancelled set instead of simulating
+    // to completion.
+    RunMetrics m = runOnce(profileByName("ferret"), smallExp(), false,
+                           pastDeadline());
     EXPECT_TRUE(m.cancelled);
     EXPECT_FALSE(m.hangDetected);
 
@@ -105,68 +85,33 @@ TEST(ParallelRunnerSupervisionTest, CancelledRunReportsCancelled)
 
 TEST(ParallelRunnerSupervisionTest, DeadlineMissDegradesGracefully)
 {
-    ParallelRunner runner(2);
-    runner.setSupervision(impossibleDeadline(2, 100));
+    // No simulation meets a nanosecond budget. The sweep completes,
+    // the slot keeps the partial metrics, and there is no retry.
+    ResultCache cache("");
+    ParallelRunner runner(2, &cache, 1e-9);
 
     RunRequest req;
     req.profile = profileByName("ferret");
     req.exp = smallExp(16, 6);
     std::vector<RunMetrics> out = runner.run({req});
 
-    // The sweep completed (no abort) with an empty placeholder.
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].roiFinish, 0u);
-
-    const auto outcomes = runner.outcomes();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
-    EXPECT_EQ(outcomes[0].attempts, 2u);
-    EXPECT_FALSE(outcomes[0].detail.empty());
-    EXPECT_EQ(runner.timeouts(), 2u);
-    EXPECT_EQ(runner.retries(), 1u);
-    EXPECT_EQ(runner.degradedRuns(), 1u);
-    EXPECT_EQ(runner.quarantined(), 0u);
-}
-
-TEST(ParallelRunnerSupervisionTest, QuarantineShortCircuitsRepeats)
-{
-    ParallelRunner runner(1);
-    runner.setSupervision(impossibleDeadline(1, 1));
-
-    RunRequest req;
-    req.profile = profileByName("ferret");
-    req.exp = smallExp(16, 6);
-
-    runner.run({req});
-    const auto first = runner.outcomes();
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first[0].status, RunStatus::TimedOut);
-
-    // The config burned its failure budget: the second sweep skips
-    // it without consuming a simulation attempt.
-    runner.run({req});
-    const auto second = runner.outcomes();
-    ASSERT_EQ(second.size(), 1u);
-    EXPECT_EQ(second[0].status, RunStatus::Quarantined);
-    EXPECT_EQ(second[0].attempts, 0u);
-    EXPECT_EQ(runner.quarantined(), 1u);
-    EXPECT_EQ(runner.degradedRuns(), 2u);
+    EXPECT_TRUE(out[0].cancelled);
+    EXPECT_EQ(out[0].threads, 16u);
+    EXPECT_EQ(cache.simulationsRun(), 1u); // one attempt
+    EXPECT_EQ(runner.runsExecuted(), 1u);
+    EXPECT_EQ(runner.timeouts(), 1u);
+    EXPECT_EQ(cache.size(), 0u);           // never cached
 }
 
 TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
 {
-    // Supervision that never fires must not perturb results: the
-    // acceptance bar for turning it on in CI sweeps.
+    // A deadline that never fires must not perturb results.
     const BenchmarkProfile profile = profileByName("ferret");
     const ExperimentConfig exp = smallExp();
     const RunMetrics reference = runOnce(profile, exp, true);
 
-    ParallelRunner runner(2);
-    SupervisePolicy p;
-    p.deadlineSeconds = 300.0;
-    p.maxAttempts = 3;
-    p.enabled = true;
-    runner.setSupervision(p);
+    ParallelRunner runner(2, nullptr, 300.0);
     RunRequest req;
     req.profile = profile;
     req.exp = exp;
@@ -174,52 +119,26 @@ TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
     std::vector<RunMetrics> out = runner.run({req});
 
     ASSERT_EQ(out.size(), 1u);
+    EXPECT_FALSE(out[0].cancelled);
     EXPECT_EQ(out[0].roiFinish, reference.roiFinish);
     EXPECT_EQ(out[0].totalCoh(), reference.totalCoh());
     EXPECT_EQ(out[0].packetsInjected, reference.packetsInjected);
     EXPECT_EQ(out[0].totalAcquisitions(),
               reference.totalAcquisitions());
-    const auto outcomes = runner.outcomes();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, RunStatus::Ok);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-    EXPECT_EQ(runner.degradedRuns(), 0u);
-}
-
-TEST(ParallelRunnerSupervisionTest, SupervisionOffMatchesSerial)
-{
-    // With no policy installed the runner is the plain parallel
-    // engine: results equal the serial reference exactly.
-    const BenchmarkProfile profile = profileByName("imag");
-    const ExperimentConfig exp = smallExp();
-    const RunMetrics reference = runOnce(profile, exp, false);
-
-    ParallelRunner runner(2);
-    RunRequest req;
-    req.profile = profile;
-    req.exp = exp;
-    std::vector<RunMetrics> out = runner.run({req});
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].roiFinish, reference.roiFinish);
-    EXPECT_EQ(out[0].totalCoh(), reference.totalCoh());
-    EXPECT_TRUE(runner.outcomes().empty());
+    EXPECT_EQ(runner.timeouts(), 0u);
 }
 
 TEST(ParallelRunnerSupervisionTest, CancelledResultsAreNeverCached)
 {
-    // A deadline abort must not poison the cache: the next attempt
+    // A deadline stop must not poison the cache: the next request
     // re-simulates instead of recalling partial metrics.
     const std::string path =
         ::testing::TempDir() + "ocor_supervision_cache.tsv";
     std::remove(path.c_str());
     ResultCache cache(path);
 
-    CancelToken token;
-    token.cancel();
-    Simulator::Options opts;
-    opts.cancel = &token;
-    RunMetrics cancelled =
-        cache.get(profileByName("ferret"), smallExp(), false, opts);
+    RunMetrics cancelled = cache.get(profileByName("ferret"),
+                                     smallExp(), false, pastDeadline());
     EXPECT_TRUE(cancelled.cancelled);
     EXPECT_EQ(cache.size(), 0u);
 
@@ -238,10 +157,6 @@ TEST(ParallelRunnerSupervisionTest, SupervisedStatsAreRegistered)
     StatsRegistry reg;
     runner.registerStats(reg);
     EXPECT_TRUE(reg.has("runner.timeouts"));
-    EXPECT_TRUE(reg.has("runner.failures"));
-    EXPECT_TRUE(reg.has("runner.retries"));
-    EXPECT_TRUE(reg.has("runner.quarantined"));
-    EXPECT_TRUE(reg.has("runner.degraded"));
     EXPECT_TRUE(reg.has("runner.pool.queue_depth"));
     EXPECT_EQ(reg.scalar("runner.timeouts"), 0.0);
     EXPECT_EQ(reg.scalar("runner.pool.queue_depth"), 0.0);
