@@ -5,8 +5,10 @@
  * rendering.
  *
  * Common flags across all benches:
- *   --threads N   core/thread count (default 64, the paper's setup)
- *   --iters N     critical sections per thread (default 4)
+ *   --threads N   core/thread count, a positive integer (default
+ *                 64, the paper's setup)
+ *   --iters N     critical sections per thread, a positive integer
+ *                 (default 4)
  *   --seed N      experiment seed (default 1)
  *   --quick       shorthand for --threads 16 (fast smoke runs)
  *   --fresh       ignore the result cache for this invocation
@@ -205,8 +207,8 @@ usageError(const char *prog, const std::string &what)
     std::exit(1);
 }
 
-/** Parse the common flags; unknown flags and a bad --jobs abort
- * with usage. */
+/** Parse the common flags; unknown flags and a bad --threads,
+ * --iters or --jobs abort with usage. */
 inline Options
 parseOptions(int argc, char **argv)
 {
@@ -220,6 +222,16 @@ parseOptions(int argc, char **argv)
                 std::exit(1);
             }
             return argv[++i];
+        };
+        // --threads, --iters and --jobs take a whole positive decimal
+        // integer, parsed by the one rule OCOR_JOBS follows too.
+        auto count = [&]() -> unsigned {
+            const std::string n = next();
+            const auto v = ThreadPool::parseJobs(n);
+            if (!v)
+                usageError(argv[0], a + " takes a positive integer, "
+                                        "not '" + n + "'");
+            return *v;
         };
         // "--flag=value" and "--flag value" are both accepted for
         // the value-carrying observability flags.
@@ -238,10 +250,9 @@ parseOptions(int argc, char **argv)
         };
         std::string v;
         if (a == "--threads")
-            opt.threads = static_cast<unsigned>(std::atoi(next()));
+            opt.threads = count();
         else if (a == "--iters")
-            opt.iterations =
-                static_cast<unsigned>(std::atoi(next()));
+            opt.iterations = count();
         else if (a == "--seed")
             opt.seed = static_cast<std::uint64_t>(
                 std::strtoull(next(), nullptr, 10));
@@ -259,14 +270,8 @@ parseOptions(int argc, char **argv)
             opt.cohBreakdown = true;
             opt.cohLedger = true;
         }
-        else if (a == "--jobs") {
-            const std::string n = next();
-            const auto jobs = ThreadPool::parseJobs(n);
-            if (!jobs)
-                usageError(argv[0], "--jobs takes a positive integer, "
-                                    "not '" + n + "'");
-            opt.jobs = *jobs;
-        }
+        else if (a == "--jobs")
+            opt.jobs = count();
         else if (a == "--trace")
             opt.traceCats = "all"; // bare form: everything
         else if (valueOf("--trace", v))

@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     // Baseline-only sweep: one request per profile, fanned across
     // the pool; results come back in profile order.
-    auto profiles = allProfiles();
+    const std::vector<BenchmarkProfile> profiles = opt.profiles();
     std::vector<RunRequest> reqs;
     reqs.reserve(profiles.size());
     for (const auto &p : profiles)

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     ResultCache cache = cacheFor(opt);
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
-        runner.runSuite(allProfiles(), opt.experiment());
+        runner.runSuite(opt.profiles(), opt.experiment());
 
     std::printf("\n%-8s %12s %12s %10s\n", "program",
                 "orig cyc/CS", "OCOR cyc/CS", "relative");

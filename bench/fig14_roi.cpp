@@ -25,7 +25,7 @@ main(int argc, char **argv)
     ResultCache cache = cacheFor(opt);
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
-        runner.runSuite(allProfiles(), opt.experiment());
+        runner.runSuite(opt.profiles(), opt.experiment());
 
     std::printf("\n(a) %% of thread time spent in COH "
                 "(original design)\n");
@@ -59,8 +59,9 @@ main(int argc, char **argv)
         }
     }
     std::printf("ROI improvement averages: PARSEC %.1f%% | OMP2012 "
-                "%.1f%% | overall %.1f%%\n", parsec_sum / parsec_n,
-                omp_sum / omp_n, sum / results.size());
+                "%.1f%% | overall %.1f%%\n",
+                parsec_n ? parsec_sum / parsec_n : 0.0,
+                omp_n ? omp_sum / omp_n : 0.0, sum / results.size());
     std::printf("(paper: PARSEC 13.7%%, OMP2012 15.1%%, overall "
                 "14.4%%, max 24.5%% ilbdc)\n");
     dumpStatsJson(opt, &runner);

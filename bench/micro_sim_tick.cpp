@@ -1,12 +1,13 @@
 /**
  * @file
- * Microbenchmarks (google-benchmark) of the simulator's per-cycle
- * hot path: System::tick plus the accounting oracle, measured via
- * Simulator::stepCycle on a contended profile (botss: high CS rate,
- * many blocked threads exercising the lockHolderInCs memo) and an
- * uncontended one (imag: mostly parallel compute). These quantify
- * the wins from the holder memo, the live-thread list and the
- * single-requester arbiter fast path.
+ * Microbenchmarks (google-benchmark) of the simulation loop: one
+ * whole Simulator::run() per iteration, so the gated System::tick,
+ * quiet-span skipping and span accounting are timed together, on a
+ * contended profile (botss: high CS rate, many blocked threads) and
+ * an uncontended one (imag: mostly parallel compute). Each thread
+ * runs one critical section to keep the bench short; construction
+ * and teardown stay outside the timed region, and items are
+ * simulated cycles.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@ namespace
 
 constexpr unsigned kThreads = 16;
 constexpr unsigned kSeed = 1;
+constexpr unsigned kIterations = 1; ///< critical sections per thread
 
 std::unique_ptr<Simulator>
 makeSim(const BenchmarkProfile &profile)
@@ -36,6 +38,7 @@ makeSim(const BenchmarkProfile &profile)
     cfg.ocor.enabled = false;
 
     SyntheticParams wl = profile.workload;
+    wl.iterations = kIterations;
     std::vector<Program> programs;
     for (ThreadId t = 0; t < cfg.numThreads; ++t)
         programs.push_back(buildSyntheticProgram(wl, kSeed, t));
@@ -44,39 +47,35 @@ makeSim(const BenchmarkProfile &profile)
                                        profile.traffic);
 }
 
-/**
- * Step one cycle per iteration; when the workload drains, rebuild
- * the simulator outside the timed region so the numbers only cover
- * live steady-state cycles.
- */
+/** Time one run() per iteration on a freshly built simulator. */
 void
-stepLoop(benchmark::State &state, const char *name)
+runLoop(benchmark::State &state, const char *name)
 {
-    BenchmarkProfile profile = profileByName(name);
-    std::unique_ptr<Simulator> sim = makeSim(profile);
+    const BenchmarkProfile profile = profileByName(name);
+    std::unique_ptr<Simulator> sim;
+    std::int64_t cycles = 0;
     for (auto _ : state) {
-        if (sim->system().allFinished()) {
-            state.PauseTiming();
-            sim = makeSim(profile);
-            state.ResumeTiming();
-        }
-        sim->stepCycle();
+        state.PauseTiming();
+        sim = makeSim(profile); // also tears down the previous run
+        state.ResumeTiming();
+        const Cycle roi = sim->run().roiFinish;
+        benchmark::DoNotOptimize(roi);
+        cycles += static_cast<std::int64_t>(roi);
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
+    state.SetItemsProcessed(cycles);
 }
 
 void
 BM_SimTickContended(benchmark::State &state)
 {
-    stepLoop(state, "botss");
+    runLoop(state, "botss");
 }
 BENCHMARK(BM_SimTickContended);
 
 void
 BM_SimTickUncontended(benchmark::State &state)
 {
-    stepLoop(state, "imag");
+    runLoop(state, "imag");
 }
 BENCHMARK(BM_SimTickUncontended);
 

@@ -47,7 +47,8 @@ class AddressMap
                         % mcNodes_.size()];
     }
 
-    /** All nodes that host a memory controller. */
+    /** All nodes that host a memory controller, ascending and
+     * unique. */
     const std::vector<NodeId> &mcNodes() const { return mcNodes_; }
 
     const MeshShape &mesh() const { return mesh_; }

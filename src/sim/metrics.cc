@@ -1,5 +1,7 @@
 #include "sim/metrics.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace ocor
@@ -123,12 +125,13 @@ Timeline::Timeline(unsigned threads, Cycle horizon)
 {}
 
 void
-Timeline::record(ThreadId t, Cycle c, SegClass s)
+Timeline::record(ThreadId t, Cycle from, Cycle to, SegClass s)
 {
-    if (t >= threads_ || c >= horizon_)
+    to = std::min(to, horizon_);
+    if (t >= threads_ || from >= to)
         return;
-    samples_[static_cast<std::size_t>(t) * horizon_ + c] =
-        static_cast<std::uint8_t>(s);
+    std::uint8_t *row = samples_.data() + t * horizon_;
+    std::fill(row + from, row + to, static_cast<std::uint8_t>(s));
 }
 
 SegClass

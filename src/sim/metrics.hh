@@ -108,14 +108,19 @@ enum class SegClass : std::uint8_t
     Done      ///< thread finished
 };
 
-/** Per-cycle thread-activity samples over a bounded horizon. */
+/**
+ * Per-cycle thread-activity samples over a bounded horizon. Every
+ * sample starts out Done, so a finished thread needs no rows.
+ */
 class Timeline
 {
   public:
     Timeline() = default;
     Timeline(unsigned threads, Cycle horizon);
 
-    void record(ThreadId t, Cycle c, SegClass s);
+    /** Mark cycles [@p from, min(@p to, horizon)) of thread @p t as
+     * @p s; threads past the recorded count are ignored. */
+    void record(ThreadId t, Cycle from, Cycle to, SegClass s);
     SegClass at(ThreadId t, Cycle c) const;
 
     bool enabled() const { return horizon_ > 0; }

@@ -23,8 +23,7 @@
  *    so readers never observe a half-written file,
  *  - an advisory flock() serializes loads, appends and compactions
  *    across processes: two benches started in one build directory
- *    share `ocor_results.tsv`, and so does a sweep started while an
- *    orphaned bench of a killed one still appends.
+ *    share `ocor_results.tsv`.
  *
  * The cache is safe to hammer from many threads at once (the
  * parallel experiment engine does exactly that): lookups hit an

@@ -52,6 +52,33 @@ mergeRunAggregates(const WallProfile &wall)
     ++g_agg_runs;
 }
 
+/**
+ * Register the "sim.wall.*" view of the WallProfile @p wall returns,
+ * read at dump time.
+ */
+template <typename WallFn>
+void
+addWallStats(StatsRegistry &reg, WallFn wall)
+{
+    reg.addScalarFn("sim.wall.total_seconds",
+                    [wall] { return wall().totalSeconds; });
+    reg.addScalarFn("sim.wall.tick_seconds",
+                    [wall] { return wall().tickSeconds; });
+    reg.addScalarFn("sim.wall.account_seconds",
+                    [wall] { return wall().accountSeconds; });
+    reg.addScalarFn("sim.wall.sched_seconds",
+                    [wall] { return wall().schedSeconds; });
+    reg.addScalarFn("sim.wall.cycles", [wall] {
+        return static_cast<double>(wall().cycles);
+    });
+    reg.addScalarFn("sim.wall.cycles_processed", [wall] {
+        return static_cast<double>(wall().cyclesProcessed);
+    });
+    reg.addScalarFn("sim.wall.cycles_skipped", [wall] {
+        return static_cast<double>(wall().cyclesSkipped);
+    });
+}
+
 } // namespace
 
 void
@@ -59,41 +86,8 @@ registerAggregateStats(StatsRegistry &reg)
 {
     // Everything reads the global aggregate at dump time, so stats
     // registered before a sweep report the sweep's final totals.
-    auto wall = [](auto field) {
-        return [field]() { return field(aggregateWall()); };
-    };
-    if (!reg.has("sim.wall.total_seconds")) {
-        reg.addScalarFn("sim.wall.total_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.totalSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.tick_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.tickSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.account_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.accountSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.sched_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.schedSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.cycles",
-                        wall([](const WallProfile &w) {
-                            return static_cast<double>(w.cycles);
-                        }));
-        reg.addScalarFn("sim.wall.cycles_processed",
-                        wall([](const WallProfile &w) {
-                            return static_cast<double>(
-                                w.cyclesProcessed);
-                        }));
-        reg.addScalarFn("sim.wall.cycles_skipped",
-                        wall([](const WallProfile &w) {
-                            return static_cast<double>(
-                                w.cyclesSkipped);
-                        }));
-    }
+    if (!reg.has("sim.wall.total_seconds"))
+        addWallStats(reg, aggregateWall);
     reg.addScalarFn("sim.wall.runs", []() {
         std::lock_guard<std::mutex> lk(g_agg_mu);
         return static_cast<double>(g_agg_runs);
@@ -121,7 +115,6 @@ Simulator::Simulator(const SystemConfig &cfg,
         ledger_ =
             std::make_unique<LockLedger>(system_->numThreads());
         system_->setLedger(ledger_.get());
-        budgetMemo_.resize(system_->numThreads());
     }
     // Traced runs publish their ring to the crash-dump handler so a
     // fatal signal dumps the last events. One tracer at a time
@@ -140,17 +133,12 @@ Simulator::~Simulator()
 Cycle
 Simulator::tryBudget(ThreadId t, Addr lock)
 {
-    BudgetMemo &memo = budgetMemo_[t];
-    if (memo.lock != lock) {
-        Packet p;
-        p.src = system_->pcb(t).node;
-        p.dst = system_->addressMap().homeOf(lock);
-        p.numFlits = 1;
-        memo.lock = lock;
-        memo.budget = 2 * system_->network().uncontendedLatency(p)
-            + cfg_.os.homeLatency;
-    }
-    return memo.budget;
+    Packet p;
+    p.src = system_->pcb(t).node;
+    p.dst = system_->addressMap().homeOf(lock);
+    p.numFlits = 1;
+    return 2 * system_->network().uncontendedLatency(p)
+        + cfg_.os.homeLatency;
 }
 
 void
@@ -215,74 +203,6 @@ Simulator::chargeCohCauses(ThreadId t, Pcb &pcb, Addr lock,
     }
 }
 
-void
-Simulator::accountThread(ThreadId t, Cycle now)
-{
-    Pcb &pcb = system_->pcb(t);
-    switch (pcb.state) {
-      case ThreadState::Running:
-        ++pcb.counters.computeCycles;
-        break;
-      case ThreadState::InCS:
-        ++pcb.counters.csCycles;
-        break;
-      case ThreadState::Spinning:
-      case ThreadState::SleepPrep:
-      case ThreadState::Sleeping:
-      case ThreadState::Waking: {
-        // Equation-1 decomposition: is the contended lock held
-        // (a predecessor is inside the CS) or idle (pure
-        // competition overhead)? The verdict is constant within a
-        // cycle, so it is derived once per (lock, cycle).
-        Addr lock = system_->qspinlock(t).currentLock();
-        bool held;
-        if (!holderMemo_.lookup(lock, held)) {
-            held = system_->lockHolderInCs(lock);
-            holderMemo_.insert(lock, held);
-        }
-        if (held) {
-            ++pcb.counters.blockedHeldCycles;
-        } else {
-            ++pcb.counters.blockedIdleCycles;
-            if (ledger_)
-                chargeCohCauses(t, pcb, lock, now, now + 1);
-        }
-        break;
-      }
-      case ThreadState::Finished:
-        break;
-    }
-}
-
-void
-Simulator::accountCycle(Cycle now)
-{
-    holderMemo_.reset();
-    if (timeline_.enabled()) {
-        // The timeline records Finished threads too (as Done), so
-        // the recorder path walks every thread.
-        const unsigned threads = system_->numThreads();
-        for (ThreadId t = 0; t < threads; ++t) {
-            accountThread(t, now);
-            timeline_.record(t, now, segClassOf(system_->pcb(t).state));
-        }
-        return;
-    }
-    // Hot path: only threads that can still accrue cycles. Finished
-    // is terminal, so a thread is unlinked the first cycle it is
-    // seen Finished and never revisited.
-    for (std::size_t i = 0; i < live_.size();) {
-        ThreadId t = live_[i];
-        accountThread(t, now);
-        if (system_->pcb(t).state == ThreadState::Finished) {
-            live_[i] = live_.back();
-            live_.pop_back();
-        } else {
-            ++i;
-        }
-    }
-}
-
 std::uint64_t
 Simulator::progressSignal() const
 {
@@ -332,18 +252,10 @@ Simulator::accountSpan(Cycle from, Cycle to)
 {
     if (to <= from)
         return;
-    // Exact per-cycle rows while the timeline recorder is within its
-    // horizon; the counter batching below covers the rest.
-    if (timeline_.enabled() && from < timeline_.horizon()) {
-        const Cycle cap = std::min(to, timeline_.horizon());
-        for (Cycle c = from; c < cap; ++c)
-            accountCycle(c);
-        from = cap;
-        if (to <= from)
-            return;
-    }
     const std::uint64_t span = to - from;
-    holderMemo_.reset();
+    // Timeline rows start out Done, so only live threads need rows,
+    // and only for spans that start below the recorder horizon.
+    const bool record = from < timeline_.horizon();
     for (std::size_t i = 0; i < live_.size();) {
         ThreadId t = live_[i];
         Pcb &pcb = system_->pcb(t);
@@ -358,13 +270,11 @@ Simulator::accountSpan(Cycle from, Cycle to)
           case ThreadState::SleepPrep:
           case ThreadState::Sleeping:
           case ThreadState::Waking: {
+            // Equation-1 decomposition: is the contended lock held
+            // (a predecessor is inside the CS) or idle (pure
+            // competition overhead)?
             Addr lock = system_->qspinlock(t).currentLock();
-            bool held;
-            if (!holderMemo_.lookup(lock, held)) {
-                held = system_->lockHolderInCs(lock);
-                holderMemo_.insert(lock, held);
-            }
-            if (held) {
+            if (system_->lockHolderInCs(lock)) {
                 pcb.counters.blockedHeldCycles += span;
             } else {
                 pcb.counters.blockedIdleCycles += span;
@@ -374,17 +284,15 @@ Simulator::accountSpan(Cycle from, Cycle to)
             break;
           }
           case ThreadState::Finished:
-            // A thread only reaches Finished on a processed cycle
-            // and is unlinked there; defensive no-charge.
-            break;
-        }
-        if (pcb.state == ThreadState::Finished &&
-            !timeline_.enabled()) {
+            // Terminal: unlinked the first span it is seen in and
+            // never charged again.
             live_[i] = live_.back();
             live_.pop_back();
-        } else {
-            ++i;
+            continue;
         }
+        if (record)
+            timeline_.record(t, from, to, segClassOf(pcb.state));
+        ++i;
     }
 }
 
@@ -406,12 +314,12 @@ Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
             const auto t0 = sim_clock::now();
             system_->tick(now_);
             const auto t1 = sim_clock::now();
-            accountCycle(now_);
+            accountSpan(now_, now_ + 1);
             wall_.tickSeconds += secondsSince(t0, t1);
             wall_.accountSeconds += secondsSince(t1, sim_clock::now());
         } else {
             system_->tick(now_);
-            accountCycle(now_);
+            accountSpan(now_, now_ + 1);
         }
         ++wall_.cyclesProcessed;
         if (ck)
@@ -555,18 +463,7 @@ Simulator::registerStats(StatsRegistry &reg)
     // Host wall-clock cost of the run, split by phase (Fig 10's
     // observability leg). The phase splits are only populated with
     // profileWall on; the cycle counters always are.
-    reg.addScalarFn("sim.wall.total_seconds",
-                    [this] { return wall_.totalSeconds; });
-    reg.addScalarFn("sim.wall.tick_seconds",
-                    [this] { return wall_.tickSeconds; });
-    reg.addScalarFn("sim.wall.account_seconds",
-                    [this] { return wall_.accountSeconds; });
-    reg.addScalarFn("sim.wall.sched_seconds",
-                    [this] { return wall_.schedSeconds; });
-    reg.addScalarFn("sim.wall.cycles",
-                    [this] { return static_cast<double>(wall_.cycles); });
-    reg.addScalar("sim.wall.cycles_processed", &wall_.cyclesProcessed);
-    reg.addScalar("sim.wall.cycles_skipped", &wall_.cyclesSkipped);
+    addWallStats(reg, [this]() -> const WallProfile & { return wall_; });
     if (ledger_)
         ledger_->registerStats(reg, "sim.coh");
 }

@@ -1,13 +1,12 @@
 /**
  * @file
- * Simulator: the cycle loop, the per-cycle COH/CS/compute accounting
- * oracle, ROI bookkeeping and optional timeline recording.
+ * Simulator: the cycle loop, the COH/CS/compute accounting oracle,
+ * ROI bookkeeping and optional timeline recording.
  */
 
 #ifndef OCOR_SIM_SIMULATOR_HH
 #define OCOR_SIM_SIMULATOR_HH
 
-#include <array>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -23,53 +22,6 @@ namespace ocor
 
 class Tracer;
 class LockLedger;
-
-/**
- * One-cycle memo of lockHolderInCs verdicts, keyed by lock word.
- *
- * Within a single cycle the verdict for a lock is constant, but the
- * accounting loop used to re-derive it (home-node lookup + lock-table
- * probe + holder-PCB read) for every blocked thread; under heavy
- * contention that is 63 redundant oracle walks per cycle. Capacity
- * is bounded: past kSlots distinct locks, extra inserts are dropped
- * and callers simply recompute — correctness never depends on a hit.
- */
-class HolderMemo
-{
-  public:
-    static constexpr unsigned kSlots = 8;
-
-    void reset() { n_ = 0; }
-
-    bool
-    lookup(Addr lock, bool &held) const
-    {
-        for (unsigned i = 0; i < n_; ++i) {
-            if (locks_[i] == lock) {
-                held = held_[i];
-                return true;
-            }
-        }
-        return false;
-    }
-
-    void
-    insert(Addr lock, bool held)
-    {
-        if (n_ < kSlots) {
-            locks_[n_] = lock;
-            held_[n_] = held;
-            ++n_;
-        }
-    }
-
-    unsigned size() const { return n_; }
-
-  private:
-    std::array<Addr, kSlots> locks_{};
-    std::array<bool, kSlots> held_{};
-    unsigned n_ = 0;
-};
 
 /** Optional simulation-run features. */
 struct SimOptions
@@ -161,25 +113,6 @@ class Simulator
     const TelemetryRecorder &telemetry() const { return telemetry_; }
     const WallProfile &wallProfile() const { return wall_; }
 
-    /** Current simulated cycle (valid after run()). */
-    Cycle now() const { return now_; }
-
-    /**
-     * Advance exactly one cycle (tick + accounting) without the
-     * watchdog/ROI bookkeeping of run(). Microbenchmark hook for
-     * measuring the steady-state per-cycle cost; don't mix with
-     * run() on the same instance.
-     */
-    void
-    stepCycle()
-    {
-        system_->tick(now_);
-        accountCycle(now_);
-        if (CheckerRegistry *ck = system_->checker())
-            ck->onCycleEnd(now_);
-        ++now_;
-    }
-
     /** Per-thread lock-state dump captured when the forward-progress
      * watchdog fired (empty otherwise). */
     const std::string &hangDiagnosis() const { return hangDiagnosis_; }
@@ -206,18 +139,14 @@ class Simulator
     void runLoop(Tracer *tr, CheckerRegistry *ck);
 
     /**
-     * Charge cycles [from, to) to every live thread in one step.
-     * Valid only for spans in which no component was ticked: state
-     * is frozen, so each thread's accounting verdict is constant
-     * across the span and multiplies out. Timeline cycles (below the
-     * recorder horizon) still get exact per-cycle rows.
+     * Charge cycles [from, to) to every live thread in one step and
+     * record them on the timeline. The one accounting routine: a
+     * processed cycle is the span [now, now + 1), a skipped stretch
+     * is [now + 1, next). No component ticks again before @p to, so
+     * each thread's verdict is constant across the span and
+     * multiplies out.
      */
     void accountSpan(Cycle from, Cycle to);
-
-    void accountCycle(Cycle now);
-
-    /** Charge one cycle (at @p now) to thread @p t's current state. */
-    void accountThread(ThreadId t, Cycle now);
 
     /**
      * Ledger refinement of a blocked-idle charge: split the span
@@ -231,8 +160,7 @@ class Simulator
                          Cycle to);
 
     /** Uncontended LockTry round-trip budget of (thread, lock):
-     * 2 mesh transits of a 1-flit packet plus the home latency.
-     * Memoized per thread (the lock rarely changes). */
+     * 2 mesh transits of a 1-flit packet plus the home latency. */
     Cycle tryBudget(ThreadId t, Addr lock);
 
     /** Monotone counter that stalls exactly when the run is wedged. */
@@ -251,23 +179,11 @@ class Simulator
     bool cancelled_ = false;
     std::string hangDiagnosis_;
 
-    /** Per-cycle lockHolderInCs memo (reset each cycle). */
-    HolderMemo holderMemo_;
-
-    /** Threads not yet Finished; the accounting loop only walks
-     * these once the timeline recorder is off. */
+    /** Threads not yet Finished: the only ones accounting walks. */
     std::vector<ThreadId> live_;
 
     /** COH attribution ledger (null = off). */
     std::unique_ptr<LockLedger> ledger_;
-
-    /** Per-thread try-budget memo for chargeCohCauses. */
-    struct BudgetMemo
-    {
-        Addr lock = ~static_cast<Addr>(0);
-        Cycle budget = 0;
-    };
-    std::vector<BudgetMemo> budgetMemo_;
 };
 
 } // namespace ocor

@@ -38,8 +38,10 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
             });
     }
 
+    mcs_.reserve(amap_.mcNodes().size());
     for (NodeId n : amap_.mcNodes())
-        mcs_[n] = std::make_unique<MemController>(n, cfg_.mem, send);
+        mcs_.push_back(
+            std::make_unique<MemController>(n, cfg_.mem, send));
 
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         auto pcb = std::make_unique<Pcb>();
@@ -55,10 +57,6 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
             bg, cfg_.seed + 7919 * (t + 1), cfg_.lockRegionBase,
             cfg_.mem.lineBytes));
     }
-
-    mcTick_.reserve(mcs_.size());
-    for (auto &[node, mc] : mcs_)
-        mcTick_.push_back(mc.get());
 
     if (cfg_.trace.enabled()) {
         tracer_ = std::make_unique<Tracer>(cfg_.trace);
@@ -217,10 +215,13 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
       // Off-chip memory.
       case MsgType::MemRead:
       case MsgType::MemWrite: {
-        auto it = mcs_.find(node);
-        if (it == mcs_.end())
+        const std::vector<NodeId> &mc_nodes = amap_.mcNodes();
+        auto it = std::lower_bound(mc_nodes.begin(), mc_nodes.end(),
+                                   node);
+        if (it == mc_nodes.end() || *it != node)
             ocor_panic("node %u has no memory controller", node);
-        it->second->handle(pkt, now);
+        mcs_[static_cast<std::size_t>(it - mc_nodes.begin())]->handle(
+            pkt, now);
         break;
       }
 
@@ -263,7 +264,7 @@ System::tick(Cycle now)
     for (auto &lm : lockMgrs_)
         if (lm->nextWake() <= now)
             lm->tick(now);
-    for (MemController *mc : mcTick_)
+    for (auto &mc : mcs_)
         if (mc->nextWake() <= now)
             mc->tick(now);
     for (auto &qs : qspins_)
@@ -287,7 +288,7 @@ System::nextWake(Cycle now) const
         w = std::min(w, l2->nextWake());
     for (const auto &lm : lockMgrs_)
         w = std::min(w, lm->nextWake());
-    for (const MemController *mc : mcTick_)
+    for (const auto &mc : mcs_)
         w = std::min(w, mc->nextWake());
     for (const auto &qs : qspins_)
         w = std::min(w, qs->nextWake());
@@ -322,7 +323,7 @@ System::drained() const
     for (const auto &lm : lockMgrs_)
         if (!lm->idle())
             return false;
-    for (const auto &[node, mc] : mcs_)
+    for (const auto &mc : mcs_)
         if (!mc->idle())
             return false;
     return true;

@@ -8,7 +8,6 @@
 #ifndef OCOR_SIM_SYSTEM_HH
 #define OCOR_SIM_SYSTEM_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,13 +134,9 @@ class System
     std::vector<std::unique_ptr<LockManager>> lockMgrs_;
     std::vector<std::unique_ptr<QSpinlock>> qspins_;
     std::vector<std::unique_ptr<Core>> cores_;
-    std::map<NodeId, std::unique_ptr<MemController>> mcs_;
-
-    /** Flat raw-pointer walk order for tick(): the unique_ptr
-     * vectors (and the mcs_ node map) stay the owners, but the
-     * per-cycle loops should not chase map nodes. Built once at the
-     * end of construction. */
-    std::vector<MemController *> mcTick_;
+    /** One per AddressMap::mcNodes() entry, in that (ascending
+     * node) order. */
+    std::vector<std::unique_ptr<MemController>> mcs_;
 
     /** First index in cores_ not yet finished: threads finish
      * monotonically, so allFinished() is O(1) amortized instead of

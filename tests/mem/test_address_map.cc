@@ -63,6 +63,22 @@ TEST(AddressMap, McPlacementScalesDown)
         EXPECT_LT(n, 16u);
 }
 
+TEST(AddressMap, McNodesAscendAndAreUnique)
+{
+    // System keeps one controller per entry, in this order, and finds
+    // a node's controller by binary search.
+    for (const MeshShape mesh :
+         {MeshShape{1, 1}, MeshShape{4, 1}, MeshShape{2, 2},
+          MeshShape{3, 5}, MeshShape{4, 4}, MeshShape{8, 8}}) {
+        const AddressMap amap(mesh, 128);
+        const std::vector<NodeId> &mcs = amap.mcNodes();
+        ASSERT_FALSE(mcs.empty());
+        for (std::size_t i = 1; i < mcs.size(); ++i)
+            EXPECT_LT(mcs[i - 1], mcs[i])
+                << mesh.width << "x" << mesh.height << " entry " << i;
+    }
+}
+
 TEST(AddressMap, EveryAddressHasAnMc)
 {
     AddressMap amap(MeshShape{8, 8}, 128);

@@ -9,8 +9,8 @@
  * wall-clock speed, so a checked run is the reference: an unchecked
  * run must match it field by field over randomized configurations
  * (mesh size, thread count, OCOR on/off, background traffic, COH
- * ledger on) and byte for byte on trace exports, while actually
- * skipping cycles.
+ * ledger on), sample for sample on the execution timeline and byte
+ * for byte on trace exports, while actually skipping cycles.
  */
 
 #include <gtest/gtest.h>
@@ -45,22 +45,26 @@ struct LoopRun
 {
     RunMetrics m;
     WallProfile wall;
+    Timeline timeline;
 };
 
 /** One run with every checker armed (@p checked: every cycle is
- * processed) or none (quiet spans are skipped). */
+ * processed) or none (quiet spans are skipped), recording every
+ * thread's first @p horizon cycles on the timeline (0 = off). */
 LoopRun
 runWith(SystemConfig cfg, const BgTrafficConfig &bg, bool checked,
-        unsigned iters = 3, bool ledger = false)
+        unsigned iters = 3, bool ledger = false, Cycle horizon = 0)
 {
     cfg.check.checks = checked ? allChecksMask() : 0;
     SimOptions opts;
     opts.cohLedger = ledger;
+    opts.timelineHorizon = horizon;
     Simulator sim(cfg, contendedPrograms(cfg.numThreads, iters), bg,
                   opts);
     LoopRun r;
     r.m = sim.run();
     r.wall = sim.wallProfile();
+    r.timeline = sim.timeline();
     return r;
 }
 
@@ -117,16 +121,40 @@ expectFieldExact(const RunMetrics &a, const RunMetrics &b)
     EXPECT_EQ(a.cancelled, b.cancelled);
 }
 
-/** Checked and unchecked runs of one configuration agree field by
- * field; only the unchecked one skipped cycles. */
+/** Two timelines agree sample for sample. */
+void
+expectSameTimeline(const Timeline &a, const Timeline &b)
+{
+    ASSERT_EQ(a.threads(), b.threads());
+    ASSERT_EQ(a.horizon(), b.horizon());
+    for (ThreadId t = 0; t < a.threads(); ++t)
+        for (Cycle c = 0; c < a.horizon(); ++c)
+            ASSERT_EQ(a.at(t, c), b.at(t, c))
+                << "thread " << t << " cycle " << c;
+}
+
+/**
+ * Checked and unchecked runs of one configuration agree field by
+ * field and on every timeline sample of every thread over the whole
+ * run (a probe run sizes the horizon); only the unchecked one skipped
+ * cycles.
+ */
 void
 expectSkippingIsExact(const SystemConfig &cfg,
                       const BgTrafficConfig &bg, unsigned iters = 3,
                       bool ledger = false)
 {
-    const LoopRun checked = runWith(cfg, bg, true, iters, ledger);
-    const LoopRun unchecked = runWith(cfg, bg, false, iters, ledger);
+    const Cycle horizon =
+        runWith(cfg, bg, false, iters, ledger).m.roiFinish + 1;
+    const LoopRun checked =
+        runWith(cfg, bg, true, iters, ledger, horizon);
+    const LoopRun unchecked =
+        runWith(cfg, bg, false, iters, ledger, horizon);
     expectFieldExact(checked.m, unchecked.m);
+    ASSERT_EQ(checked.timeline.threads(), cfg.numThreads);
+    ASSERT_LT(checked.m.roiFinish, horizon)
+        << "the timeline must cover the whole run";
+    expectSameTimeline(checked.timeline, unchecked.timeline);
     EXPECT_EQ(checked.wall.cyclesSkipped, 0u);
     EXPECT_GT(unchecked.wall.cyclesSkipped, 0u)
         << "the unchecked run processed every cycle; the comparison "

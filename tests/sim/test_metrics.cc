@@ -84,27 +84,31 @@ TEST(Timeline, RecordAndQuery)
 {
     Timeline t(2, 100);
     EXPECT_TRUE(t.enabled());
-    t.record(0, 5, SegClass::Parallel);
-    t.record(1, 5, SegClass::Blocked);
+    t.record(0, 5, 6, SegClass::Parallel);
+    t.record(1, 5, 8, SegClass::Blocked);
     EXPECT_EQ(t.at(0, 5), SegClass::Parallel);
     EXPECT_EQ(t.at(1, 5), SegClass::Blocked);
+    EXPECT_EQ(t.at(1, 7), SegClass::Blocked);
+    EXPECT_EQ(t.at(1, 8), SegClass::Done) << "the span is half-open";
     EXPECT_EQ(t.at(0, 6), SegClass::Done) << "unset defaults to Done";
 }
 
 TEST(Timeline, OutOfRangeRecordIgnored)
 {
     Timeline t(2, 10);
-    t.record(5, 5, SegClass::Cs);    // bad thread
-    t.record(0, 50, SegClass::Cs);   // beyond horizon
-    SUCCEED();
+    t.record(5, 5, 6, SegClass::Cs);   // bad thread
+    t.record(0, 50, 60, SegClass::Cs); // beyond horizon
+    t.record(0, 4, 4, SegClass::Cs);   // empty span
+    for (Cycle c = 0; c < 10; ++c)
+        EXPECT_EQ(t.at(0, c), SegClass::Done) << c;
 }
 
 TEST(Timeline, FractionCounts)
 {
     Timeline t(1, 10);
-    for (Cycle c = 0; c < 10; ++c)
-        t.record(0, c, c < 4 ? SegClass::Blocked
-                             : SegClass::Parallel);
+    t.record(0, 0, 4, SegClass::Blocked);
+    // A span past the horizon is clipped to it.
+    t.record(0, 4, 25, SegClass::Parallel);
     EXPECT_DOUBLE_EQ(t.fraction(SegClass::Blocked), 0.4);
     EXPECT_DOUBLE_EQ(t.fraction(SegClass::Parallel), 0.6);
     EXPECT_DOUBLE_EQ(t.fraction(SegClass::Blocked, 4), 1.0);

@@ -156,75 +156,3 @@ TEST(Simulator, ProgressWatchdogFailsFastOnHang)
     EXPECT_NE(d.find("t3:"), std::string::npos);
     EXPECT_NE(d.find("lock=0x"), std::string::npos);
 }
-
-// ---- HolderMemo (per-cycle lockHolderInCs cache) ----------------------
-
-TEST(HolderMemo, MissThenHit)
-{
-    HolderMemo memo;
-    bool held = false;
-    EXPECT_FALSE(memo.lookup(0x40, held));
-    memo.insert(0x40, true);
-    ASSERT_TRUE(memo.lookup(0x40, held));
-    EXPECT_TRUE(held);
-    memo.insert(0x80, false);
-    ASSERT_TRUE(memo.lookup(0x80, held));
-    EXPECT_FALSE(held);
-    // The first entry is still intact.
-    ASSERT_TRUE(memo.lookup(0x40, held));
-    EXPECT_TRUE(held);
-}
-
-TEST(HolderMemo, ResetClearsAllEntries)
-{
-    HolderMemo memo;
-    memo.insert(0x40, true);
-    memo.reset();
-    EXPECT_EQ(memo.size(), 0u);
-    bool held = true;
-    EXPECT_FALSE(memo.lookup(0x40, held));
-}
-
-TEST(HolderMemo, CapacityOverflowDropsNotCorrupts)
-{
-    // Past kSlots entries inserts are dropped: lookups for the
-    // overflow keys miss (callers recompute) and earlier entries
-    // stay valid — correctness never depends on a hit.
-    HolderMemo memo;
-    for (unsigned i = 0; i < HolderMemo::kSlots + 4; ++i)
-        memo.insert(0x100 + 0x40 * i, i % 2 == 0);
-    EXPECT_EQ(memo.size(), HolderMemo::kSlots);
-    bool held = false;
-    for (unsigned i = 0; i < HolderMemo::kSlots; ++i) {
-        ASSERT_TRUE(memo.lookup(0x100 + 0x40 * i, held)) << i;
-        EXPECT_EQ(held, i % 2 == 0) << i;
-    }
-    for (unsigned i = HolderMemo::kSlots; i < HolderMemo::kSlots + 4;
-         ++i)
-        EXPECT_FALSE(memo.lookup(0x100 + 0x40 * i, held)) << i;
-}
-
-TEST(Simulator, StepCycleMatchesRunAccounting)
-{
-    // Driving the simulator with the microbenchmark hook must charge
-    // cycles exactly like run() does on an identical twin.
-    auto cfg = smallConfig();
-    Simulator ref(cfg, contendedPrograms(4, 4), BgTrafficConfig{});
-    RunMetrics m = ref.run();
-
-    Simulator stepped(cfg, contendedPrograms(4, 4),
-                      BgTrafficConfig{});
-    while (!stepped.system().allFinished()
-           && stepped.now() < cfg.maxCycles)
-        stepped.stepCycle();
-    std::uint64_t cs = 0, coh = 0, held = 0;
-    for (ThreadId t = 0; t < stepped.system().numThreads(); ++t) {
-        const ThreadCounters &c = stepped.system().pcb(t).counters;
-        cs += c.csCycles;
-        coh += c.blockedIdleCycles;
-        held += c.blockedHeldCycles;
-    }
-    EXPECT_EQ(cs, m.totalCs());
-    EXPECT_EQ(coh, m.totalCoh());
-    EXPECT_EQ(held, m.totalBlockedHeld());
-}

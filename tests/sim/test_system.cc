@@ -194,3 +194,21 @@ TEST(SystemDeath, TooManyThreadsIsFatal)
     EXPECT_EXIT(System(cfg, trivialPrograms(9), bg),
                 ::testing::ExitedWithCode(1), "numThreads");
 }
+
+TEST(SystemDeath, MemRequestToNodeWithoutControllerPanics)
+{
+    // A 4x4 mesh has controllers on its top and bottom rows only, so
+    // a MemRead delivered to node 5 has nowhere to go.
+    SystemConfig cfg;
+    cfg.mesh = MeshShape{4, 4};
+    cfg.numThreads = 16;
+    EXPECT_DEATH(
+        {
+            System sys(cfg, trivialPrograms(16), BgTrafficConfig{});
+            sys.network().send(
+                makePacket(MsgType::MemRead, 0, 5, 0x4000), 0);
+            for (Cycle c = 0; c < 1000; ++c)
+                sys.tick(c);
+        },
+        "node 5 has no memory controller");
+}
