@@ -45,33 +45,37 @@
  *                           "arbitration", "credit", "rtr", "wakeup"
  *                           (comma-separated; bare --check means all)
  *
- * Crash safety flags (see DESIGN.md §12):
+ * Deadline flag (see DESIGN.md §12):
  *   --deadline SEC   wall-clock deadline for a 16-thread 4-iteration
- *                    run, scaled with the request size (0 = off, the
- *                    default); a run that passes it stops with
- *                    partial metrics, which are never journaled
- *   --replay FILE    re-run the exact simulation recorded in a crash
- *                    dump, deterministically, then exit
+ *                    run, scaled with the request size: a finite
+ *                    number >= 0 (0 = off, the default); a run that
+ *                    passes it stops with partial metrics, which are
+ *                    never journaled
  *
- * Every bench installs a crash handler that writes
- * crash_<prog>.dump next to the working directory on SIGSEGV,
- * SIGABRT or SIGTERM; feed that file back via --replay. A sweep in
- * which any run passed its deadline still completes and exits 75
- * (EX_TEMPFAIL); rerunning it is the retry.
+ * Numeric values are parsed in full: --seed, --trace-capacity and
+ * --telemetry-interval take a whole decimal integer that fits their
+ * field, and anything malformed is a usage error. A sweep in which
+ * any run passed its deadline still completes and exits 75
+ * (EX_TEMPFAIL); rerunning it is the retry. Every simulation is
+ * deterministic, so rerunning a failed bench reproduces its failure,
+ * and panic and fatal messages name the failing run.
  */
 
 #ifndef OCOR_BENCH_BENCH_UTIL_HH
 #define OCOR_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "check/check_config.hh"
 #include "common/trace.hh"
-#include "sim/crashdump.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_cache.hh"
 #include "sim/simulator.hh"
@@ -105,8 +109,6 @@ struct Options
     /** --check selection ("" = the build's default mask). */
     std::string checkList;
 
-    // --- crash safety (DESIGN.md §12) -------------------------------
-    std::string replay;      ///< crash dump to re-run ("" = none)
     double deadline = 0.0;   ///< base deadline seconds (0 = off)
 
     bool tracing() const { return !traceCats.empty(); }
@@ -147,43 +149,19 @@ struct Options
  * deadline. */
 constexpr int kExitTimedOut = 75; // EX_TEMPFAIL
 
-/**
- * Re-run the simulation recorded in crash dump @p dumpPath exactly
- * (the repro line pins profile, threads, iterations, seed and the
- * OCOR flag; simulations are bit-identical given those). Returns the
- * process exit code.
- */
-inline int
-runReplay(const std::string &dumpPath)
+/** @p text in full as a decimal T (std::nullopt otherwise). For an
+ * unsigned T that means digits only: no sign, space or fraction, and
+ * a value that fits. */
+template <typename T>
+std::optional<T>
+parseNumber(const std::string &text)
 {
-    auto spec = crashdump::parseDump(dumpPath);
-    if (!spec) {
-        std::fprintf(stderr,
-                     "%s: not a crash dump or no repro line "
-                     "(crash outside a simulation?)\n",
-                     dumpPath.c_str());
-        return 1;
-    }
-    std::printf("replaying %s: benchmark=%s threads=%u iters=%u "
-                "seed=%llu ocor=%d\n",
-                dumpPath.c_str(), spec->benchmark.c_str(),
-                spec->threads, spec->iterations,
-                static_cast<unsigned long long>(spec->seed),
-                spec->ocorEnabled ? 1 : 0);
-    const BenchmarkProfile profile = profileByName(spec->benchmark);
-    ExperimentConfig exp;
-    exp.threads = spec->threads;
-    exp.iterationsOverride = spec->iterations;
-    exp.seed = spec->seed;
-    RunMetrics m = runOnce(profile, exp, spec->ocorEnabled);
-    std::printf("replay finished: roi=%llu coh=%llu acquisitions="
-                "%llu hang=%d\n",
-                static_cast<unsigned long long>(m.roiFinish),
-                static_cast<unsigned long long>(m.totalCoh()),
-                static_cast<unsigned long long>(
-                    m.totalAcquisitions()),
-                m.hangDetected ? 1 : 0);
-    return m.hangDetected ? 1 : 0;
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [p, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || p != end)
+        return std::nullopt;
+    return v;
 }
 
 /** Print @p what and the usage line, then exit 1. */
@@ -201,14 +179,13 @@ usageError(const char *prog, const std::string &what)
                  "[--stats-json FILE] "
                  "[--telemetry-interval N] "
                  "[--telemetry-out FILE] [--pool-util] "
-                 "[--check[=LIST]] [--deadline SEC] "
-                 "[--replay DUMP]\n",
+                 "[--check[=LIST]] [--deadline SEC]\n",
                  what.c_str(), prog);
     std::exit(1);
 }
 
-/** Parse the common flags; unknown flags and a bad --threads,
- * --iters or --jobs abort with usage. */
+/** Parse the common flags; unknown flags and a malformed number
+ * abort with usage. */
 inline Options
 parseOptions(int argc, char **argv)
 {
@@ -233,6 +210,18 @@ parseOptions(int argc, char **argv)
                                         "not '" + n + "'");
             return *v;
         };
+        // --seed, --trace-capacity and --telemetry-interval take a
+        // whole decimal integer that fits their field.
+        auto whole = [&]<typename T>(const std::string &n, T &out) {
+            const auto v = parseNumber<T>(n);
+            if (!v)
+                usageError(argv[0],
+                           a + " takes a whole number up to " +
+                               std::to_string(
+                                   std::numeric_limits<T>::max()) +
+                               ", not '" + n + "'");
+            out = *v;
+        };
         // "--flag=value" and "--flag value" are both accepted for
         // the value-carrying observability flags.
         auto valueOf = [&](const char *flag,
@@ -254,8 +243,7 @@ parseOptions(int argc, char **argv)
         else if (a == "--iters")
             opt.iterations = count();
         else if (a == "--seed")
-            opt.seed = static_cast<std::uint64_t>(
-                std::strtoull(next(), nullptr, 10));
+            whole(next(), opt.seed);
         else if (a == "--quick")
             opt.threads = 16;
         else if (a == "--fresh")
@@ -279,13 +267,11 @@ parseOptions(int argc, char **argv)
         else if (valueOf("--trace-out", v))
             opt.traceOut = v;
         else if (valueOf("--trace-capacity", v))
-            opt.traceCapacity = static_cast<std::size_t>(
-                std::strtoull(v.c_str(), nullptr, 10));
+            whole(v, opt.traceCapacity);
         else if (valueOf("--stats-json", v))
             opt.statsJson = v;
         else if (valueOf("--telemetry-interval", v))
-            opt.telemetryInterval = static_cast<Cycle>(
-                std::strtoull(v.c_str(), nullptr, 10));
+            whole(v, opt.telemetryInterval);
         else if (valueOf("--telemetry-out", v))
             opt.telemetryOut = v;
         else if (a == "--pool-util")
@@ -294,26 +280,16 @@ parseOptions(int argc, char **argv)
             opt.checkList = "all"; // bare form: every checker
         else if (valueOf("--check", v))
             opt.checkList = v;
-        else if (valueOf("--replay", v))
-            opt.replay = v;
-        else if (valueOf("--deadline", v))
-            opt.deadline = std::strtod(v.c_str(), nullptr);
+        else if (valueOf("--deadline", v)) {
+            const auto secs = parseNumber<double>(v);
+            if (!secs || !std::isfinite(*secs) || *secs < 0.0)
+                usageError(argv[0], "--deadline takes a finite number "
+                                    "of seconds >= 0, not '" + v + "'");
+            opt.deadline = *secs;
+        }
         else
             usageError(argv[0], "unknown flag " + a);
     }
-
-    // Crash capture is always armed: a fatal signal leaves
-    // crash_<prog>.dump behind, ready for --replay.
-    std::string prog = argv[0] ? argv[0] : "bench";
-    auto slash = prog.find_last_of('/');
-    if (slash != std::string::npos)
-        prog = prog.substr(slash + 1);
-    crashdump::install("crash_" + prog + ".dump");
-
-    // --replay short-circuits the bench entirely: one deterministic
-    // re-run of the dumped configuration, then exit.
-    if (!opt.replay.empty())
-        std::exit(runReplay(opt.replay));
     return opt;
 }
 

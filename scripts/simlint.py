@@ -60,17 +60,6 @@ comment on the same or the preceding line):
                         (see System::tick). Only loops over components
                         whose own tick() gates itself (Network::tick's
                         routers and NIs) carry allow annotations.
-  signal-unsafe         non-async-signal-safe call (malloc/stdio/
-                        iostream/string/mutex/exit/throw...) inside a
-                        region bracketed by `// BEGIN
-                        signal-handler-context` and `// END
-                        signal-handler-context`. Code in such a region
-                        runs from the crash-dump signal handler
-                        (DESIGN.md §12), where POSIX allows only the
-                        async-signal-safe subset: raw write()/open()/
-                        close(), lock-free atomics and hand-rolled
-                        formatting. Anything that may take a lock or
-                        allocate can deadlock a dying process.
   nextwake-impure       a nextWake() definition that is not
                         const-qualified, or whose body mutates a
                         member (`x_ = ...`, `++x_`, `this->x = ...`).
@@ -123,9 +112,6 @@ RULES = {
     "unconditional-tick":
         "per-cycle for-all-components tick loop (defeats the run "
         "loop's nextWake() gating; guard on nextWake() <= now)",
-    "signal-unsafe":
-        "non-async-signal-safe call inside a signal-handler-context "
-        "region",
     "nextwake-impure":
         "nextWake() must be a const pure observer (the run loop "
         "polls it freely; mutation makes the horizon "
@@ -154,9 +140,8 @@ def allowed(lines, idx, rule):
 # --- tokenizer -------------------------------------------------------
 #
 # kinds: "id" (identifiers and keywords), "num", "str", "chr",
-# "punct". Comments and preprocessor directives are consumed here
-# (comment text is kept separately for the signal-handler-context
-# markers), so no rule can ever match inside one.
+# "punct". Comments and preprocessor directives are consumed here,
+# so no rule can ever match inside one.
 
 PUNCTS3 = ("<<=", ">>=", "->*", "...")
 PUNCTS2 = ("::", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
@@ -178,8 +163,8 @@ class Tok:
 
 
 def tokenize(text):
-    """Return (tokens, comments) where comments is [(line, text)]."""
-    toks, comments = [], []
+    """Return the token list of text."""
+    toks = []
     i, n, line = 0, len(text), 1
     bol = True  # only whitespace seen since line start
     while i < n:
@@ -211,16 +196,12 @@ def tokenize(text):
         bol = False
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
-            j = n if j < 0 else j
-            comments.append((line, text[i:j]))
-            i = j
+            i = n if j < 0 else j
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
             end = n if j < 0 else j + 2
-            seg = text[i:end]
-            comments.append((line, seg))
-            line += seg.count("\n")
+            line += text.count("\n", i, end)
             i = end
             continue
         if c == '"':
@@ -288,7 +269,7 @@ def tokenize(text):
             else:
                 toks.append(Tok("punct", c, line))
                 i += 1
-    return toks, comments
+    return toks
 
 
 def match_pairs(toks, open_c, close_c):
@@ -452,38 +433,18 @@ def struct_fields(toks, braces, open_idx, close_idx):
 
 # --- per-file model --------------------------------------------------
 
-SIG_BEGIN_RE = re.compile(r"BEGIN signal-handler-context")
-SIG_END_RE = re.compile(r"END signal-handler-context")
-
-
 class FileModel:
     """Tokens plus the structural facts every rule consumes."""
 
     def __init__(self, path, text):
         self.path = path
         self.lines = text.splitlines()
-        self.toks, self.comments = tokenize(text)
+        self.toks = tokenize(text)
         self.braces = match_pairs(self.toks, "{", "}")
         self.parens = match_pairs(self.toks, "(", ")")
         self.functions = find_functions(self.toks, self.braces,
                                         self.parens)
         self.structs = find_structs(self.toks, self.braces)
-        self.signal_regions = self._signal_regions()
-
-    def _signal_regions(self):
-        regions, start = [], None
-        for line, ctext in self.comments:
-            if SIG_BEGIN_RE.search(ctext):
-                start = line
-            elif SIG_END_RE.search(ctext) and start is not None:
-                regions.append((start, line))
-                start = None
-        if start is not None:
-            regions.append((start, len(self.lines) + 1))
-        return regions
-
-    def in_signal_region(self, line):
-        return any(a < line < b for a, b in self.signal_regions)
 
     def excerpt(self, line):
         if 1 <= line <= len(self.lines):
@@ -674,47 +635,6 @@ def rule_unconditional_tick(model, report):
             if not model.allowed(t.line, "unconditional-tick"):
                 report(model.path, t.line, "unconditional-tick",
                        model.excerpt(t.line))
-
-
-# --- signal-handler-context rule (token engine) ----------------------
-
-UNSAFE_CALLS = {"malloc", "calloc", "realloc", "free",
-                "printf", "fprintf", "sprintf", "snprintf", "puts",
-                "fputs", "fopen", "fclose", "fwrite", "fread",
-                "fflush", "perror", "syslog",
-                "exit", "quick_exit", "abort"}
-UNSAFE_STD = {"cout", "cerr", "clog", "string", "ostringstream",
-              "stringstream", "to_string", "stoi", "stoul", "stoull",
-              "vector", "function", "mutex", "lock_guard",
-              "unique_lock", "scoped_lock", "condition_variable"}
-
-
-def rule_signal_unsafe(model, report):
-    if not model.signal_regions:
-        return
-    toks = model.toks
-
-    def flag(line):
-        if not model.allowed(line, "signal-unsafe"):
-            report(model.path, line, "signal-unsafe",
-                   model.excerpt(line))
-
-    for i, t in enumerate(toks):
-        if not model.in_signal_region(t.line) or t.kind != "id":
-            continue
-        prev = toks[i - 1] if i > 0 else None
-        member = prev is not None and prev.kind == "punct" and \
-            prev.text in (".", "->")
-        nxt = toks[i + 1] if i + 1 < len(toks) else None
-        if t.text in ("new", "delete", "throw"):
-            flag(t.line)
-        elif t.text in UNSAFE_CALLS and not member and \
-                nxt is not None and nxt.text == "(":
-            flag(t.line)
-        elif t.text in UNSAFE_STD and prev is not None and \
-                prev.text == "::" and i >= 2 and \
-                toks[i - 2].text == "std":
-            flag(t.line)
 
 
 # --- missing-field-init (token engine) -------------------------------
@@ -991,7 +911,6 @@ PER_FILE_RULES = (
     rule_ambient_entropy,
     rule_pointer_keyed_order,
     rule_unconditional_tick,
-    rule_signal_unsafe,
     rule_missing_field_init,
     rule_nextwake_impure,
     rule_ledger_site,

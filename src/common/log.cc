@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace ocor
 {
@@ -12,6 +13,26 @@ logLevel()
     static LogLevel level = LogLevel::Warn;
     return level;
 }
+
+namespace
+{
+thread_local std::string t_runLabel;
+
+/** " in run [label]" while a RunLabelScope is open, else "". */
+std::string
+runSuffix()
+{
+    return t_runLabel.empty() ? std::string()
+                              : " in run [" + t_runLabel + "]";
+}
+} // namespace
+
+RunLabelScope::RunLabelScope(std::string label)
+    : prev_(std::exchange(t_runLabel, std::move(label)))
+{
+}
+
+RunLabelScope::~RunLabelScope() { t_runLabel = std::move(prev_); }
 
 namespace detail
 {
@@ -38,14 +59,16 @@ formatv(const char *fmt, ...)
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
+    std::fprintf(stderr, "panic: %s (%s:%d)%s\n", msg.c_str(), file,
+                 line, runSuffix().c_str());
     std::abort();
 }
 
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
+    std::fprintf(stderr, "fatal: %s (%s:%d)%s\n", msg.c_str(), file,
+                 line, runSuffix().c_str());
     std::exit(1);
 }
 

@@ -22,6 +22,24 @@ enum class LogLevel { Silent, Warn, Inform, Debug };
 /** Process-wide verbosity; default shows warnings and informs. */
 LogLevel &logLevel();
 
+/**
+ * Names the run the calling thread simulates in every panic and
+ * fatal message, for the scope's lifetime (runOnce() opens one), so
+ * a failure inside a parallel sweep says which run to rerun.
+ */
+class RunLabelScope
+{
+  public:
+    explicit RunLabelScope(std::string label);
+    ~RunLabelScope();
+
+    RunLabelScope(const RunLabelScope &) = delete;
+    RunLabelScope &operator=(const RunLabelScope &) = delete;
+
+  private:
+    std::string prev_;
+};
+
 namespace detail
 {
 [[noreturn]] void panicImpl(const char *file, int line,

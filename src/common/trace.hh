@@ -113,10 +113,6 @@ struct TraceConfig
     /** Enabled categories (traceCatBit mask); 0 = tracing off. */
     unsigned categories = 0;
 
-    /** Only record events at this node (invalidNode = every node).
-     * Lock-protocol events filter on the *thread's* node. */
-    NodeId nodeFilter = invalidNode;
-
     /** Ring-buffer capacity in records (~44 B each). */
     std::size_t capacity = 1u << 19;
 
@@ -131,12 +127,9 @@ class Tracer
 
     /** Cheap per-event filter; call before building a record. */
     bool
-    wants(TraceCat cat, NodeId node) const
+    wants(TraceCat cat) const
     {
-        if (!(cfg_.categories & traceCatBit(cat)))
-            return false;
-        return cfg_.nodeFilter == invalidNode ||
-            cfg_.nodeFilter == node;
+        return (cfg_.categories & traceCatBit(cat)) != 0;
     }
 
     /** Append a record (caller already passed wants()). */
@@ -160,7 +153,7 @@ class Tracer
            std::uint64_t pkt = 0, std::uint32_t a0 = 0,
            std::uint32_t a1 = 0)
     {
-        if (!wants(cat, node))
+        if (!wants(cat))
             return;
         TraceRecord r;
         r.cycle = cycle;
@@ -184,21 +177,6 @@ class Tracer
 
     /** Records currently retained, oldest first. */
     std::vector<TraceRecord> snapshot() const;
-
-    /**
-     * Async-signal-safe ring access for the crash-dump handler:
-     * number of retained records, and record @p i oldest-first.
-     * Neither allocates, locks, or calls out; a handler reading a
-     * ring that is concurrently appended to may see one record torn,
-     * which a post-mortem consumer tolerates.
-     */
-    std::size_t ringCount() const { return ring_.size(); }
-
-    const TraceRecord &
-    ringRecord(std::size_t i) const
-    {
-        return ring_[(head_ + i) % ring_.size()];
-    }
 
     /**
      * Chrome trace-event JSON (the `[{...},...]` array form), one

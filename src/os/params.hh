@@ -9,30 +9,9 @@
 namespace ocor
 {
 
-/**
- * Locking discipline (Section 2.2 of the paper).
- *
- * QueueSpinlock is the Linux 4.2 scheme the paper studies (spin up
- * to MAX_SPIN_COUNT, then futex-sleep). PureSpin and PureSleep are
- * the two classical disciplines it combines, kept as baselines:
- * PureSpin never sleeps (spinlock), PureSleep parks on the first
- * failed try (queueing lock).
- */
-enum class LockMode : unsigned char
-{
-    QueueSpinlock,
-    PureSpin,
-    PureSleep
-};
-
-/** Human-readable mode name. */
-const char *lockModeName(LockMode mode);
-
 /** Queue-spinlock and futex timing model. */
 struct OsParams
 {
-    LockMode lockMode = LockMode::QueueSpinlock;
-
     /**
      * cpu_relax() delay of one local spin-loop iteration (Algorithm
      * 1, line 9). The MAX_SPIN_COUNT budget burns one retry per

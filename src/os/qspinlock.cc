@@ -21,16 +21,8 @@ QSpinlock::QSpinlock(Pcb &pcb, const OcorConfig &ocor,
 Cycle
 QSpinlock::sleepDeadline() const
 {
-    switch (os_.lockMode) {
-      case LockMode::PureSpin:
-        return neverCycle; // a spinlock never sleeps
-      case LockMode::PureSleep:
-        return spinStart_; // a queueing lock parks immediately
-      default:
-        return spinStart_
-            + static_cast<Cycle>(ocor_.maxSpinCount)
-            * os_.retryInterval;
-    }
+    return spinStart_
+        + static_cast<Cycle>(ocor_.maxSpinCount) * os_.retryInterval;
 }
 
 void

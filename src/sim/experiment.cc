@@ -1,7 +1,7 @@
 #include "sim/experiment.hh"
 
 #include "common/log.hh"
-#include "sim/crashdump.hh"
+#include "sim/result_cache.hh"
 #include "workload/synthetic.hh"
 
 namespace ocor
@@ -47,6 +47,7 @@ RunMetrics
 runOnce(const BenchmarkProfile &profile, const ExperimentConfig &exp,
         bool ocor_enabled, Simulator::Options opts)
 {
+    RunLabelScope label(runLabel(profile, exp, ocor_enabled));
     SystemConfig cfg = makeSystemConfig(exp, ocor_enabled);
 
     SyntheticParams wl = profile.workload;
@@ -59,9 +60,6 @@ runOnce(const BenchmarkProfile &profile, const ExperimentConfig &exp,
     for (ThreadId t = 0; t < cfg.numThreads; ++t)
         programs.push_back(buildSyntheticProgram(wl, exp.seed, t));
 
-    // A crash inside run() dumps this exact configuration for
-    // --replay (no-op unless a crash handler is installed).
-    crashdump::RunScope scope(profile, exp, ocor_enabled);
     if (exp.cohLedger)
         opts.cohLedger = true;
     Simulator sim(cfg, std::move(programs), profile.traffic, opts);

@@ -45,7 +45,10 @@ struct ExperimentConfig
     unsigned threads = 64;
     std::uint64_t seed = 1;
     unsigned iterationsOverride = 0; ///< 0 = profile default
-    OcorConfig ocorOverride;         ///< applied to the OCOR run
+    /** OCOR knobs for both runs of a pair. Only numRtrLevels and the
+     * rule bits may differ from the defaults: they are all the cache
+     * key names, and makeCacheKey() panics on any other. */
+    OcorConfig ocorOverride;
     bool ocorOverrideSet = false;
 
     /** Runtime invariant checking, applied to both runs of a pair. */

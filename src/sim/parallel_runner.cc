@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/log.hh"
-#include "sim/crashdump.hh"
 
 namespace ocor
 {
@@ -37,34 +36,30 @@ ParallelRunner::runOne(const RunRequest &req)
     const auto t0 = clock::now();
     Simulator::Options opts;
     const double budget = deadlineFor(req);
-    if (budget > 0.0)
-        opts.deadline = t0 +
-            std::chrono::duration_cast<clock::duration>(
-                std::chrono::duration<double>(budget));
+    // A budget steady_clock cannot hold from now (about 292 years,
+    // or inf) can never fire; adding it would overflow.
+    const std::chrono::duration<double> span(budget);
+    if (budget > 0.0 && span < clock::time_point::max() - t0)
+        opts.deadline =
+            t0 + std::chrono::duration_cast<clock::duration>(span);
     RunMetrics m = cache_
         ? cache_->get(req.profile, req.exp, req.ocorEnabled, opts)
         : runOnce(req.profile, req.exp, req.ocorEnabled, opts);
     const double secs =
         std::chrono::duration<double>(clock::now() - t0).count();
-    std::uint64_t runs = 0;
     {
         std::lock_guard<std::mutex> lk(statsMu_);
         runSeconds_.sample(secs);
-        runs = ++runsExecuted_;
+        ++runsExecuted_;
         if (m.cancelled)
             ++timeouts_;
     }
-    if (m.cancelled) {
-        std::string key =
-            makeCacheKey(req.profile, req.exp, req.ocorEnabled)
-                .toString();
-        std::replace(key.begin(), key.end(), '\t', ' ');
+    if (m.cancelled)
         ocor_warn("run [%s] passed its %.3gs deadline at cycle %llu; "
                   "its metrics are partial",
-                  key.c_str(), budget,
-                  static_cast<unsigned long long>(m.roiFinish));
-    }
-    crashdump::noteRunnerProgress(runs);
+                  runLabel(req.profile, req.exp, req.ocorEnabled)
+                      .c_str(),
+                  budget, static_cast<unsigned long long>(m.roiFinish));
     return m;
 }
 

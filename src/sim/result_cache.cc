@@ -35,6 +35,20 @@ CacheKey
 makeCacheKey(const BenchmarkProfile &profile,
              const ExperimentConfig &exp, bool ocor_enabled)
 {
+    // The key names only an override's level count and rule bits.
+    // The other knobs act on baseline runs too (maxSpinCount is every
+    // run's spin budget), so refuse them rather than serve the
+    // default run's row.
+    const OcorConfig def;
+    const OcorConfig &oc = exp.ocorOverrideSet ? exp.ocorOverride : def;
+    if (oc.maxSpinCount != def.maxSpinCount ||
+        oc.numProgressLevels != def.numProgressLevels ||
+        oc.progressSegmentWidth != def.progressSegmentWidth)
+        ocor_panic("makeCacheKey: the OCOR override of %s changes "
+                   "maxSpinCount, numProgressLevels or "
+                   "progressSegmentWidth, which the key does not name",
+                   profile.name.c_str());
+
     CacheKey key;
     key.benchmark = profile.name;
     // Ledger runs carry COH cause counters a plain run's cached row
@@ -47,20 +61,27 @@ makeCacheKey(const BenchmarkProfile &profile,
     key.iterations = exp.iterationsOverride;
     key.seed = exp.seed;
     if (!ocor_enabled) {
-        // A baseline run is independent of every OCOR knob: use the
-        // default-config key so level/rule sweeps reuse one
+        // Levels and rules act only with OCOR on: use the
+        // default-config key so level/rule sweeps reuse one baseline
         // simulation (CacheKey's defaults == OcorConfig's defaults).
         return key;
     }
-    const OcorConfig &oc = exp.ocorOverrideSet
-        ? exp.ocorOverride
-        : OcorConfig{};
     key.rtrLevels = oc.numRtrLevels;
     key.ruleMask = (oc.ruleSlowProgressFirst ? 1u : 0)
         | (oc.ruleLockFirst ? 2u : 0)
         | (oc.ruleLeastRtrFirst ? 4u : 0)
         | (oc.ruleWakeupLast ? 8u : 0);
     return key;
+}
+
+std::string
+runLabel(const BenchmarkProfile &profile, const ExperimentConfig &exp,
+         bool ocor_enabled)
+{
+    std::string label =
+        makeCacheKey(profile, exp, ocor_enabled).toString();
+    std::replace(label.begin(), label.end(), '\t', ' ');
+    return label;
 }
 
 const char *

@@ -65,9 +65,19 @@ struct CacheKey
     std::string toString() const;
 };
 
-/** Build the key for an experiment configuration. */
+/**
+ * Build the key for an experiment configuration. Panics on an OCOR
+ * override that changes a knob the key does not name (anything but
+ * numRtrLevels and the four rule bits): such a run would be served
+ * the default run's row.
+ */
 CacheKey makeCacheKey(const BenchmarkProfile &profile,
                       const ExperimentConfig &exp, bool ocor_enabled);
+
+/** The key on one line, tabs as spaces: how the deadline warning and
+ * panic and fatal messages name a run. */
+std::string runLabel(const BenchmarkProfile &profile,
+                     const ExperimentConfig &exp, bool ocor_enabled);
 
 /**
  * Journaled, thread-safe memo of RunMetrics aggregates.

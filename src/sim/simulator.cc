@@ -6,7 +6,6 @@
 
 #include "common/log.hh"
 #include "os/lock_ledger.hh"
-#include "sim/crashdump.hh"
 
 namespace ocor
 {
@@ -116,19 +115,10 @@ Simulator::Simulator(const SystemConfig &cfg,
             std::make_unique<LockLedger>(system_->numThreads());
         system_->setLedger(ledger_.get());
     }
-    // Traced runs publish their ring to the crash-dump handler so a
-    // fatal signal dumps the last events. One tracer at a time
-    // (last wins) -- exactly the single-simulator tracing setup the
-    // observability benches use.
-    if (system_->tracer())
-        crashdump::setTracer(system_->tracer());
 }
 
-Simulator::~Simulator()
-{
-    if (system_ && system_->tracer())
-        crashdump::setTracer(nullptr);
-}
+// Out of line: LockLedger is incomplete in the header.
+Simulator::~Simulator() = default;
 
 Cycle
 Simulator::tryBudget(ThreadId t, Addr lock)

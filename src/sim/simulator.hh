@@ -97,8 +97,6 @@ class Simulator
     Simulator(const SystemConfig &cfg, std::vector<Program> programs,
               const BgTrafficConfig &bg, Options opts = {});
 
-    /** Detaches the tracer from the crash-dump handler (if this
-     * instance attached it). */
     ~Simulator();
 
     /**

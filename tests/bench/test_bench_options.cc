@@ -2,13 +2,14 @@
  * @file
  * Tests for the benches' shared flag parser (bench/bench_util.hh):
  * --threads, --iters and --jobs take a whole positive decimal
- * integer, and anything else is a usage error (exit 1) before any
- * simulation is built.
+ * integer; --seed, --trace-capacity and --telemetry-interval a whole
+ * decimal integer that fits their field; --deadline a finite number
+ * of seconds >= 0. Anything else is a usage error (exit 1) before
+ * any simulation is built.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,9 +20,7 @@ using namespace ocor;
 namespace
 {
 
-/** parseOptions over the command line "bench FLAG VALUE". A valid
- * line arms the crash handler, so every call runs in a death test's
- * child process. */
+/** parseOptions over the command line "bench FLAG VALUE". */
 bench::Options
 parse(const std::string &flag, const std::string &value)
 {
@@ -48,11 +47,39 @@ TEST(BenchOptionsDeathTest, CountFlagsRejectAllButPositiveIntegers)
 
 TEST(BenchOptionsDeathTest, CountFlagsAcceptPositiveIntegers)
 {
-    EXPECT_EXIT(std::exit(parse("--threads", "4").threads == 4 ? 0 : 2),
-                testing::ExitedWithCode(0), "");
-    EXPECT_EXIT(
-        std::exit(parse("--iters", "4").iterations == 4 ? 0 : 2),
-        testing::ExitedWithCode(0), "");
-    EXPECT_EXIT(std::exit(parse("--jobs", "4").jobs == 4 ? 0 : 2),
-                testing::ExitedWithCode(0), "");
+    EXPECT_EQ(parse("--threads", "4").threads, 4u);
+    EXPECT_EQ(parse("--iters", "4").iterations, 4u);
+    EXPECT_EQ(parse("--jobs", "4").jobs, 4u);
+}
+
+TEST(BenchOptionsDeathTest, WholeNumberFlagsTakeOnlyWholeNumbersThatFit)
+{
+    for (const std::string flag :
+         {"--seed", "--trace-capacity", "--telemetry-interval"}) {
+        for (const char *bad : {"-1", "abc", "4x", "", " 4", "+4",
+                                "1.5", "18446744073709551616"}) {
+            EXPECT_EXIT(parse(flag, bad), testing::ExitedWithCode(1),
+                        flag + " takes a whole number")
+                << flag << " '" << bad << "'";
+        }
+    }
+    EXPECT_EQ(parse("--seed", "18446744073709551615").seed,
+              18446744073709551615ull);
+    EXPECT_EQ(parse("--trace-capacity", "4096").traceCapacity, 4096u);
+    EXPECT_EQ(parse("--telemetry-interval", "0").telemetryInterval,
+              0u);
+}
+
+TEST(BenchOptionsDeathTest, DeadlineTakesOnlyFiniteNonNegativeSeconds)
+{
+    for (const char *bad :
+         {"abc", "-1", "nan", "inf", "1e400", "", "5s", " 5"}) {
+        EXPECT_EXIT(parse("--deadline", bad),
+                    testing::ExitedWithCode(1),
+                    "--deadline takes a finite number")
+            << "'" << bad << "'";
+    }
+    EXPECT_EQ(parse("--deadline", "0").deadline, 0.0);
+    EXPECT_EQ(parse("--deadline", "2.5").deadline, 2.5);
+    EXPECT_EQ(parse("--deadline", "1e10").deadline, 1e10);
 }

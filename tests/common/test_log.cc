@@ -36,6 +36,16 @@ TEST(LogDeath, FatalExits)
                 ::testing::ExitedWithCode(1), "bad config");
 }
 
+TEST(LogDeath, PanicNamesTheRun)
+{
+    RunLabelScope outer("botss 16 1 3 1 8 15");
+    {
+        RunLabelScope inner("inner");
+    } // restores the outer label
+    EXPECT_DEATH(ocor_panic("boom"),
+                 "boom .* in run \\[botss 16 1 3 1 8 15\\]");
+}
+
 TEST(Log, LevelsOrdered)
 {
     EXPECT_LT(static_cast<int>(LogLevel::Silent),

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the event-tracing subsystem: category parsing, the
- * bounded ring buffer, per-node filtering and the export backends.
+ * bounded ring buffer, category filtering and the export backends.
  */
 
 #include <gtest/gtest.h>
@@ -58,24 +58,13 @@ TEST(Tracer, CategoryFilter)
     TraceConfig cfg;
     cfg.categories = traceCatBit(TraceCat::Lock);
     Tracer tr(cfg);
-    EXPECT_TRUE(tr.wants(TraceCat::Lock, 0));
-    EXPECT_FALSE(tr.wants(TraceCat::Noc, 0));
+    EXPECT_TRUE(tr.wants(TraceCat::Lock));
+    EXPECT_FALSE(tr.wants(TraceCat::Noc));
     tr.record(TraceCat::Noc, TraceEv::PktInject, 1, 0);
     tr.record(TraceCat::Lock, TraceEv::CsEnter, 2, 0, 0);
     EXPECT_EQ(tr.emitted(), 1u);
     ASSERT_EQ(tr.snapshot().size(), 1u);
     EXPECT_EQ(tr.snapshot()[0].ev, TraceEv::CsEnter);
-}
-
-TEST(Tracer, NodeFilter)
-{
-    TraceConfig cfg = allCats();
-    cfg.nodeFilter = 3;
-    Tracer tr(cfg);
-    tr.record(TraceCat::Noc, TraceEv::PktInject, 1, 2);
-    tr.record(TraceCat::Noc, TraceEv::PktInject, 1, 3);
-    EXPECT_EQ(tr.emitted(), 1u);
-    EXPECT_EQ(tr.snapshot()[0].node, 3u);
 }
 
 TEST(Tracer, RingOverwritesOldestAndCountsDrops)

@@ -49,6 +49,19 @@ TEST(Experiment, OcorOverrideApplied)
     EXPECT_FALSE(base.ocor.enabled);
 }
 
+TEST(ExperimentDeathTest, FatalNamesTheRun)
+{
+    // A configuration error inside runOnce names the run by its
+    // cache key, so the failing run of a sweep can be rerun alone.
+    ExperimentConfig exp = tinyExp();
+    exp.ocorOverrideSet = true;
+    exp.ocorOverride.numRtrLevels = 0;
+    EXPECT_EXIT(runOnce(profileByName("ferret"), exp, true),
+                testing::ExitedWithCode(1),
+                "fatal: OcorConfig: numRtrLevels .* in run "
+                "\\[ferret 4 1 2 3 0 15\\]");
+}
+
 TEST(Experiment, RunOnceCompletesAllWork)
 {
     BenchmarkProfile p = profileByName("ferret");

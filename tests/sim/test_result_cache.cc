@@ -299,3 +299,23 @@ TEST_F(ResultCacheTest, MakeCacheKeyCapturesOcorOverride)
     EXPECT_EQ(k.ruleMask & 8u, 0u);
     EXPECT_TRUE(k.ocorEnabled);
 }
+
+TEST(ResultCacheDeathTest, MakeCacheKeyRefusesUnkeyedOverride)
+{
+    // The key names only the level count and rule bits; an override
+    // of any other knob would be served the default run's row.
+    BenchmarkProfile profile;
+    profile.name = "p";
+    for (void (*tweak)(OcorConfig &) : {
+             +[](OcorConfig &c) { c.maxSpinCount = 64; },
+             +[](OcorConfig &c) { c.numProgressLevels = 4; },
+             +[](OcorConfig &c) { c.progressSegmentWidth = 2; },
+         }) {
+        ExperimentConfig exp;
+        exp.ocorOverrideSet = true;
+        tweak(exp.ocorOverride);
+        for (const bool ocor : {false, true})
+            EXPECT_DEATH(makeCacheKey(profile, exp, ocor),
+                         "which the key does not name");
+    }
+}

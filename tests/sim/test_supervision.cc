@@ -106,26 +106,32 @@ TEST(ParallelRunnerSupervisionTest, DeadlineMissDegradesGracefully)
 
 TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
 {
-    // A deadline that never fires must not perturb results.
+    // A deadline that never fires must not perturb results, including
+    // one too far off for steady_clock to hold (1e10 s is past its
+    // ~292-year range and must not wrap into the past).
     const BenchmarkProfile profile = profileByName("ferret");
     const ExperimentConfig exp = smallExp();
     const RunMetrics reference = runOnce(profile, exp, true);
 
-    ParallelRunner runner(2, nullptr, 300.0);
-    RunRequest req;
-    req.profile = profile;
-    req.exp = exp;
-    req.ocorEnabled = true;
-    std::vector<RunMetrics> out = runner.run({req});
+    for (const double deadline : {300.0, 1e10}) {
+        ParallelRunner runner(2, nullptr, deadline);
+        RunRequest req;
+        req.profile = profile;
+        req.exp = exp;
+        req.ocorEnabled = true;
+        std::vector<RunMetrics> out = runner.run({req});
 
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_FALSE(out[0].cancelled);
-    EXPECT_EQ(out[0].roiFinish, reference.roiFinish);
-    EXPECT_EQ(out[0].totalCoh(), reference.totalCoh());
-    EXPECT_EQ(out[0].packetsInjected, reference.packetsInjected);
-    EXPECT_EQ(out[0].totalAcquisitions(),
-              reference.totalAcquisitions());
-    EXPECT_EQ(runner.timeouts(), 0u);
+        ASSERT_EQ(out.size(), 1u) << deadline;
+        EXPECT_FALSE(out[0].cancelled) << deadline;
+        EXPECT_EQ(out[0].roiFinish, reference.roiFinish) << deadline;
+        EXPECT_EQ(out[0].totalCoh(), reference.totalCoh()) << deadline;
+        EXPECT_EQ(out[0].packetsInjected, reference.packetsInjected)
+            << deadline;
+        EXPECT_EQ(out[0].totalAcquisitions(),
+                  reference.totalAcquisitions())
+            << deadline;
+        EXPECT_EQ(runner.timeouts(), 0u) << deadline;
+    }
 }
 
 TEST(ParallelRunnerSupervisionTest, CancelledResultsAreNeverCached)
