@@ -311,14 +311,38 @@ sweepExitStatus(const ParallelRunner &runner)
     return kExitTimedOut;
 }
 
-/** The shared cache (per-working-directory TSV). */
+/**
+ * @p results without the pairs that have a cancelled side. A run that
+ * passed its deadline has partial metrics, and the runner has already
+ * named it in a warning, so no table prints it.
+ */
+inline std::vector<BenchmarkResult>
+completePairs(std::vector<BenchmarkResult> results)
+{
+    std::erase_if(results, [](const BenchmarkResult &r) {
+        return r.base.cancelled || r.ocor.cancelled;
+    });
+    return results;
+}
+
+/** @p sum / @p n, or 0 for an average over no rows. */
+inline double
+meanOf(double sum, std::size_t n)
+{
+    return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+/**
+ * The shared cache (per-working-directory TSV). --fresh and checked
+ * runs get a throwaway one instead, so nothing is reused or
+ * polluted: a checked run exists for its checkers' verdict, and a
+ * journal hit would run no checker.
+ */
 inline ResultCache
 cacheFor(const Options &opt)
 {
-    if (opt.fresh) {
-        // A throwaway file name so nothing is reused or polluted.
+    if (opt.fresh || opt.checkMask() != 0)
         return ResultCache("/dev/null");
-    }
     return ResultCache("ocor_results.tsv");
 }
 

@@ -37,17 +37,21 @@ main(int argc, char **argv)
     std::printf("%-8s %-8s  %6s  %6s  %s\n", "program", "suite",
                 "CS%", "COH%", "COH bar (0..60%)");
     double cs_sum = 0, coh_sum = 0;
+    std::size_t rows = 0;
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const auto &p = profiles[i];
         const RunMetrics &m = metrics[i];
+        if (m.cancelled)
+            continue; // partial metrics; the runner named the run
         std::printf("%-8s %-8s  %5.1f%%  %5.1f%%  |%s|\n",
                     p.name.c_str(), p.suite.c_str(), m.csPct(),
                     m.cohPct(), bar(m.cohPct(), 60.0).c_str());
         cs_sum += m.csPct();
         coh_sum += m.cohPct();
+        ++rows;
     }
     std::printf("%-8s %-8s  %5.1f%%  %5.1f%%\n", "average", "",
-                cs_sum / profiles.size(), coh_sum / profiles.size());
+                meanOf(cs_sum, rows), meanOf(coh_sum, rows));
     std::printf("\nPaper's observation: COH is several times the CS "
                 "execution time itself.\n");
     dumpStatsJson(opt, &runner);

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     // --profile narrows the sweep to one benchmark (the README's
     // wake-attribution walkthrough profiles a single slow profile).
     std::vector<BenchmarkResult> results =
-        runner.runSuite(opt.profiles(), opt.experiment());
+        completePairs(runner.runSuite(opt.profiles(), opt.experiment()));
 
     std::sort(results.begin(), results.end(),
               [](const BenchmarkResult &a, const BenchmarkResult &b) {
@@ -54,9 +54,8 @@ main(int argc, char **argv)
     }
     std::printf("averages: PARSEC %.1f%% | OMP2012 %.1f%% | "
                 "overall %.1f%%\n",
-                parsec_n ? parsec_sum / parsec_n : 0.0,
-                omp_n ? omp_sum / omp_n : 0.0,
-                sum / results.size());
+                meanOf(parsec_sum, parsec_n), meanOf(omp_sum, omp_n),
+                meanOf(sum, results.size()));
     std::printf("(paper: PARSEC 40.4%%, OMP2012 39.3%%, overall "
                 "39.9%%, max 61.8%% botss, min 12.5%% imag)\n");
 
@@ -72,7 +71,7 @@ main(int argc, char **argv)
         gain_sum += r.spinWinImprovementPts();
     }
     std::printf("average gain: %+.1f points (paper: +33.1)\n",
-                gain_sum / results.size());
+                meanOf(gain_sum, results.size()));
 
     // Machine-readable COH summary for the regression tracker:
     // run_benches.sh folds this into BENCH_sweep.json ("coh") and
@@ -85,13 +84,13 @@ main(int argc, char **argv)
                << results[i].cohImprovementPct()
                << (i + 1 < results.size() ? ",\n" : "\n");
         cj << "  },\n";
-        cj << "  \"parsec_mean\": "
-           << (parsec_n ? parsec_sum / parsec_n : 0.0) << ",\n";
-        cj << "  \"omp_mean\": "
-           << (omp_n ? omp_sum / omp_n : 0.0) << ",\n";
-        cj << "  \"overall_mean\": " << sum / results.size() << ",\n";
+        cj << "  \"parsec_mean\": " << meanOf(parsec_sum, parsec_n)
+           << ",\n";
+        cj << "  \"omp_mean\": " << meanOf(omp_sum, omp_n) << ",\n";
+        cj << "  \"overall_mean\": " << meanOf(sum, results.size())
+           << ",\n";
         cj << "  \"spin_win_gain_mean_pts\": "
-           << gain_sum / results.size() << "\n}\n";
+           << meanOf(gain_sum, results.size()) << "\n}\n";
     }
     dumpStatsJson(opt, &runner);
     return sweepExitStatus(runner);

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     ResultCache cache = cacheFor(opt);
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
-        runner.runSuite(opt.profiles(), opt.experiment());
+        completePairs(runner.runSuite(opt.profiles(), opt.experiment()));
 
     struct Row
     {

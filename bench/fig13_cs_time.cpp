@@ -25,7 +25,7 @@ main(int argc, char **argv)
     ResultCache cache = cacheFor(opt);
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
-        runner.runSuite(opt.profiles(), opt.experiment());
+        completePairs(runner.runSuite(opt.profiles(), opt.experiment()));
 
     std::printf("\n%-8s %12s %12s %10s\n", "program",
                 "orig cyc/CS", "OCOR cyc/CS", "relative");
@@ -43,7 +43,7 @@ main(int argc, char **argv)
         ++n;
     }
     std::printf("average relative CS time: %.3f (paper: ~1.0, "
-                "negligible effect)\n", rel_sum / n);
+                "negligible effect)\n", meanOf(rel_sum, n));
     dumpStatsJson(opt, &runner);
     return sweepExitStatus(runner);
 }

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     ResultCache cache = cacheFor(opt);
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     std::vector<BenchmarkResult> results =
-        runner.runSuite(opt.profiles(), opt.experiment());
+        completePairs(runner.runSuite(opt.profiles(), opt.experiment()));
 
     std::printf("\n(a) %% of thread time spent in COH "
                 "(original design)\n");
@@ -60,8 +60,8 @@ main(int argc, char **argv)
     }
     std::printf("ROI improvement averages: PARSEC %.1f%% | OMP2012 "
                 "%.1f%% | overall %.1f%%\n",
-                parsec_n ? parsec_sum / parsec_n : 0.0,
-                omp_n ? omp_sum / omp_n : 0.0, sum / results.size());
+                meanOf(parsec_sum, parsec_n), meanOf(omp_sum, omp_n),
+                meanOf(sum, results.size()));
     std::printf("(paper: PARSEC 13.7%%, OMP2012 15.1%%, overall "
                 "14.4%%, max 24.5%% ilbdc)\n");
     dumpStatsJson(opt, &runner);

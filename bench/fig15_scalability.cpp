@@ -56,6 +56,10 @@ main(int argc, char **argv)
         std::printf("%-8s", name);
         for (unsigned threads [[maybe_unused]] : scales) {
             const BenchmarkResult &r = results[i++];
+            if (r.base.cancelled || r.ocor.cancelled) {
+                std::printf(" %8s", "--"); // partial metrics
+                continue;
+            }
             double norm = r.base.totalCoh() == 0
                 ? 100.0
                 : 100.0 * static_cast<double>(r.ocor.totalCoh())

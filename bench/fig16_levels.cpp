@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "bench_util.hh"
@@ -31,19 +32,34 @@ withOverride(const Options &opt, const OcorConfig &ocor)
 }
 
 /** Batch all (profile, override) combos through the pool; the
- * shared baseline runs are deduplicated by the cache. */
-std::vector<double>
+ * shared baseline runs are deduplicated by the cache. A pair with a
+ * cancelled side has no value. */
+std::vector<std::optional<double>>
 improvementsFor(ParallelRunner &runner,
                 const std::vector<BenchmarkProfile> &profiles,
                 const std::vector<ExperimentConfig> &exps)
 {
     std::vector<BenchmarkResult> results =
         runner.runComparisons(profiles, exps);
-    std::vector<double> out;
+    std::vector<std::optional<double>> out;
     out.reserve(results.size());
-    for (const auto &r : results)
-        out.push_back(r.cohImprovementPct());
+    for (const auto &r : results) {
+        if (r.base.cancelled || r.ocor.cancelled)
+            out.emplace_back();
+        else
+            out.emplace_back(r.cohImprovementPct());
+    }
     return out;
+}
+
+/** One table cell: " 12.3%" in @p width, or "--" without a value. */
+void
+printCell(const std::optional<double> &v, int width)
+{
+    if (v)
+        std::printf(" %*.1f%%", width - 1, *v);
+    else
+        std::printf(" %*s", width, "--");
 }
 
 void
@@ -63,8 +79,8 @@ levelSweep(ParallelRunner &runner, const Options &opt)
             exps.push_back(withOverride(opt, ocor));
         }
     }
-    std::vector<double> vals = improvementsFor(runner, profiles,
-                                               exps);
+    std::vector<std::optional<double>> vals =
+        improvementsFor(runner, profiles, exps);
 
     std::printf("\nCOH improvement vs number of RTR priority "
                 "levels:\n");
@@ -76,7 +92,7 @@ levelSweep(ParallelRunner &runner, const Options &opt)
     for (const char *name : names) {
         std::printf("%-8s", name);
         for (unsigned l [[maybe_unused]] : levels)
-            std::printf(" %6.1f%%", vals[i++]);
+            printCell(vals[i++], 7);
         std::printf("\n");
     }
     std::printf("\nPaper's shape: improvement rises with levels and "
@@ -117,8 +133,8 @@ ablation(ParallelRunner &runner, const Options &opt)
             exps.push_back(withOverride(opt, ocor));
         }
     }
-    std::vector<double> vals = improvementsFor(runner, profiles,
-                                               exps);
+    std::vector<std::optional<double>> vals =
+        improvementsFor(runner, profiles, exps);
 
     std::printf("\nRule ablation (COH improvement over the "
                 "original design):\n");
@@ -127,7 +143,7 @@ ablation(ParallelRunner &runner, const Options &opt)
     for (const auto &v : variants) {
         std::printf("%-28s", v.name);
         for (const char *name [[maybe_unused]] : names)
-            std::printf(" %9.1f%%", vals[i++]);
+            printCell(vals[i++], 10);
         std::printf("\n");
     }
 }

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     ParallelRunner runner(opt.jobs, &cache, opt.deadline);
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<BenchmarkResult> results =
-        runner.runSuite(opt.profiles(), opt.experiment());
+        completePairs(runner.runSuite(opt.profiles(), opt.experiment()));
     const double elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
 
@@ -63,14 +63,14 @@ main(int argc, char **argv)
     }
     std::printf("\n%-17s COH %5.1f%%  ROI %5.1f%%   "
                 "(paper: 40.4%% / 13.7%%)\n", "PARSEC average",
-                coh_p / np, roi_p / np);
+                meanOf(coh_p, np), meanOf(roi_p, np));
     std::printf("%-17s COH %5.1f%%  ROI %5.1f%%   "
                 "(paper: 39.3%% / 15.1%%)\n", "OMP2012 average",
-                coh_o / no, roi_o / no);
+                meanOf(coh_o, no), meanOf(roi_o, no));
     std::printf("%-17s COH %5.1f%%  ROI %5.1f%%   "
                 "(paper: 39.9%% / 14.4%%)\n", "overall average",
-                (coh_p + coh_o) / (np + no),
-                (roi_p + roi_o) / (np + no));
+                meanOf(coh_p + coh_o, np + no),
+                meanOf(roi_p + roi_o, np + no));
 
     // Latency tails: packet latency and lock-handover gap, original
     // vs OCOR. Zeros appear for results replayed from a cache file

@@ -5,6 +5,8 @@
 namespace ocor
 {
 
+static_assert(sizeof(CacheLine) == 24, "a tag line is three words");
+
 const char *
 coherStateName(CoherState s)
 {
@@ -20,8 +22,7 @@ coherStateName(CoherState s)
 
 CacheArray::CacheArray(unsigned sets, unsigned ways,
                        unsigned line_bytes)
-    : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-      lines_(sets * ways)
+    : sets_(sets), ways_(ways), lineBytes_(line_bytes), rows_(sets)
 {
     if (sets == 0 || (sets & (sets - 1)) != 0)
         ocor_fatal("CacheArray: sets must be a power of two");
@@ -39,10 +40,12 @@ CacheArray::setOf(Addr line_addr) const
 CacheLine *
 CacheArray::find(Addr line_addr)
 {
-    unsigned s = setOf(line_addr);
+    CacheLine *row = rows_[setOf(line_addr)].get();
+    if (!row)
+        return nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = lines_[s * ways_ + w];
-        if (l.valid && l.addr == line_addr)
+        CacheLine &l = row[w];
+        if (l.state != CoherState::I && l.addr == line_addr)
             return &l;
     }
     return nullptr;
@@ -57,11 +60,13 @@ CacheArray::find(Addr line_addr) const
 CacheLine *
 CacheArray::victimFor(Addr line_addr)
 {
-    unsigned s = setOf(line_addr);
+    std::unique_ptr<CacheLine[]> &row = rows_[setOf(line_addr)];
+    if (!row)
+        row = std::make_unique<CacheLine[]>(ways_);
     CacheLine *lru = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = lines_[s * ways_ + w];
-        if (!l.valid)
+        CacheLine &l = row[w];
+        if (l.state == CoherState::I)
             return &l;
         if (!lru || l.lastUse < lru->lastUse)
             lru = &l;
@@ -76,7 +81,6 @@ CacheArray::fill(CacheLine *slot, Addr line_addr, CoherState state,
     slot->addr = line_addr;
     slot->state = state;
     slot->lastUse = use_tick;
-    slot->valid = true;
 }
 
 void
@@ -89,8 +93,9 @@ unsigned
 CacheArray::validCount() const
 {
     unsigned n = 0;
-    for (const auto &l : lines_)
-        n += l.valid ? 1 : 0;
+    for (const auto &row : rows_)
+        for (unsigned w = 0; row && w < ways_; ++w)
+            n += row[w].state != CoherState::I ? 1 : 0;
     return n;
 }
 

@@ -5,12 +5,17 @@
  * Shared by the private L1s and the L2 bank of each node. The
  * simulator is timing directed: the array tracks tags and coherence
  * state, not data values.
+ *
+ * A set's ways are allocated on that set's first victimFor(), so an
+ * array costs one null row pointer per set until it is filled (a
+ * run touches few of an L2 bank's sets; DESIGN.md §5).
  */
 
 #ifndef OCOR_MEM_CACHE_ARRAY_HH
 #define OCOR_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -18,19 +23,18 @@
 namespace ocor
 {
 
-/** MOESI stable states (used by L1; L2 uses Valid/Invalid only). */
+/** MOESI stable states (used by L1; the L2 holds its lines in S). */
 enum class CoherState : std::uint8_t { I, S, E, O, M };
 
 /** Name of a coherence state (tests/traces). */
 const char *coherStateName(CoherState s);
 
-/** One tag-array entry. */
+/** One tag-array entry; a way in state I is empty. */
 struct CacheLine
 {
     Addr addr = 0;           ///< full line address
     CoherState state = CoherState::I;
     std::uint64_t lastUse = 0;
-    bool valid = false;
 };
 
 /** Tag array of sets x ways lines. */
@@ -44,13 +48,16 @@ class CacheArray
     const CacheLine *find(Addr line_addr) const;
 
     /**
-     * Choose a victim way in the set of @p line_addr: an invalid way
-     * if one exists, else the LRU way. Returns the slot; the caller
-     * inspects *victim to handle writeback, then overwrites it.
+     * Choose a victim way in the set of @p line_addr: the first empty
+     * way if one exists, else the LRU way (the lowest way on a tie).
+     * Returns the slot; the caller inspects *victim to handle
+     * writeback, then overwrites it. Allocates the set's ways on the
+     * set's first call; a slot's address stays valid for the array's
+     * lifetime.
      */
     CacheLine *victimFor(Addr line_addr);
 
-    /** Install @p line_addr into @p slot with @p state. */
+    /** Install @p line_addr into @p slot with @p state (not I). */
     void fill(CacheLine *slot, Addr line_addr, CoherState state,
               std::uint64_t use_tick);
 
@@ -60,7 +67,7 @@ class CacheArray
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
-    /** Number of valid lines (occupancy checks in tests). */
+    /** Number of non-I lines (occupancy checks in tests). */
     unsigned validCount() const;
 
   private:
@@ -69,7 +76,8 @@ class CacheArray
     unsigned sets_;
     unsigned ways_;
     unsigned lineBytes_;
-    std::vector<CacheLine> lines_; ///< sets_ * ways_, row per set
+    /** ways_ lines per set; null until the set's first victimFor. */
+    std::vector<std::unique_ptr<CacheLine[]>> rows_;
 };
 
 } // namespace ocor

@@ -1,5 +1,7 @@
 #include "mem/l1_cache.hh"
 
+#include <utility>
+
 #include "common/log.hh"
 
 namespace ocor
@@ -9,8 +11,18 @@ L1Cache::L1Cache(NodeId node, const AddressMap &amap,
                  const MemParams &params, SendFn send)
     : node_(node), amap_(amap), params_(params),
       send_(std::move(send)),
-      array_(params.l1Sets, params.l1Ways, params.lineBytes)
+      array_(params.l1Sets, params.l1Ways, params.lineBytes),
+      mshrs_(params.l1Mshrs)
 {}
+
+unsigned
+L1Cache::findMshr(Addr line) const
+{
+    unsigned i = 0;
+    while (i < numMshrs_ && mshrs_[i].line != line)
+        ++i;
+    return i;
+}
 
 CoherState
 L1Cache::lineState(Addr addr) const
@@ -43,30 +55,30 @@ L1Cache::request(Addr addr, bool write, Cycle now, CompletionFn done)
                       l->state == CoherState::O)) {
             // Upgrade path: drop the stale copy and reissue as a
             // full GetM below.
-            l->valid = false;
             l->state = CoherState::I;
         }
     }
 
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
+    const unsigned i = findMshr(line);
+    if (i < numMshrs_) {
         // Coalesce reads under any pending miss, and writes under a
         // pending GetM; a write under a pending GetS must retry.
-        if (write && !it->second.wantWrite) {
+        if (write && !mshrs_[i].wantWrite) {
             ++stats_.mshrRejects;
             return false;
         }
-        it->second.waiters.push_back(std::move(done));
+        mshrs_[i].waiters.push_back(std::move(done));
         return true;
     }
 
-    if (mshrs_.size() >= params_.l1Mshrs) {
+    if (numMshrs_ >= params_.l1Mshrs) {
         ++stats_.mshrRejects;
         return false;
     }
 
     ++stats_.misses;
-    Mshr &m = mshrs_[line];
+    Mshr &m = mshrs_[numMshrs_++];
+    m.line = line;
     m.wantWrite = write;
     m.waiters.push_back(std::move(done));
 
@@ -81,7 +93,7 @@ void
 L1Cache::evictFor(Addr line, Cycle now)
 {
     CacheLine *victim = array_.victimFor(line);
-    if (!victim->valid)
+    if (victim->state == CoherState::I)
         return;
 
     ++stats_.evictions;
@@ -104,7 +116,6 @@ L1Cache::evictFor(Addr line, Cycle now)
       default:
         break; // S: silent drop; the directory tolerates stale sharers
     }
-    victim->valid = false;
     victim->state = CoherState::I;
 }
 
@@ -124,8 +135,8 @@ L1Cache::handle(const PacketPtr &pkt, Cycle now)
     switch (pkt->type) {
       case MsgType::Data:
       case MsgType::DataExcl: {
-        auto it = mshrs_.find(line);
-        if (it == mshrs_.end()) {
+        const unsigned i = findMshr(line);
+        if (i == numMshrs_) {
             ocor_warn("L1 %u: unsolicited %s for %llx", node_,
                       msgTypeName(pkt->type),
                       static_cast<unsigned long long>(line));
@@ -135,10 +146,15 @@ L1Cache::handle(const PacketPtr &pkt, Cycle now)
         if (pkt->type == MsgType::Data)
             st = CoherState::S;
         else
-            st = it->second.wantWrite ? CoherState::M : CoherState::E;
+            st = mshrs_[i].wantWrite ? CoherState::M : CoherState::E;
         fillLine(line, st, now);
-        auto waiters = std::move(it->second.waiters);
-        mshrs_.erase(it);
+        // Take the waiters (leaving the spare storage in the slot) and
+        // free the MSHR before they run: a waiter may miss again.
+        std::vector<CompletionFn> waiters;
+        waiters.swap(firing_);
+        waiters.swap(mshrs_[i].waiters);
+        if (i != --numMshrs_)
+            std::swap(mshrs_[i], mshrs_[numMshrs_]);
         // Close the directory transaction: the home keeps the line
         // busy until this fill confirmation so later requests cannot
         // race ahead of the grant in the network.
@@ -147,12 +163,13 @@ L1Cache::handle(const PacketPtr &pkt, Cycle now)
         send_(unb, now);
         for (auto &w : waiters)
             w(now);
+        waiters.clear();
+        firing_.swap(waiters);
         break;
       }
       case MsgType::Inv: {
         ++stats_.invsReceived;
         if (CacheLine *l = array_.find(line)) {
-            l->valid = false;
             l->state = CoherState::I;
         }
         auto ack = makePacket(MsgType::InvAck, node_, pkt->src, line);
@@ -169,7 +186,6 @@ L1Cache::handle(const PacketPtr &pkt, Cycle now)
         if (l && l->state != CoherState::I &&
             l->state != CoherState::S) {
             if (pkt->aux & 1) {  // invalidate (GetM at home)
-                l->valid = false;
                 l->state = CoherState::I;
             } else {             // downgrade (GetS at home)
                 l->state = CoherState::O;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/types.hh"
@@ -64,7 +63,7 @@ class L1Cache
     /** Advance: release delayed hit completions. */
     void tick(Cycle now);
 
-    bool idle() const { return mshrs_.empty() && delayed_.empty(); }
+    bool idle() const { return numMshrs_ == 0 && delayed_.empty(); }
 
     /**
      * Earliest cycle tick() would do any work (neverCycle = none).
@@ -76,7 +75,7 @@ class L1Cache
     {
         return delayed_.empty() ? neverCycle : delayed_.front().first;
     }
-    std::size_t outstanding() const { return mshrs_.size(); }
+    std::size_t outstanding() const { return numMshrs_; }
     const L1Stats &stats() const { return stats_; }
 
     /** White-box state inspection for tests. */
@@ -85,10 +84,13 @@ class L1Cache
   private:
     struct Mshr
     {
+        Addr line = 0;
         bool wantWrite = false;
         std::vector<CompletionFn> waiters;
     };
 
+    /** Index of @p line's outstanding MSHR; numMshrs_ if none. */
+    unsigned findMshr(Addr line) const;
     void fillLine(Addr line, CoherState state, Cycle now);
     void evictFor(Addr line, Cycle now);
 
@@ -98,7 +100,11 @@ class L1Cache
     SendFn send_;
 
     CacheArray array_;
-    std::map<Addr, Mshr> mshrs_;
+    /** l1Mshrs slots, the first numMshrs_ outstanding. A freed slot
+     * moves past them and keeps its waiters' storage for reuse. */
+    std::vector<Mshr> mshrs_;
+    unsigned numMshrs_ = 0;
+    std::vector<CompletionFn> firing_; ///< spare waiter storage
     std::deque<std::pair<Cycle, CompletionFn>> delayed_;
     std::uint64_t useTick_ = 0;
 

@@ -1,5 +1,7 @@
 #include "mem/l2_directory.hh"
 
+#include <utility>
+
 #include "common/log.hh"
 
 namespace ocor
@@ -18,28 +20,117 @@ L2Directory::L2Directory(NodeId node, const AddressMap &amap,
                          const MemParams &params, SendFn send)
     : node_(node), amap_(amap), params_(params),
       send_(std::move(send)),
-      l2_(params.l2Sets, params.l2Ways, params.lineBytes)
+      l2_(params.l2Sets, params.l2Ways, params.lineBytes), dir_(16)
 {}
+
+std::size_t
+L2Directory::homeSlot(Addr line) const
+{
+    // Fibonacci hashing: a bank's lines share their low index bits.
+    return static_cast<std::size_t>(
+               (line * 0x9E3779B97F4A7C15ULL) >> 32) & (dir_.size() - 1);
+}
+
+const L2Directory::DirEntry *
+L2Directory::findEntry(Addr line) const
+{
+    const std::size_t mask = dir_.size() - 1;
+    for (std::size_t i = homeSlot(line);; i = (i + 1) & mask) {
+        const DirSlot &s = dir_[i];
+        if (!s.used)
+            return nullptr;
+        if (s.line == line)
+            return &s.e;
+    }
+}
+
+L2Directory::DirEntry *
+L2Directory::findEntry(Addr line)
+{
+    return const_cast<DirEntry *>(
+        std::as_const(*this).findEntry(line));
+}
+
+L2Directory::DirSlot &
+L2Directory::freeSlot(Addr line)
+{
+    const std::size_t mask = dir_.size() - 1;
+    std::size_t i = homeSlot(line);
+    while (dir_[i].used)
+        i = (i + 1) & mask;
+    return dir_[i];
+}
+
+L2Directory::DirEntry &
+L2Directory::entry(Addr line)
+{
+    if (DirEntry *e = findEntry(line))
+        return *e;
+    if (2 * (dirUsed_ + 1) > dir_.size()) {
+        std::vector<DirSlot> old(2 * dir_.size());
+        old.swap(dir_);
+        for (DirSlot &s : old)
+            if (s.used)
+                freeSlot(s.line) = std::move(s);
+    }
+    DirSlot &s = freeSlot(line);
+    s.line = line;
+    s.used = true;
+    ++dirUsed_;
+    return s.e;
+}
+
+void
+L2Directory::pushPending(DirEntry &e, const PacketPtr &pkt)
+{
+    std::uint32_t i = freePending_;
+    if (i == kNoPending) {
+        i = static_cast<std::uint32_t>(pending_.size());
+        pending_.emplace_back();
+    } else {
+        freePending_ = pending_[i].next;
+    }
+    pending_[i].pkt = pkt;
+    pending_[i].next = kNoPending;
+    if (e.pendingTail == kNoPending)
+        e.pendingHead = i;
+    else
+        pending_[e.pendingTail].next = i;
+    e.pendingTail = i;
+}
+
+PacketPtr
+L2Directory::popPending(DirEntry &e)
+{
+    const std::uint32_t i = e.pendingHead;
+    PacketPtr pkt = std::move(pending_[i].pkt);
+    e.pendingHead = pending_[i].next;
+    if (e.pendingHead == kNoPending)
+        e.pendingTail = kNoPending;
+    pending_[i].next = freePending_;
+    freePending_ = i;
+    return pkt;
+}
 
 NodeId
 L2Directory::ownerOf(Addr addr) const
 {
-    auto it = dir_.find(amap_.lineAddr(addr));
-    return it == dir_.end() ? invalidNode : it->second.owner;
+    const DirEntry *e = findEntry(amap_.lineAddr(addr));
+    return e ? e->owner : invalidNode;
 }
 
 std::uint64_t
 L2Directory::sharersOf(Addr addr) const
 {
-    auto it = dir_.find(amap_.lineAddr(addr));
-    return it == dir_.end() ? 0 : it->second.sharers;
+    const DirEntry *e = findEntry(amap_.lineAddr(addr));
+    return e ? e->sharers : 0;
 }
 
 bool
 L2Directory::lineBusy(Addr addr) const
 {
-    auto it = dir_.find(amap_.lineAddr(addr));
-    return it != dir_.end() && it->second.busy;
+    const DirEntry *e = findEntry(amap_.lineAddr(addr));
+    return e && e->busy;
 }
 
 bool
@@ -47,8 +138,8 @@ L2Directory::idle() const
 {
     if (!delayed_.empty())
         return false;
-    for (const auto &[addr, e] : dir_)
-        if (e.busy || !e.pending.empty())
+    for (const DirSlot &s : dir_)
+        if (s.e.busy || s.e.pendingHead != kNoPending)
             return false;
     return true;
 }
@@ -79,34 +170,37 @@ L2Directory::fillL2(Addr line, Cycle now)
         return;
     }
     CacheLine *victim = l2_.victimFor(line);
-    if (victim->valid) {
+    if (victim->state != CoherState::I) {
         const Addr vline = victim->addr;
-        auto vit = dir_.find(vline);
-        if (vit != dir_.end() && !vit->second.busy) {
+        DirEntry *ve = findEntry(vline);
+        if (ve && !ve->busy) {
             // Best-effort recall of the victim's cached copies; acks
-            // are dropped as stale (txSeq bumped). Rare by design:
-            // the banks are far larger than any workload footprint.
-            auto &ve = vit->second;
-            ++ve.txSeq;
-            std::uint64_t targets = ve.sharers;
-            if (ve.owner != invalidNode)
-                targets |= bitOf(ve.owner);
+            // are dropped as stale (txSeq bumped). Not rare: a bank
+            // indexes only a few of its sets (DESIGN.md §5), so about
+            // one L2 request in three evicts in lock-storm-64.
+            ++ve->txSeq;
+            std::uint64_t targets = ve->sharers;
+            if (ve->owner != invalidNode)
+                targets |= bitOf(ve->owner);
             for (NodeId n = 0; targets != 0; ++n, targets >>= 1) {
                 if (targets & 1) {
                     auto inv = makePacket(MsgType::Inv, node_, n,
                                           vline);
-                    inv->aux = ve.txSeq << 8;
+                    inv->aux = ve->txSeq << 8;
                     send_(inv, now);
                     ++stats_.invsSent;
                 }
             }
-            dir_.erase(vit);
+            // Reset in place to what a first request sees (txSeq 0
+            // again). A line that is not busy has drained its queue,
+            // so no request is dropped.
+            *ve = DirEntry{};
             ++stats_.l2Evictions;
             auto wb = makePacket(MsgType::MemWrite, node_,
                                  amap_.mcOf(vline), vline);
             send_(wb, now);
             ++stats_.memWrites;
-        } else if (vit != dir_.end()) {
+        } else if (ve) {
             // The victim line is mid-transaction; drop only the L2
             // copy and keep the directory state (timing-directed
             // model, no data correctness impact).
@@ -128,23 +222,18 @@ L2Directory::awaitUnblock(DirEntry &e, const PacketPtr &req)
 }
 
 void
-L2Directory::unbusyAndDrain(Addr line, Cycle now)
+L2Directory::unbusyAndDrain(DirEntry &e, Cycle now)
 {
-    auto it = dir_.find(line);
-    if (it == dir_.end())
-        return;
-    DirEntry &e = it->second;
     e.busy = false;
     e.req.reset();
     e.waitingMem = false;
     e.waitingFetch = false;
     e.waitingUnblock = false;
     e.acksLeft = 0;
-    while (!e.busy && !e.pending.empty()) {
-        PacketPtr next = e.pending.front();
-        e.pending.pop_front();
-        process(next, now);
-    }
+    // Each queued request is for this line, so process() finds e
+    // and inserts nothing: e stays valid.
+    while (!e.busy && e.pendingHead != kNoPending)
+        process(popPending(e), now);
 }
 
 void
@@ -272,13 +361,13 @@ void
 L2Directory::process(const PacketPtr &pkt, Cycle now)
 {
     const Addr line = pkt->addr;
-    DirEntry &e = dir_[line];
+    DirEntry &e = entry(line);
 
     switch (pkt->type) {
       case MsgType::GetS:
       case MsgType::GetM:
         if (e.busy) {
-            e.pending.push_back(pkt);
+            pushPending(e, pkt);
             ++stats_.queuedRequests;
         } else {
             startRequest(e, pkt, now);
@@ -288,7 +377,7 @@ L2Directory::process(const PacketPtr &pkt, Cycle now)
       case MsgType::PutM:
       case MsgType::PutE:
         if (e.busy) {
-            e.pending.push_back(pkt);
+            pushPending(e, pkt);
             ++stats_.queuedRequests;
             break;
         }
@@ -327,22 +416,19 @@ L2Directory::process(const PacketPtr &pkt, Cycle now)
             ++stats_.staleAcks;
             break;
         }
-        unbusyAndDrain(line, now);
+        unbusyAndDrain(e, now);
         break;
       }
 
       case MsgType::MemResp: {
-        fillL2(line, now);
-        // dir_ may rehash inside fillL2 (victim erase); re-find.
-        DirEntry &er = dir_[line];
-        er.waitingMem = false;
-        PacketPtr req = er.req;
-        er.busy = false;
-        er.req.reset();
+        fillL2(line, now); // may reset the victim's entry, never e
+        e.waitingMem = false;
+        PacketPtr req = std::move(e.req);
+        e.busy = false;
         if (req)
             process(req, now);
         else
-            unbusyAndDrain(line, now);
+            unbusyAndDrain(e, now);
         break;
       }
 

@@ -14,6 +14,10 @@
  *  - at most one owner per line;
  *  - a line with an owner has no conflicting exclusive grant pending;
  *  - every transaction eventually unblocks its pending queue.
+ *
+ * Storage grows with the lines a run touches (DESIGN.md §5): the
+ * directory is a flat open-addressed table that starts small, and
+ * every line's pending requests share one pool.
  */
 
 #ifndef OCOR_MEM_L2_DIRECTORY_HH
@@ -21,7 +25,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/address_map.hh"
@@ -77,26 +81,56 @@ class L2Directory
     bool lineBusy(Addr addr) const;
 
   private:
+    static constexpr std::uint32_t kNoPending = ~std::uint32_t{0};
+
     struct DirEntry
     {
         NodeId owner = invalidNode;
-        std::uint64_t sharers = 0;   ///< bit per node
-        bool busy = false;
         std::uint32_t txSeq = 0;     ///< tags Inv/Fetch of each tx
+        std::uint64_t sharers = 0;   ///< bit per node
         PacketPtr req;               ///< request being served
         unsigned acksLeft = 0;
+        bool busy = false;
         bool waitingMem = false;
         bool waitingFetch = false;
         bool waitingUnblock = false;
-        std::deque<PacketPtr> pending;
+        /** This line's FIFO of waiting requests in pending_. */
+        std::uint32_t pendingHead = kNoPending;
+        std::uint32_t pendingTail = kNoPending;
     };
+
+    /** One slot of the line -> entry table. */
+    struct DirSlot
+    {
+        Addr line = 0;
+        bool used = false;
+        DirEntry e;
+    };
+
+    /** A queued request and the next one of its line. */
+    struct PendingReq
+    {
+        PacketPtr pkt;
+        std::uint32_t next = kNoPending;
+    };
+
+    const DirEntry *findEntry(Addr line) const;
+    DirEntry *findEntry(Addr line);
+    /** The entry of @p line, inserted on first use. Inserting may
+     * grow the table, which moves every entry. */
+    DirEntry &entry(Addr line);
+    std::size_t homeSlot(Addr line) const;
+    /** The first unused slot on @p line's probe path. */
+    DirSlot &freeSlot(Addr line);
+    void pushPending(DirEntry &e, const PacketPtr &pkt);
+    PacketPtr popPending(DirEntry &e);
 
     void process(const PacketPtr &pkt, Cycle now);
     void startRequest(DirEntry &e, const PacketPtr &pkt, Cycle now);
     void finishGetS(DirEntry &e, bool owner_had_data, Cycle now);
     void grantM(DirEntry &e, Cycle now);
     void awaitUnblock(DirEntry &e, const PacketPtr &req);
-    void unbusyAndDrain(Addr line, Cycle now);
+    void unbusyAndDrain(DirEntry &e, Cycle now);
     void fillL2(Addr line, Cycle now);
 
     NodeId node_;
@@ -105,7 +139,19 @@ class L2Directory
     SendFn send_;
 
     CacheArray l2_;
-    std::map<Addr, DirEntry> dir_;
+    /**
+     * Linear-probing table, a power of two in size and at most half
+     * full. An entry never leaves it: evicting a line resets its
+     * entry in place, the state a first request would see. So a
+     * DirEntry reference stays valid until the next insertion, and
+     * only process() inserts, for the line it is handling.
+     */
+    std::vector<DirSlot> dir_;
+    std::size_t dirUsed_ = 0;
+    /** Every line's queued requests; free slots chain through
+     * PendingReq::next from freePending_. */
+    std::vector<PendingReq> pending_;
+    std::uint32_t freePending_ = kNoPending;
     std::deque<std::pair<Cycle, PacketPtr>> delayed_;
     std::uint64_t useTick_ = 0;
 

@@ -130,6 +130,18 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
                       &ns.lockPacketsInjected);
         reg.addScalar(i + ".inject_queue_peak", &ns.injectQueuePeak);
 
+        const std::string l2 = prefix + ".l2" + std::to_string(n);
+        const L2Stats &ls = l2s_[n]->stats();
+        reg.addScalar(l2 + ".get_s", &ls.getS);
+        reg.addScalar(l2 + ".get_m", &ls.getM);
+        reg.addScalar(l2 + ".invs_sent", &ls.invsSent);
+        reg.addScalar(l2 + ".fetches_sent", &ls.fetchesSent);
+        reg.addScalar(l2 + ".mem_reads", &ls.memReads);
+        reg.addScalar(l2 + ".mem_writes", &ls.memWrites);
+        reg.addScalar(l2 + ".queued_requests", &ls.queuedRequests);
+        reg.addScalar(l2 + ".stale_acks", &ls.staleAcks);
+        reg.addScalar(l2 + ".evictions", &ls.l2Evictions);
+
         const std::string m = prefix + ".lockmgr" + std::to_string(n);
         const LockMgrStats &ms = lockMgrs_[n]->stats();
         reg.addScalar(m + ".tries", &ms.tries);

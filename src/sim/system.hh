@@ -85,8 +85,8 @@ class System
 
     /**
      * Register every component's live counters under dotted names
-     * ("<prefix>.router3.sa_grants", "<prefix>.lockmgr0.grants",
-     * ...). The registry stores pointers into this System, so it must
+     * ("<prefix>.router3.sa_grants", "<prefix>.l2<n>.evictions",
+     * "<prefix>.lockmgr0.grants", ...). The registry stores pointers into this System, so it must
      * not outlive it.
      */
     void registerStats(StatsRegistry &reg,

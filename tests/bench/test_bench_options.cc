@@ -20,11 +20,14 @@ using namespace ocor;
 namespace
 {
 
-/** parseOptions over the command line "bench FLAG VALUE". */
+/** parseOptions over the command line "bench FLAG VALUE" (or
+ * "bench FLAG" when @p value is null). */
 bench::Options
-parse(const std::string &flag, const std::string &value)
+parse(const std::string &flag, const char *value)
 {
-    std::vector<std::string> args{"bench", flag, value};
+    std::vector<std::string> args{"bench", flag};
+    if (value)
+        args.emplace_back(value);
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
@@ -82,4 +85,21 @@ TEST(BenchOptionsDeathTest, DeadlineTakesOnlyFiniteNonNegativeSeconds)
     EXPECT_EQ(parse("--deadline", "0").deadline, 0.0);
     EXPECT_EQ(parse("--deadline", "2.5").deadline, 2.5);
     EXPECT_EQ(parse("--deadline", "1e10").deadline, 1e10);
+}
+
+TEST(BenchOptions, CheckedRunsBypassTheJournal)
+{
+    // A journal hit runs no checker, so --check gets the throwaway
+    // cache, as --fresh does.
+    EXPECT_EQ(bench::cacheFor(parse("--check", nullptr)).path(),
+              "/dev/null");
+    EXPECT_EQ(bench::cacheFor(parse("--check=mutex", nullptr)).path(),
+              "/dev/null");
+    EXPECT_EQ(bench::cacheFor(parse("--fresh", nullptr)).path(),
+              "/dev/null");
+    // Unchecked runs share the journal, unless the build arms the
+    // checkers by default (-DOCOR_CHECK=ON).
+    EXPECT_EQ(bench::cacheFor(parse("--threads", "4")).path(),
+              defaultCheckMask() != 0 ? "/dev/null"
+                                      : "ocor_results.tsv");
 }

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/stats_registry.hh"
 #include "sim/system.hh"
 #include "workload/program.hh"
 
@@ -28,10 +30,11 @@ struct CohRig
     std::unique_ptr<System> sys;
     Cycle now = 0;
 
-    CohRig()
+    explicit CohRig(const MemParams &mem = MemParams{})
     {
         cfg.mesh = MeshShape{4, 4};
         cfg.numThreads = 16;
+        cfg.mem = mem;
         std::vector<Program> progs;
         for (unsigned t = 0; t < 16; ++t)
             progs.push_back(ProgramBuilder().compute(1).build());
@@ -231,4 +234,47 @@ TEST(Coherence, MemoryControllerServesMisses)
     // The cold miss must have gone to DRAM.
     NodeId home = rig.sys->addressMap().homeOf(0xA0000);
     EXPECT_GE(rig.sys->l2(home).stats().memReads, 1u);
+}
+
+TEST(Coherence, TinyL2EvictsAndRegistersItsStats)
+{
+    // 2 sets x 2 ways. On a 4x4 mesh all lines of one home bank share
+    // a set, so the third line homed at a bank evicts its LRU line.
+    MemParams mem;
+    mem.l2Sets = 2;
+    mem.l2Ways = 2;
+    CohRig rig(mem);
+    const NodeId home = 5;
+    auto line = [&](unsigned k) { return (home + 16 * Addr{k}) * 128; };
+    ASSERT_TRUE(rig.access(1, line(0), false)); // E at node 1
+    ASSERT_TRUE(rig.access(2, line(0), false)); // node 1 O, node 2 S
+    ASSERT_TRUE(rig.access(3, line(1), false));
+    ASSERT_TRUE(rig.access(4, line(2), false)); // evicts line(0)
+    rig.run(500); // the recall Invs and their acks drain
+
+    const L2Stats &st = rig.sys->l2(home).stats();
+    EXPECT_EQ(st.l2Evictions, 1u);
+    EXPECT_EQ(st.memWrites, 1u);
+    EXPECT_EQ(st.staleAcks, 2u);
+    EXPECT_EQ(rig.sys->l1(1).lineState(line(0)), CoherState::I);
+    EXPECT_EQ(rig.sys->l1(2).lineState(line(0)), CoherState::I);
+    EXPECT_EQ(rig.sys->l2(home).ownerOf(line(0)), invalidNode);
+
+    StatsRegistry reg;
+    rig.sys->registerStats(reg);
+    for (NodeId n = 0; n < 16; ++n)
+        for (const char *name :
+             {"get_s", "get_m", "invs_sent", "fetches_sent",
+              "mem_reads", "mem_writes", "queued_requests",
+              "stale_acks", "evictions"})
+            EXPECT_TRUE(reg.has("system.l2" + std::to_string(n) + "." +
+                                name))
+                << n << " " << name;
+    const std::string bank = "system.l2" + std::to_string(home);
+    EXPECT_EQ(reg.scalar(bank + ".evictions"), 1.0);
+    EXPECT_EQ(reg.scalar(bank + ".mem_writes"), 1.0);
+    EXPECT_EQ(reg.scalar(bank + ".stale_acks"), 2.0);
+    EXPECT_EQ(reg.scalar(bank + ".get_s"),
+              static_cast<double>(st.getS));
+    EXPECT_EQ(reg.scalar("system.l20.evictions"), 0.0);
 }
