@@ -333,15 +333,16 @@ meanOf(double sum, std::size_t n)
 }
 
 /**
- * The shared cache (per-working-directory TSV). --fresh and checked
+ * The shared cache (per-working-directory TSV). --fresh and --check
  * runs get a throwaway one instead, so nothing is reused or
  * polluted: a checked run exists for its checkers' verdict, and a
- * journal hit would run no checker.
+ * journal hit would run no checker. A -DOCOR_CHECK=ON build, which
+ * arms every checker by default, still journals its unflagged runs.
  */
 inline ResultCache
 cacheFor(const Options &opt)
 {
-    if (opt.fresh || opt.checkMask() != 0)
+    if (opt.fresh || opt.checking())
         return ResultCache("/dev/null");
     return ResultCache("ocor_results.tsv");
 }

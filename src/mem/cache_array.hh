@@ -8,7 +8,7 @@
  *
  * A set's ways are allocated on that set's first victimFor(), so an
  * array costs one null row pointer per set until it is filled (a
- * run touches few of an L2 bank's sets; DESIGN.md §5).
+ * run touches few of an L2 bank's sets; DESIGN.md §6).
  */
 
 #ifndef OCOR_MEM_CACHE_ARRAY_HH

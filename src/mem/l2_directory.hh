@@ -15,7 +15,7 @@
  *  - a line with an owner has no conflicting exclusive grant pending;
  *  - every transaction eventually unblocks its pending queue.
  *
- * Storage grows with the lines a run touches (DESIGN.md §5): the
+ * Storage grows with the lines a run touches (DESIGN.md §6): the
  * directory is a flat open-addressed table that starts small, and
  * every line's pending requests share one pool.
  */

@@ -86,8 +86,8 @@ class System
     /**
      * Register every component's live counters under dotted names
      * ("<prefix>.router3.sa_grants", "<prefix>.l2<n>.evictions",
-     * "<prefix>.lockmgr0.grants", ...). The registry stores pointers into this System, so it must
-     * not outlive it.
+     * "<prefix>.lockmgr0.grants", ...). The registry stores pointers
+     * into this System, so it must not outlive it.
      */
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix = "system");

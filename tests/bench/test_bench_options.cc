@@ -97,9 +97,6 @@ TEST(BenchOptions, CheckedRunsBypassTheJournal)
               "/dev/null");
     EXPECT_EQ(bench::cacheFor(parse("--fresh", nullptr)).path(),
               "/dev/null");
-    // Unchecked runs share the journal, unless the build arms the
-    // checkers by default (-DOCOR_CHECK=ON).
     EXPECT_EQ(bench::cacheFor(parse("--threads", "4")).path(),
-              defaultCheckMask() != 0 ? "/dev/null"
-                                      : "ocor_results.tsv");
+              "ocor_results.tsv");
 }
