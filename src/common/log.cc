@@ -34,6 +34,12 @@ RunLabelScope::RunLabelScope(std::string label)
 
 RunLabelScope::~RunLabelScope() { t_runLabel = std::move(prev_); }
 
+const std::string &
+currentRunLabel()
+{
+    return t_runLabel;
+}
+
 namespace detail
 {
 

@@ -40,6 +40,10 @@ class RunLabelScope
     std::string prev_;
 };
 
+/** The calling thread's run label ("" outside every RunLabelScope);
+ * a helper thread opens a scope with it to name the same run. */
+const std::string &currentRunLabel();
+
 namespace detail
 {
 [[noreturn]] void panicImpl(const char *file, int line,

@@ -46,6 +46,20 @@ StatsRegistry::addHistogram(const std::string &name,
     insert(name, h);
 }
 
+void
+StatsRegistry::addSampleFn(const std::string &name,
+                           std::function<SampleStat()> fn)
+{
+    insert(name, std::move(fn));
+}
+
+void
+StatsRegistry::addHistogramFn(const std::string &name,
+                              std::function<Histogram()> fn)
+{
+    insert(name, std::move(fn));
+}
+
 bool
 StatsRegistry::has(const std::string &name) const
 {
@@ -141,6 +155,12 @@ StatsRegistry::dumpJson(std::ostream &os) const
             dumpSample(os, **ps);
         else if (const auto *ph = std::get_if<const Histogram *>(&e))
             dumpHistogram(os, **ph);
+        else if (const auto *fs =
+                     std::get_if<std::function<SampleStat()>>(&e))
+            dumpSample(os, (*fs)());
+        else if (const auto *fh =
+                     std::get_if<std::function<Histogram()>>(&e))
+            dumpHistogram(os, (*fh)());
     }
     os << "\n}\n";
 }

@@ -43,6 +43,13 @@ class StatsRegistry
     /** Register a histogram (dumped with p50/p95/p99). */
     void addHistogram(const std::string &name, const Histogram *h);
 
+    /** Register a computed sample statistic / histogram (evaluated
+     * at dump time), for values kept in parts and merged on read. */
+    void addSampleFn(const std::string &name,
+                     std::function<SampleStat()> fn);
+    void addHistogramFn(const std::string &name,
+                        std::function<Histogram()> fn);
+
     bool has(const std::string &name) const;
 
     /** All registered names, sorted. */
@@ -65,7 +72,9 @@ class StatsRegistry
   private:
     using Entry = std::variant<const std::uint64_t *,
                                std::function<double()>,
-                               const SampleStat *, const Histogram *>;
+                               const SampleStat *, const Histogram *,
+                               std::function<SampleStat()>,
+                               std::function<Histogram()>>;
 
     void insert(const std::string &name, Entry e);
 

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hh"
 
+#include <sched.h>
+
 #include <cstdlib>
 #include <limits>
 
@@ -15,7 +17,8 @@ ThreadPool::ThreadPool(unsigned threads)
         busyNs_[i].store(0, std::memory_order_relaxed);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i]() { workerLoop(i); });
+        workers_.emplace_back(
+            [this, i, threads]() { workerLoop(i, threads); });
 }
 
 ThreadPool::~ThreadPool()
@@ -35,6 +38,9 @@ namespace
 /** Index of the worker running on this thread (set by workerLoop;
  * only meaningful inside a task). */
 thread_local unsigned currentWorker = 0;
+
+/** Size of the pool this thread works for (1 = not a pool worker). */
+thread_local unsigned currentPoolSize = 1;
 
 } // namespace
 
@@ -56,9 +62,10 @@ ThreadPool::account(std::uint64_t ns)
 }
 
 void
-ThreadPool::workerLoop(unsigned worker)
+ThreadPool::workerLoop(unsigned worker, unsigned poolSize)
 {
     currentWorker = worker;
+    currentPoolSize = poolSize;
     for (;;) {
         std::function<void()> task;
         {
@@ -96,8 +103,20 @@ ThreadPool::defaultConcurrency()
         if (auto n = parseJobs(env))
             return *n;
     }
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int n = CPU_COUNT(&mask);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+unsigned
+ThreadPool::enclosingSize()
+{
+    return currentPoolSize;
 }
 
 std::optional<unsigned>

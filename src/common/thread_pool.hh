@@ -98,9 +98,16 @@ class ThreadPool
     /**
      * Worker count used when the caller does not choose one: the
      * OCOR_JOBS environment variable when parseJobs() accepts it,
-     * otherwise std::thread::hardware_concurrency() (minimum 1).
+     * otherwise the CPUs in the calling thread's affinity mask
+     * (sched_getaffinity), so a process pinned with taskset is not
+     * oversubscribed; std::thread::hardware_concurrency() (minimum 1)
+     * where the mask cannot be read.
      */
     static unsigned defaultConcurrency();
+
+    /** Size of the pool whose worker is the calling thread; 1 outside
+     * any pool. */
+    static unsigned enclosingSize();
 
     /**
      * Parse a worker count as given to --jobs or OCOR_JOBS: a whole
@@ -138,7 +145,7 @@ class ThreadPool
     /** Book @p ns of task time to the calling worker thread. */
     void account(std::uint64_t ns);
 
-    void workerLoop(unsigned worker);
+    void workerLoop(unsigned worker, unsigned poolSize);
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

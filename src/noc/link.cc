@@ -1,5 +1,7 @@
 #include "noc/link.hh"
 
+#include <utility>
+
 #include "check/checker_registry.hh"
 #include "common/log.hh"
 #include "noc/router.hh"
@@ -28,6 +30,15 @@ Link::flitDelivered()
 void
 Link::deliverCredit(unsigned vc, Cycle at)
 {
+    if (deferred_) {
+        // One credit per cycle: the receiver sends at most one flit
+        // per cycle from this link's input port.
+        if (pendingCreditAt_ != neverCycle)
+            ocor_panic("Link: two credits parked in one cycle");
+        pendingCreditAt_ = at;
+        pendingCreditVc_ = vc;
+        return;
+    }
     if (creditRx_) {
         creditRx_->landCredit(creditPort_, vc, at);
         return;
@@ -51,6 +62,13 @@ Link::sendFlit(Flit flit, Cycle now)
         check_->onLinkFlitSent();
 
     const Cycle at = now + latency_;
+    if (deferred_) {
+        if (pendingFlitAt_ != neverCycle)
+            ocor_panic("Link: a parked flit was never landed");
+        pendingFlitAt_ = at;
+        pendingFlit_ = std::move(flit);
+        return;
+    }
     if (flitRx_) {
         if (check_)
             flitDelivered();
@@ -63,6 +81,26 @@ Link::sendFlit(Flit flit, Cycle now)
     if (flits_.empty())
         flitAt_ = at;
     flits_.push({at, std::move(flit)});
+}
+
+void
+Link::landPendingFlit()
+{
+    if (pendingFlitAt_ == neverCycle)
+        return;
+    if (check_)
+        flitDelivered();
+    flitRx_->landFlit(flitPort_, std::move(pendingFlit_),
+                      std::exchange(pendingFlitAt_, neverCycle));
+}
+
+void
+Link::landPendingCredit()
+{
+    if (pendingCreditAt_ == neverCycle)
+        return;
+    creditRx_->landCredit(creditPort_, pendingCreditVc_,
+                          std::exchange(pendingCreditAt_, neverCycle));
 }
 
 } // namespace ocor

@@ -14,6 +14,14 @@
  * wire policy (bandwidth, checker counts) runs before the hand-over
  * either way.
  *
+ * A link whose two routers tick on different threads (System's mesh
+ * strips, DESIGN.md §13) is deferred: sendFlit and sendCredit park
+ * the flit and the credit in one-cycle pending slots, and the
+ * receiving side lands them after the router phase of the same cycle
+ * (landPendingFlit, landPendingCredit). Both arrive at now + latency,
+ * so landing them later in the sending cycle changes nothing the
+ * receiver sees.
+ *
  * The rings serve only unbound ends: the NI's side of its two links
  * and test probes. Both are fixed-capacity. Credit flow control
  * bounds what is ever in flight: per downstream VC, upstream credits
@@ -81,10 +89,23 @@ class Link
         creditPort_ = port;
     }
 
+    /** Park flits and credits in the pending slots instead of
+     * landing them (both ends must be bound); see the file comment. */
+    void setDeferred(bool on) { deferred_ = on; }
+
     /** Upstream puts a flit on the wire during cycle @p now (pass an
      * rvalue to hand over the packet reference without a copy). A
-     * bound link lands it in the receiving router right away. */
+     * bound link lands it in the receiving router right away, or
+     * parks it when deferred. */
     void sendFlit(Flit flit, Cycle now);
+
+    /** Land the flit parked this cycle, if any, in the receiving
+     * router. */
+    void landPendingFlit();
+
+    /** Land the credit parked this cycle, if any, in the sending
+     * router. */
+    void landPendingCredit();
 
     /** An unbound downstream takes the flit arriving at cycle @p now,
      * if any. */
@@ -132,9 +153,16 @@ class Link
 
     unsigned latency() const { return latency_; }
 
-    /** Nothing on either ring (a bound end never holds anything: its
-     * flits and credits wait in the router). */
-    bool idle() const { return flits_.empty() && credits_.empty(); }
+    /** Nothing on either ring or in a pending slot (a bound end
+     * never holds anything: its flits and credits wait in the
+     * router). */
+    bool
+    idle() const
+    {
+        return flits_.empty() && credits_.empty() &&
+               pendingFlitAt_ == neverCycle &&
+               pendingCreditAt_ == neverCycle;
+    }
 
     /**
      * O(1) due tests, polled by unbound receivers every cycle.
@@ -177,6 +205,8 @@ class Link
     Ring<WireCredit> credits_;
 
     unsigned latency_;
+    /** Park flits and credits in the pending slots (setDeferred). */
+    bool deferred_ = false;
     /** Bound ends (null = unbound: the ring serves that end). */
     Router *flitRx_ = nullptr;
     Router *creditRx_ = nullptr;
@@ -185,6 +215,14 @@ class Link
     CheckerRegistry *check_ = nullptr;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
+    /** Pending slots of a deferred link: at most one flit and one
+     * credit per cycle, arriving at the stamped cycle (neverCycle =
+     * empty). The sender's thread fills a slot and the receiver's
+     * lands it, with a barrier between. */
+    Cycle pendingFlitAt_ = neverCycle;
+    Cycle pendingCreditAt_ = neverCycle;
+    unsigned pendingCreditVc_ = 0;
+    Flit pendingFlit_;
     /** takeCredits() result storage, one slot per credit ring slot. */
     std::unique_ptr<unsigned[]> arrived_;
 };

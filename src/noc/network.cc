@@ -5,13 +5,28 @@
 namespace ocor
 {
 
+void
+NetworkStats::merge(const NetworkStats &o)
+{
+    packetsDelivered += o.packetsDelivered;
+    lockPacketsDelivered += o.lockPacketsDelivered;
+    packetLatency.merge(o.packetLatency);
+    lockPacketLatency.merge(o.lockPacketLatency);
+    dataPacketLatency.merge(o.dataPacketLatency);
+    packetLatencyHist.merge(o.packetLatencyHist);
+    lockPacketLatencyHist.merge(o.lockPacketLatencyHist);
+}
+
 Network::Network(const MeshShape &mesh, const NocParams &params,
                  const OcorConfig &ocor)
-    : mesh_(mesh), params_(params), ocor_(ocor)
+    : mesh_(mesh), params_(params), ocor_(ocor),
+      bandOf_(mesh.numNodes(), 0), delivered_(1), inFlits_(1),
+      inCredits_(1)
 {
     const unsigned n = mesh.numNodes();
     routers_.reserve(n);
     nis_.reserve(n);
+    routerLinks_.reserve(4 * n);
     for (NodeId i = 0; i < n; ++i) {
         routers_.push_back(
             std::make_unique<Router>(i, mesh, params, ocor));
@@ -34,6 +49,8 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
             Link *e_to_i = new_link();
             routers_[i]->attach(PortEast, e_to_i, i_to_e);
             routers_[east]->attach(PortWest, i_to_e, e_to_i);
+            routerLinks_.push_back({i_to_e, i, east});
+            routerLinks_.push_back({e_to_i, east, i});
         }
         NodeId south = mesh.neighbor(i, PortSouth);
         if (south != invalidNode) {
@@ -41,6 +58,8 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
             Link *s_to_i = new_link();
             routers_[i]->attach(PortSouth, s_to_i, i_to_s);
             routers_[south]->attach(PortNorth, i_to_s, s_to_i);
+            routerLinks_.push_back({i_to_s, i, south});
+            routerLinks_.push_back({s_to_i, south, i});
         }
     }
 
@@ -57,18 +76,19 @@ void
 Network::setNodeSink(NodeId node, NetworkInterface::DeliverFn fn)
 {
     nis_[node]->setDeliver(
-        [this, fn = std::move(fn)](const PacketPtr &pkt, Cycle now) {
-            ++stats_.packetsDelivered;
+        [this, node, fn = std::move(fn)](const PacketPtr &pkt, Cycle now) {
+            NetworkStats &st = delivered_[bandOf_[node]];
+            ++st.packetsDelivered;
             double lat =
                 static_cast<double>(pkt->ejectCycle - pkt->injectCycle);
-            stats_.packetLatency.sample(lat);
-            stats_.packetLatencyHist.sample(lat);
+            st.packetLatency.sample(lat);
+            st.packetLatencyHist.sample(lat);
             if (isLockProtocol(pkt->type)) {
-                ++stats_.lockPacketsDelivered;
-                stats_.lockPacketLatency.sample(lat);
-                stats_.lockPacketLatencyHist.sample(lat);
+                ++st.lockPacketsDelivered;
+                st.lockPacketLatency.sample(lat);
+                st.lockPacketLatencyHist.sample(lat);
             } else {
-                stats_.dataPacketLatency.sample(lat);
+                st.dataPacketLatency.sample(lat);
             }
             fn(pkt, now);
         });
@@ -103,27 +123,42 @@ Network::uncontendedLatency(const Packet &pkt) const
 void
 Network::tick(Cycle now)
 {
+    tickRouters(0, mesh_.numNodes(), now);
+    tickNis(0, mesh_.numNodes(), now);
+}
+
+void
+Network::tickRouters(NodeId first, NodeId last, Cycle now)
+{
     // Routers and NIs gate themselves on their own pending work.
-    for (auto &r : routers_)  // simlint: allow(unconditional-tick)
-        r->tick(now);
-    for (auto &ni : nis_)  // simlint: allow(unconditional-tick)
-        ni->tick(now);
+    for (NodeId n = first; n < last; ++n)
+        routers_[n]->tick(now);
+}
+
+void
+Network::tickNis(NodeId first, NodeId last, Cycle now)
+{
+    for (NodeId n = first; n < last; ++n)
+        nis_[n]->tick(now);
 }
 
 Cycle
 Network::nextWake(Cycle now) const
 {
-    for (const auto &r : routers_)
-        if (r->busy())
-            return now + 1;
-    for (const auto &l : links_)
-        if (!l->idle())
+    return nextWake(0, mesh_.numNodes(), now);
+}
+
+Cycle
+Network::nextWake(NodeId first, NodeId last, Cycle now) const
+{
+    for (NodeId n = first; n < last; ++n)
+        if (routers_[n]->busy())
             return now + 1;
     Cycle w = neverCycle;
-    for (const auto &ni : nis_) {
-        Cycle n = ni->nextWake(now);
-        if (n < w)
-            w = n;
+    for (NodeId n = first; n < last; ++n) {
+        Cycle nw = nis_[n]->nextWake(now);
+        if (nw < w)
+            w = nw;
     }
     if (w <= now)
         w = now + 1;
@@ -163,6 +198,47 @@ Network::setChecker(CheckerRegistry *c)
         ni->setChecker(c);
     for (auto &l : links_)
         l->setChecker(c);
+}
+
+NetworkStats
+Network::stats() const
+{
+    NetworkStats s;
+    for (const NetworkStats &d : delivered_)
+        s.merge(d);
+    return s;
+}
+
+void
+Network::partition(std::vector<unsigned> bandOf)
+{
+    if (bandOf == bandOf_)
+        return;
+    const unsigned bands = bandOf.back() + 1;
+    NetworkStats all = stats();
+    delivered_.assign(bands, NetworkStats{});
+    delivered_.front() = std::move(all);
+    inFlits_.assign(bands, {});
+    inCredits_.assign(bands, {});
+    for (const RouterLink &rl : routerLinks_) {
+        const unsigned from = bandOf[rl.from];
+        const unsigned to = bandOf[rl.to];
+        rl.link->setDeferred(from != to);
+        if (from != to) {
+            inFlits_[to].push_back(rl.link);
+            inCredits_[from].push_back(rl.link);
+        }
+    }
+    bandOf_ = std::move(bandOf);
+}
+
+void
+Network::landPending(unsigned band)
+{
+    for (Link *l : inFlits_[band])
+        l->landPendingFlit();
+    for (Link *l : inCredits_[band])
+        l->landPendingCredit();
 }
 
 std::uint64_t

@@ -24,8 +24,14 @@ namespace ocor
 class Tracer;
 class CheckerRegistry;
 
-/** Network-wide aggregate statistics. */
-struct NetworkStats
+/**
+ * Delivery statistics: the network's, or one band of nodes'. Each band
+ * counts its own nodes' deliveries (one thread writes a band, so each
+ * gets a cache line of its own); Network::stats() merges them in node
+ * order. Latencies are whole cycles, so every sum is exact and the
+ * merge equals one network-wide count.
+ */
+struct alignas(64) NetworkStats
 {
     std::uint64_t packetsDelivered = 0;
     std::uint64_t lockPacketsDelivered = 0;
@@ -38,6 +44,8 @@ struct NetworkStats
      * land in the explicit overflow bucket. */
     Histogram packetLatencyHist{2.0, 256};
     Histogram lockPacketLatencyHist{2.0, 256};
+
+    void merge(const NetworkStats &o);
 };
 
 /** A width x height mesh of 2-stage VC routers with one NI per node. */
@@ -61,6 +69,13 @@ class Network
      */
     void tick(Cycle now);
 
+    /** The routers of nodes [@p first, @p last), in node order: the
+     * router phase of one mesh strip (System::tick). */
+    void tickRouters(NodeId first, NodeId last, Cycle now);
+
+    /** The NIs of nodes [@p first, @p last), in node order. */
+    void tickNis(NodeId first, NodeId last, Cycle now);
+
     /**
      * Earliest future cycle tick() could do any work, seen from
      * cycle @p now (neverCycle = fully drained). While any router
@@ -71,6 +86,12 @@ class Network
      * cycle <= now.
      */
     Cycle nextWake(Cycle now) const;
+
+    /** nextWake() over the routers and NIs of nodes [@p first,
+     * @p last) only. Router-to-router links hold nothing between
+     * cycles (bound ends, landed pending slots), so a node range's
+     * routers and NI links cover all it can be woken by. */
+    Cycle nextWake(NodeId first, NodeId last, Cycle now) const;
 
     /** All buffers and links empty (drain check). */
     bool idle() const;
@@ -89,7 +110,23 @@ class Network
     Router &router(NodeId n) { return *routers_[n]; }
     const MeshShape &mesh() const { return mesh_; }
     const NocParams &params() const { return params_; }
-    const NetworkStats &stats() const { return stats_; }
+
+    /** Delivery statistics over all nodes, merged in node order. */
+    NetworkStats stats() const;
+
+    /**
+     * Split the nodes into bands that tick on different threads
+     * (System's mesh strips): node n is in band @p bandOf[n], and
+     * bands are contiguous node ranges in order. A router-to-router
+     * link between two bands is deferred (Link::setDeferred), and
+     * deliveries are counted per band (the counts so far move to band
+     * 0). One band undoes the split.
+     */
+    void partition(std::vector<unsigned> bandOf);
+
+    /** Land the flits and credits parked this cycle on the deferred
+     * links into band @p band's routers. */
+    void landPending(unsigned band);
 
     /** Sum of injected flits over all NIs (utilization metric). */
     std::uint64_t totalFlitsInjected() const;
@@ -110,6 +147,15 @@ class Network
     const Link &link(unsigned i) const { return *links_[i]; }
 
   private:
+    /** A router-to-router link with the nodes of its sending and
+     * receiving routers. */
+    struct RouterLink
+    {
+        Link *link;
+        NodeId from;
+        NodeId to;
+    };
+
     MeshShape mesh_;
     NocParams params_;
     const OcorConfig &ocor_;
@@ -117,8 +163,14 @@ class Network
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
     std::vector<std::unique_ptr<Link>> links_;
+    std::vector<RouterLink> routerLinks_;
 
-    NetworkStats stats_;
+    /** Each node's band, and per band: its delivery statistics and
+     * the deferred links whose flits / credits land in it. */
+    std::vector<unsigned> bandOf_;
+    std::vector<NetworkStats> delivered_;
+    std::vector<std::vector<Link *>> inFlits_;
+    std::vector<std::vector<Link *>> inCredits_;
 };
 
 } // namespace ocor

@@ -86,14 +86,17 @@ class NetworkInterface
      * cycle @p now (neverCycle = none pending). Loopback and inject
      * queues are FIFO by construction (entries are stamped now+1 at
      * push, and now is monotone), so their fronts are minima. Active
-     * output VCs and pending reassembly answer conservatively
+     * output VCs, pending reassembly and anything on the two links
+     * (credits and flits on their way in) answer conservatively
      * (now + 1): ticking early is a no-op, missing a due cycle is
-     * not. Credit arrival and flit ejection are driven by link
-     * state, which the Network-level wake scan covers.
+     * not.
      */
     Cycle
     nextWake(Cycle now) const
     {
+        if ((toRouter_ && !toRouter_->idle()) ||
+            (fromRouter_ && !fromRouter_->idle()))
+            return now + 1;
         Cycle w = neverCycle;
         if (!loopback_.empty())
             w = std::min(w, loopback_.front().first);

@@ -27,9 +27,6 @@ struct NocParams
      * 2-stage speculative router [Peh & Dally, HPCA'01].
      */
     unsigned routerStages = 2;
-
-    /** Capacity of the NI injection queue (packets). */
-    unsigned niQueueDepth = 64;
 };
 
 } // namespace ocor

@@ -24,8 +24,6 @@ SystemConfig::validate() const
         ocor_fatal("SystemConfig: linkLatency must be > 0");
     if (noc.routerStages == 0)
         ocor_fatal("SystemConfig: routerStages must be > 0");
-    if (noc.niQueueDepth == 0)
-        ocor_fatal("SystemConfig: niQueueDepth must be > 0");
     if (maxCycles == 0)
         ocor_fatal("SystemConfig: maxCycles must be > 0");
     if (os.retryInterval == 0)

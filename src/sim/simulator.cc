@@ -418,12 +418,13 @@ Simulator::run()
     m.packetsInjected = net.totalPacketsInjected();
     m.flitsInjected = net.totalFlitsInjected();
     m.lockPacketsInjected = net.totalLockPacketsInjected();
-    m.avgPacketLatency = net.stats().packetLatency.mean();
-    m.avgLockPacketLatency = net.stats().lockPacketLatency.mean();
-    m.avgDataPacketLatency = net.stats().dataPacketLatency.mean();
-    m.p50PacketLatency = net.stats().packetLatencyHist.percentile(50);
-    m.p95PacketLatency = net.stats().packetLatencyHist.percentile(95);
-    m.p99PacketLatency = net.stats().packetLatencyHist.percentile(99);
+    const NetworkStats ns = net.stats();
+    m.avgPacketLatency = ns.packetLatency.mean();
+    m.avgLockPacketLatency = ns.lockPacketLatency.mean();
+    m.avgDataPacketLatency = ns.dataPacketLatency.mean();
+    m.p50PacketLatency = ns.packetLatencyHist.percentile(50);
+    m.p95PacketLatency = ns.packetLatencyHist.percentile(95);
+    m.p99PacketLatency = ns.packetLatencyHist.percentile(99);
 
     // One handover distribution across all lock homes (usually only
     // one home is hot, but merging keeps the metric shape-agnostic).

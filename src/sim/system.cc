@@ -1,12 +1,63 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <system_error>
+#include <utility>
 
 #include "common/log.hh"
+#include "common/thread_pool.hh"
 #include "os/lock_ledger.hh"
 
 namespace ocor
 {
+
+namespace
+{
+
+/** How long a waiting thread spins before it sleeps: longer than a
+ * phase takes, so a run with a CPU per strip stays out of the kernel
+ * while it ticks. */
+constexpr std::chrono::microseconds kSpinTime{50};
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/**
+ * Wait until ready(@p a) holds and return the value that satisfied
+ * it. Spin, calling @p idle() every 64 polls, for kSpinTime; then
+ * block in the kernel until @p a changes (its changer calls
+ * notify_all), so a host with more runnable threads than CPUs gives
+ * the CPU to a thread with work.
+ */
+template <class Ready, class Idle>
+unsigned
+awaitChange(const std::atomic<unsigned> &a, Ready ready, Idle idle)
+{
+    using clock = std::chrono::steady_clock;
+    clock::time_point spinUntil{};
+    for (unsigned polls = 0;; ++polls) {
+        const unsigned v = a.load(std::memory_order_acquire);
+        if (ready(v))
+            return v;
+        if (polls % 64 != 0) {
+            cpuRelax();
+        } else if (polls == 0) {
+            spinUntil = clock::now() + kSpinTime;
+        } else {
+            idle();
+            if (clock::now() >= spinUntil)
+                a.wait(v, std::memory_order_acquire);
+        }
+    }
+}
+
+} // namespace
 
 System::System(const SystemConfig &cfg, std::vector<Program> programs,
                const BgTrafficConfig &bg)
@@ -78,7 +129,11 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
         for (auto &qs : qspins_)
             qs->setChecker(checks_.get());
     }
+
+    layoutStrips(stripCount());
 }
+
+System::~System() { stopWorkers(); }
 
 void
 System::setLedger(LockLedger *l)
@@ -87,25 +142,176 @@ System::setLedger(LockLedger *l)
         qs->setLedger(l);
     for (auto &lm : lockMgrs_)
         lm->setLedger(l);
+    ledgerAttached_ = l != nullptr;
+    layoutStrips(stripCount());
+}
+
+void
+System::testPinStrips(unsigned n)
+{
+    pinnedStrips_ = n;
+    layoutStrips(stripCount());
+}
+
+unsigned
+System::stripCount() const
+{
+    if (tracer_ || checks_ || ledgerAttached_)
+        return 1;
+    const unsigned rows = cfg_.mesh.height;
+    if (pinnedStrips_ > 0)
+        return std::min(pinnedStrips_, rows);
+    const unsigned bands = std::min(rows, cfg_.mesh.numNodes() / 16);
+    if (bands <= 1)
+        return 1;
+    // The CPUs this run may take: its share of the pool it runs on.
+    return std::max(1u, std::min(bands, ThreadPool::defaultConcurrency() /
+                                            ThreadPool::enclosingSize()));
+}
+
+void
+System::layoutStrips(unsigned n)
+{
+    stopWorkers();
+    const MeshShape &mesh = cfg_.mesh;
+    const std::vector<NodeId> &mc_nodes = amap_.mcNodes();
+    auto mcIndex = [&](NodeId node) {
+        return static_cast<unsigned>(
+            std::lower_bound(mc_nodes.begin(), mc_nodes.end(), node) -
+            mc_nodes.begin());
+    };
+    strips_ = std::vector<Strip>(n);
+    std::vector<unsigned> stripOf(mesh.numNodes());
+    // The next cycle's router phase claims from its predecessor stamp.
+    const unsigned stamp = 2 * epoch_.load(std::memory_order_relaxed) + 2;
+    for (unsigned i = 0; i < n; ++i) {
+        Strip &s = strips_[i];
+        s.claimed.store(stamp, std::memory_order_relaxed);
+        s.index = i;
+        s.first = i * mesh.height / n * mesh.width;
+        s.last = (i + 1) * mesh.height / n * mesh.width;
+        s.mcFirst = mcIndex(s.first);
+        s.mcLast = mcIndex(s.last);
+        s.threadFirst = std::min(s.first, numThreads());
+        s.threadLast = std::min(s.last, numThreads());
+        std::fill(stripOf.begin() + s.first, stripOf.begin() + s.last, i);
+    }
+    network_->partition(std::move(stripOf));
+}
+
+bool
+System::startWorkers()
+{
+    try {
+        for (unsigned i = 1; i < numStrips(); ++i)
+            workers_.emplace_back(&System::workerLoop, this, i,
+                                  epoch_.load(std::memory_order_relaxed),
+                                  currentRunLabel());
+    } catch (const std::system_error &) {
+        layoutStrips(1); // stops the workers that did start
+        return false;
+    }
+    return true;
+}
+
+void
+System::stopWorkers()
+{
+    if (workers_.empty())
+        return;
+    stop_.store(true, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+    for (std::thread &w : workers_)
+        w.join();
+    workers_.clear();
+    stop_.store(false, std::memory_order_relaxed);
+}
+
+void
+System::workerLoop(unsigned home, unsigned epoch,
+                   const std::string &label)
+{
+    // A panic on this worker names the caller's run.
+    RunLabelScope scope(label);
+    for (;;) {
+        epoch = awaitChange(
+            epoch_, [&](unsigned e) { return e != epoch; }, [] {});
+        if (stop_.load(std::memory_order_relaxed))
+            return;
+        runCycle(home, epoch);
+    }
+}
+
+void
+System::runCycle(unsigned home, unsigned epoch)
+{
+    const unsigned n = numStrips();
+    const unsigned routers = 2 * epoch + 1;
+    const unsigned nodes = routers + 1;
+    claim(strips_[home], routers, &System::tickRouters, routed_);
+    // The node phase starts once every router phase has ended: the
+    // deferred links' slots fill in the one and land in the other.
+    awaitChange(
+        routed_, [&](unsigned v) { return v == n; },
+        [&] { claimAny(routers, &System::tickRouters, routed_); });
+    claim(strips_[home], nodes, &System::tickNodes, settled_);
+}
+
+void
+System::claim(Strip &s, unsigned stamp,
+              void (System::*phase)(Strip &, Cycle),
+              std::atomic<unsigned> &done)
+{
+    // A claim needs the previous phase's stamp, so a thread still in
+    // an earlier cycle claims nothing.
+    unsigned prev = stamp - 1;
+    if (s.claimed.load(std::memory_order_relaxed) != prev ||
+        !s.claimed.compare_exchange_strong(prev, stamp,
+                                           std::memory_order_acq_rel))
+        return;
+    try {
+        (this->*phase)(s, cycle_.load(std::memory_order_relaxed));
+    } catch (...) {
+        // Count the strip anyway, so no thread waits for it.
+        std::lock_guard<std::mutex> lk(failureMu_);
+        if (!failure_)
+            failure_ = std::current_exception();
+    }
+    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == numStrips())
+        done.notify_all();
+}
+
+void
+System::claimAny(unsigned stamp, void (System::*phase)(Strip &, Cycle),
+                 std::atomic<unsigned> &done)
+{
+    for (Strip &s : strips_)
+        claim(s, stamp, phase, done);
 }
 
 void
 System::registerStats(StatsRegistry &reg, const std::string &prefix)
 {
-    const NetworkStats &net = network_->stats();
-    reg.addScalar(prefix + ".net.packets_delivered",
-                  &net.packetsDelivered);
-    reg.addScalar(prefix + ".net.lock_packets_delivered",
-                  &net.lockPacketsDelivered);
-    reg.addSample(prefix + ".net.packet_latency", &net.packetLatency);
-    reg.addSample(prefix + ".net.lock_packet_latency",
-                  &net.lockPacketLatency);
-    reg.addSample(prefix + ".net.data_packet_latency",
-                  &net.dataPacketLatency);
-    reg.addHistogram(prefix + ".net.packet_latency_hist",
-                     &net.packetLatencyHist);
-    reg.addHistogram(prefix + ".net.lock_packet_latency_hist",
-                     &net.lockPacketLatencyHist);
+    // Deliveries are counted per node and merged when read.
+    const Network *net = network_.get();
+    reg.addScalarFn(prefix + ".net.packets_delivered", [net]() {
+        return static_cast<double>(net->stats().packetsDelivered);
+    });
+    reg.addScalarFn(prefix + ".net.lock_packets_delivered", [net]() {
+        return static_cast<double>(net->stats().lockPacketsDelivered);
+    });
+    reg.addSampleFn(prefix + ".net.packet_latency",
+                    [net]() { return net->stats().packetLatency; });
+    reg.addSampleFn(prefix + ".net.lock_packet_latency",
+                    [net]() { return net->stats().lockPacketLatency; });
+    reg.addSampleFn(prefix + ".net.data_packet_latency",
+                    [net]() { return net->stats().dataPacketLatency; });
+    reg.addHistogramFn(prefix + ".net.packet_latency_hist",
+                       [net]() { return net->stats().packetLatencyHist; });
+    reg.addHistogramFn(prefix + ".net.lock_packet_latency_hist", [net]() {
+        return net->stats().lockPacketLatencyHist;
+    });
     reg.addScalarFn(prefix + ".net.flits_injected", [this]() {
         return static_cast<double>(network_->totalFlitsInjected());
     });
@@ -265,47 +471,88 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
 void
 System::tick(Cycle now)
 {
-    if (netWake_ <= now)
-        network_->tick(now);
-    for (auto &l1 : l1s_)
-        if (l1->nextWake() <= now)
-            l1->tick(now);
-    for (auto &l2 : l2s_)
-        if (l2->nextWake() <= now)
-            l2->tick(now);
-    for (auto &lm : lockMgrs_)
-        if (lm->nextWake() <= now)
-            lm->tick(now);
-    for (auto &mc : mcs_)
-        if (mc->nextWake() <= now)
-            mc->tick(now);
-    for (auto &qs : qspins_)
-        if (qs->nextWake() <= now)
-            qs->tick(now);
-    for (auto &c : cores_)
-        if (c->nextWake() <= now)
-            c->tick(now);
+    if (strips_.size() == 1) {
+        // The serial order: no worker, no deferred link.
+        tickRouters(strips_[0], now);
+        tickNodes(strips_[0], now);
+        return;
+    }
+    if (workers_.empty() && !startWorkers()) {
+        tick(now); // fell back to one strip
+        return;
+    }
+    // Every strip of the previous cycle is done, so no thread holds a
+    // claim while the counters reset.
+    cycle_.store(now, std::memory_order_relaxed);
+    routed_.store(0, std::memory_order_relaxed);
+    settled_.store(0, std::memory_order_relaxed);
+    const unsigned e = epoch_.fetch_add(1, std::memory_order_release) + 1;
+    epoch_.notify_all();
+    runCycle(0, e);
+    const unsigned n = numStrips();
+    awaitChange(
+        settled_, [&](unsigned v) { return v == n; },
+        [&] { claimAny(2 * e + 2, &System::tickNodes, settled_); });
+    if (failure_)
+        std::rethrow_exception(std::exchange(failure_, nullptr));
+}
+
+void
+System::tickRouters(Strip &s, Cycle now)
+{
+    if (s.netWake <= now)
+        network_->tickRouters(s.first, s.last, now);
+}
+
+void
+System::tickNodes(Strip &s, Cycle now)
+{
+    network_->landPending(s.index);
+    if (s.netWake <= now)
+        network_->tickNis(s.first, s.last, now);
+    for (NodeId n = s.first; n < s.last; ++n)
+        if (l1s_[n]->nextWake() <= now)
+            l1s_[n]->tick(now);
+    for (NodeId n = s.first; n < s.last; ++n)
+        if (l2s_[n]->nextWake() <= now)
+            l2s_[n]->tick(now);
+    for (NodeId n = s.first; n < s.last; ++n)
+        if (lockMgrs_[n]->nextWake() <= now)
+            lockMgrs_[n]->tick(now);
+    for (unsigned m = s.mcFirst; m < s.mcLast; ++m)
+        if (mcs_[m]->nextWake() <= now)
+            mcs_[m]->tick(now);
+    for (ThreadId t = s.threadFirst; t < s.threadLast; ++t)
+        if (qspins_[t]->nextWake() <= now)
+            qspins_[t]->tick(now);
+    for (ThreadId t = s.threadFirst; t < s.threadLast; ++t)
+        if (cores_[t]->nextWake() <= now)
+            cores_[t]->tick(now);
+
     // All sends of this cycle have been queued by now (NI inject
     // queues stamp ready = now + 1), so this scan sees them.
-    netWake_ = network_->nextWake(now);
+    s.netWake = network_->nextWake(s.first, s.last, now);
+    Cycle w = s.netWake;
+    for (NodeId n = s.first; n < s.last; ++n) {
+        w = std::min(w, l1s_[n]->nextWake());
+        w = std::min(w, l2s_[n]->nextWake());
+        w = std::min(w, lockMgrs_[n]->nextWake());
+    }
+    for (unsigned m = s.mcFirst; m < s.mcLast; ++m)
+        w = std::min(w, mcs_[m]->nextWake());
+    for (ThreadId t = s.threadFirst; t < s.threadLast; ++t) {
+        w = std::min(w, qspins_[t]->nextWake());
+        w = std::min(w, cores_[t]->nextWake());
+    }
+    s.wake = w;
 }
 
 Cycle
-System::nextWake(Cycle now) const
+System::nextWake(Cycle) const
 {
-    Cycle w = netWake_ <= now ? network_->nextWake(now) : netWake_;
-    for (const auto &l1 : l1s_)
-        w = std::min(w, l1->nextWake());
-    for (const auto &l2 : l2s_)
-        w = std::min(w, l2->nextWake());
-    for (const auto &lm : lockMgrs_)
-        w = std::min(w, lm->nextWake());
-    for (const auto &mc : mcs_)
-        w = std::min(w, mc->nextWake());
-    for (const auto &qs : qspins_)
-        w = std::min(w, qs->nextWake());
-    for (const auto &c : cores_)
-        w = std::min(w, c->nextWake());
+    Cycle w = neverCycle;
+    for (const Strip &s : strips_)
+        w = std::min(w, s.wake);
     return w;
 }
 

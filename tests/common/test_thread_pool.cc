@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -110,7 +112,7 @@ TEST(ThreadPool, DefaultConcurrencyHonorsEnv)
     EXPECT_GE(fallback, 1u);
     ::setenv("OCOR_JOBS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultConcurrency(), 3u);
-    // Values parseJobs() rejects fall through to the hardware count.
+    // Values parseJobs() rejects fall through to the affinity count.
     for (const char *bad : {"0", "3x"}) {
         ::setenv("OCOR_JOBS", bad, 1);
         EXPECT_EQ(ThreadPool::defaultConcurrency(), fallback) << bad;
@@ -118,6 +120,35 @@ TEST(ThreadPool, DefaultConcurrencyHonorsEnv)
     ::unsetenv("OCOR_JOBS");
     ThreadPool pool(0); // 0 = defaultConcurrency()
     EXPECT_GE(pool.size(), 1u);
+}
+
+TEST(ThreadPool, DefaultConcurrencyCountsTheAffinityMask)
+{
+    // Narrow this thread to one CPU it may use, as `taskset -c` does
+    // to a process, and restore the mask before checking.
+    ::unsetenv("OCOR_JOBS");
+    cpu_set_t all;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof all, &all), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &all))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+    const unsigned pinned = ThreadPool::defaultConcurrency();
+    ASSERT_EQ(::sched_setaffinity(0, sizeof all, &all), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(ThreadPool::defaultConcurrency(),
+              static_cast<unsigned>(CPU_COUNT(&all)));
+}
+
+TEST(ThreadPool, EnclosingSizeIsThePoolOfTheCaller)
+{
+    EXPECT_EQ(ThreadPool::enclosingSize(), 1u);
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.run([] { return ThreadPool::enclosingSize(); }).get(),
+              3u);
 }
 
 TEST(ThreadPool, ParseJobsAcceptsOnlyPositiveIntegers)
