@@ -73,8 +73,7 @@ main(int argc, char **argv)
                 meanOf(roi_p + roi_o, np + no));
 
     // Latency tails: packet latency and lock-handover gap, original
-    // vs OCOR. Zeros appear for results replayed from a cache file
-    // written before these columns existed (rerun with --fresh).
+    // vs OCOR.
     std::printf("\nlatency percentiles (cycles), original -> OCOR:\n");
     std::printf("%-8s %26s %26s\n", "program",
                 "packet p50/p95/p99", "handover p50/p95/p99");
@@ -95,15 +94,11 @@ main(int argc, char **argv)
     // OCOR. The rows also land in coh_breakdown.json for CI.
     if (opt.cohBreakdown) {
         auto causes = [](const RunMetrics &m) {
-            std::array<std::uint64_t, kNumCohCauses> c{};
-            for (const auto &t : m.perThread) {
-                c[0] += t.cohTransferCycles;
-                c[1] += t.cohArbitrationCycles;
-                c[2] += t.cohBackoffCycles;
-                c[3] += t.cohSleepCycles;
-                c[4] += t.cohGrantGapCycles;
-            }
-            return c;
+            const ThreadCounters t = m.totals();
+            return std::array<std::uint64_t, kNumCohCauses>{
+                t.cohTransferCycles, t.cohArbitrationCycles,
+                t.cohBackoffCycles, t.cohSleepCycles,
+                t.cohGrantGapCycles};
         };
         std::printf("\nCOH cause breakdown (%% of each run's COH):\n");
         std::printf("%-8s %-6s %12s %9s %9s %9s %9s %9s\n",

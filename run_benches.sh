@@ -160,10 +160,6 @@ sweep() { # sweep <jobs> [extra sim flags...]
     run_bench table3_summary \
         ./bench/table3_summary "${sf[@]}" "${OBS_TABLE3[@]}" \
         "${EXTRA[@]}"
-    run_bench micro_router \
-        ./bench/micro_router --benchmark_min_time=0.05
-    run_bench micro_sim_tick \
-        ./bench/micro_sim_tick --benchmark_min_time=0.05
 }
 
 SERIAL_SECONDS=null

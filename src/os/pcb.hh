@@ -33,7 +33,12 @@ enum class ThreadState : std::uint8_t
 /** Name of a thread state (traces and tests). */
 const char *threadStateName(ThreadState s);
 
-/** Raw per-thread counters (aggregated by sim/metrics). */
+/**
+ * Raw per-thread counters (aggregated by sim/metrics). A plain value
+ * type: forEachField lists every counter once, and sums, the stats
+ * registry and the results journal are driven by it; == is defaulted
+ * over the same members.
+ */
 struct ThreadCounters
 {
     std::uint64_t computeCycles = 0;
@@ -55,6 +60,44 @@ struct ThreadCounters
     std::uint64_t cohBackoffCycles = 0;   ///< local RTR retry backoff
     std::uint64_t cohSleepCycles = 0;     ///< futex sleep / sleep prep
     std::uint64_t cohGrantGapCycles = 0;  ///< waking, lock reserved
+
+    /**
+     * Call @p v(name, &ThreadCounters::field) for every counter, in
+     * declaration order. The names are the stats registry's
+     * (`system.thread<n>.<name>`).
+     */
+    template <typename Visitor>
+    static void
+    forEachField(Visitor &&v)
+    {
+        // Fails to compile when a counter is added but not listed.
+        [[maybe_unused]] auto [f0, f1, f2, f3, f4, f5, f6, f7, f8, f9,
+                               f10, f11, f12, f13] = ThreadCounters{};
+        v("compute_cycles", &ThreadCounters::computeCycles);
+        v("cs_cycles", &ThreadCounters::csCycles);
+        v("blocked_held_cycles", &ThreadCounters::blockedHeldCycles);
+        v("blocked_idle_cycles", &ThreadCounters::blockedIdleCycles);
+        v("acquisitions", &ThreadCounters::acquisitions);
+        v("spin_wins", &ThreadCounters::spinWins);
+        v("sleep_wins", &ThreadCounters::sleepWins);
+        v("retries", &ThreadCounters::retries);
+        v("sleeps", &ThreadCounters::sleeps);
+        v("coh_transfer_cycles", &ThreadCounters::cohTransferCycles);
+        v("coh_arbitration_cycles",
+          &ThreadCounters::cohArbitrationCycles);
+        v("coh_backoff_cycles", &ThreadCounters::cohBackoffCycles);
+        v("coh_sleep_cycles", &ThreadCounters::cohSleepCycles);
+        v("coh_grant_gap_cycles", &ThreadCounters::cohGrantGapCycles);
+    }
+
+    bool operator==(const ThreadCounters &) const = default;
+
+    ThreadCounters &
+    operator+=(const ThreadCounters &o)
+    {
+        forEachField([&](const char *, auto f) { this->*f += o.*f; });
+        return *this;
+    }
 };
 
 /** Per-thread OS bookkeeping. */

@@ -7,73 +7,13 @@
 namespace ocor
 {
 
-std::uint64_t
-RunMetrics::totalCompute() const
+ThreadCounters
+RunMetrics::totals() const
 {
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.computeCycles;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalCs() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.csCycles;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalBlockedHeld() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.blockedHeldCycles;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalCoh() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.blockedIdleCycles;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalBlocked() const
-{
-    return totalBlockedHeld() + totalCoh();
-}
-
-std::uint64_t
-RunMetrics::totalAcquisitions() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.acquisitions;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalSpinWins() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.spinWins;
-    return n;
-}
-
-std::uint64_t
-RunMetrics::totalSleeps() const
-{
-    std::uint64_t n = 0;
-    for (const auto &t : perThread)
-        n += t.sleeps;
-    return n;
+    ThreadCounters sum;
+    for (const ThreadCounters &t : perThread)
+        sum += t;
+    return sum;
 }
 
 double

@@ -16,6 +16,7 @@
 #define OCOR_SIM_METRICS_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.hh"
@@ -25,7 +26,12 @@
 namespace ocor
 {
 
-/** Aggregated result of one simulation run. */
+/**
+ * Aggregated result of one simulation run. forEachField lists every
+ * field once, and the results journal, the golden fingerprints and
+ * the tests' comparison are driven by it; == is defaulted over the
+ * same members.
+ */
 struct RunMetrics
 {
     Cycle roiFinish = 0;       ///< cycle the last thread finished
@@ -38,13 +44,22 @@ struct RunMetrics
     std::uint64_t flitsInjected = 0;
     std::uint64_t lockPacketsInjected = 0;
 
-    // Counters of the retired analytic NoC path, always zero. They
-    // keep the results-journal row layout and every recorded digest
-    // that fingerprints them unchanged.
+    // Counters of the retired analytic NoC path and of the retired
+    // fault model, always zero. They keep every recorded digest that
+    // fingerprints them unchanged.
     std::uint64_t fastpathPackets = 0;
     std::uint64_t windowsOpened = 0;
     std::uint64_t windowsClosed = 0;
     std::uint64_t windowCycles = 0;
+    std::uint64_t faultsInjected = 0;
+    std::uint64_t flitsDropped = 0;
+    std::uint64_t flitsCorrupted = 0;
+    std::uint64_t crcRejects = 0;
+    std::uint64_t retransmissions = 0;
+    std::uint64_t duplicatesDropped = 0;
+    std::uint64_t watchdogRecoveries = 0;
+    std::uint64_t unrecoverable = 0;
+
     double avgPacketLatency = 0.0;
     double avgLockPacketLatency = 0.0;
     double avgDataPacketLatency = 0.0;
@@ -59,16 +74,6 @@ struct RunMetrics
     double p95LockHandover = 0.0;
     double p99LockHandover = 0.0;
 
-    // Counters of the retired fault model, always zero. They keep
-    // every recorded digest that fingerprints them unchanged.
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t flitsDropped = 0;
-    std::uint64_t flitsCorrupted = 0;
-    std::uint64_t crcRejects = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t duplicatesDropped = 0;
-    std::uint64_t watchdogRecoveries = 0;
-    std::uint64_t unrecoverable = 0;
     bool hangDetected = false;          ///< progress watchdog fired
 
     /** A wall-clock deadline (SimOptions::deadline) stopped the run
@@ -76,15 +81,71 @@ struct RunMetrics
      * and a bench that receives one exits 75. */
     bool cancelled = false;
 
+    /** Call @p v(name, &RunMetrics::field) for every field, in
+     * declaration order. */
+    template <typename Visitor>
+    static void
+    forEachField(Visitor &&v)
+    {
+        // Fails to compile when a field is added but not listed.
+        [[maybe_unused]] auto [f0, f1, f2, f3, f4, f5, f6, f7, f8, f9,
+                               f10, f11, f12, f13, f14, f15, f16, f17,
+                               f18, f19, f20, f21, f22, f23, f24, f25,
+                               f26, f27, f28] = RunMetrics{};
+        v("roi_finish", &RunMetrics::roiFinish);
+        v("threads", &RunMetrics::threads);
+        v("per_thread", &RunMetrics::perThread);
+        v("packets_injected", &RunMetrics::packetsInjected);
+        v("flits_injected", &RunMetrics::flitsInjected);
+        v("lock_packets_injected", &RunMetrics::lockPacketsInjected);
+        v("fastpath_packets", &RunMetrics::fastpathPackets);
+        v("windows_opened", &RunMetrics::windowsOpened);
+        v("windows_closed", &RunMetrics::windowsClosed);
+        v("window_cycles", &RunMetrics::windowCycles);
+        v("faults_injected", &RunMetrics::faultsInjected);
+        v("flits_dropped", &RunMetrics::flitsDropped);
+        v("flits_corrupted", &RunMetrics::flitsCorrupted);
+        v("crc_rejects", &RunMetrics::crcRejects);
+        v("retransmissions", &RunMetrics::retransmissions);
+        v("duplicates_dropped", &RunMetrics::duplicatesDropped);
+        v("watchdog_recoveries", &RunMetrics::watchdogRecoveries);
+        v("unrecoverable", &RunMetrics::unrecoverable);
+        v("avg_packet_latency", &RunMetrics::avgPacketLatency);
+        v("avg_lock_packet_latency", &RunMetrics::avgLockPacketLatency);
+        v("avg_data_packet_latency", &RunMetrics::avgDataPacketLatency);
+        v("p50_packet_latency", &RunMetrics::p50PacketLatency);
+        v("p95_packet_latency", &RunMetrics::p95PacketLatency);
+        v("p99_packet_latency", &RunMetrics::p99PacketLatency);
+        v("p50_lock_handover", &RunMetrics::p50LockHandover);
+        v("p95_lock_handover", &RunMetrics::p95LockHandover);
+        v("p99_lock_handover", &RunMetrics::p99LockHandover);
+        v("hang_detected", &RunMetrics::hangDetected);
+        v("cancelled", &RunMetrics::cancelled);
+    }
+
+    bool operator==(const RunMetrics &) const = default;
+
     // --- sums over threads ------------------------------------------
-    std::uint64_t totalCompute() const;
-    std::uint64_t totalCs() const;
-    std::uint64_t totalBlockedHeld() const;
-    std::uint64_t totalCoh() const; ///< blocked-while-lock-idle cycles
-    std::uint64_t totalBlocked() const;
-    std::uint64_t totalAcquisitions() const;
-    std::uint64_t totalSpinWins() const;
-    std::uint64_t totalSleeps() const;
+    /** Every per-thread counter summed over perThread. */
+    ThreadCounters totals() const;
+    std::uint64_t totalCompute() const { return totals().computeCycles; }
+    std::uint64_t totalCs() const { return totals().csCycles; }
+    std::uint64_t totalBlockedHeld() const
+    {
+        return totals().blockedHeldCycles;
+    }
+    /** Blocked-while-lock-idle cycles. */
+    std::uint64_t totalCoh() const { return totals().blockedIdleCycles; }
+    std::uint64_t totalBlocked() const
+    {
+        return totalBlockedHeld() + totalCoh();
+    }
+    std::uint64_t totalAcquisitions() const
+    {
+        return totals().acquisitions;
+    }
+    std::uint64_t totalSpinWins() const { return totals().spinWins; }
+    std::uint64_t totalSleeps() const { return totals().sleeps; }
 
     // --- derived percentages (of thread-time = threads * roiFinish) -
     double cohPct() const;      ///< Fig 2 / Fig 14a COH share
@@ -98,6 +159,13 @@ struct RunMetrics
     /** Packet injection rate per node (packets/cycle): Fig 12b. */
     double netUtilization(unsigned nodes) const;
 };
+
+/** Whether @p F, a member pointer RunMetrics::forEachField passes, is
+ * &RunMetrics::perThread: the one field that is a list, each entry
+ * with a field list of its own. */
+template <typename F>
+constexpr bool isPerThreadField =
+    std::is_same_v<F, decltype(&RunMetrics::perThread)>;
 
 /** Coarse activity classes for the Figure-10 execution profile. */
 enum class SegClass : std::uint8_t

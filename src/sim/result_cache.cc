@@ -6,12 +6,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/crc32.hh"
 #include "common/log.hh"
@@ -51,9 +52,8 @@ makeCacheKey(const BenchmarkProfile &profile,
 
     CacheKey key;
     key.benchmark = profile.name;
-    // Ledger runs carry COH cause counters a plain run's cached row
-    // lacks; a name suffix keeps them from cross-satisfying and
-    // leaves the journal format unchanged.
+    // Ledger runs carry COH cause counters a plain run lacks; a name
+    // suffix keeps them from cross-satisfying.
     if (exp.cohLedger)
         key.benchmark += "+ledger";
     key.threads = exp.threads;
@@ -87,7 +87,7 @@ runLabel(const BenchmarkProfile &profile, const ExperimentConfig &exp,
 const char *
 ResultCache::headerLine()
 {
-    return "#ocor-results v2";
+    return "#ocor-results v3";
 }
 
 ResultCache::ResultCache(std::string path) : path_(std::move(path))
@@ -108,71 +108,70 @@ ResultCache::~ResultCache()
 namespace
 {
 
+/**
+ * The metrics part of a journal row: every RunMetrics field in list
+ * order, each after a tab. perThread is written as its length, then
+ * each entry's counters. to_chars writes a double's shortest digits
+ * that read back exactly; unary + writes a bool as 0 or 1.
+ */
 std::string
 metricsToTsv(const RunMetrics &m)
 {
-    ThreadCounters sum;
-    for (const auto &t : m.perThread) {
-        sum.computeCycles += t.computeCycles;
-        sum.csCycles += t.csCycles;
-        sum.blockedHeldCycles += t.blockedHeldCycles;
-        sum.blockedIdleCycles += t.blockedIdleCycles;
-        sum.acquisitions += t.acquisitions;
-        sum.spinWins += t.spinWins;
-        sum.sleepWins += t.sleepWins;
-        sum.retries += t.retries;
-        sum.sleeps += t.sleeps;
-        sum.cohTransferCycles += t.cohTransferCycles;
-        sum.cohArbitrationCycles += t.cohArbitrationCycles;
-        sum.cohBackoffCycles += t.cohBackoffCycles;
-        sum.cohSleepCycles += t.cohSleepCycles;
-        sum.cohGrantGapCycles += t.cohGrantGapCycles;
-    }
-    std::ostringstream os;
-    os << m.roiFinish << '\t' << m.threads << '\t'
-       << sum.computeCycles << '\t' << sum.csCycles << '\t'
-       << sum.blockedHeldCycles << '\t' << sum.blockedIdleCycles
-       << '\t' << sum.acquisitions << '\t' << sum.spinWins << '\t'
-       << sum.sleepWins << '\t' << sum.retries << '\t' << sum.sleeps
-       << '\t' << m.packetsInjected << '\t' << m.flitsInjected
-       << '\t' << m.lockPacketsInjected << '\t'
-       << m.avgPacketLatency << '\t' << m.avgLockPacketLatency
-       << '\t' << m.avgDataPacketLatency << '\t'
-       << m.p50PacketLatency << '\t' << m.p95PacketLatency << '\t'
-       << m.p99PacketLatency << '\t' << m.p50LockHandover << '\t'
-       << m.p95LockHandover << '\t' << m.p99LockHandover << '\t'
-       << sum.cohTransferCycles << '\t' << sum.cohArbitrationCycles
-       << '\t' << sum.cohBackoffCycles << '\t' << sum.cohSleepCycles
-       << '\t' << sum.cohGrantGapCycles << '\t' << m.windowsOpened
-       << '\t' << m.windowsClosed << '\t' << m.windowCycles;
-    return os.str();
+    std::string row;
+    auto put = [&row](auto v) {
+        char buf[32];
+        row += '\t';
+        row.append(buf, std::to_chars(buf, buf + sizeof buf, +v).ptr);
+    };
+    RunMetrics::forEachField([&](const char *, auto f) {
+        if constexpr (isPerThreadField<decltype(f)>) {
+            put(m.perThread.size());
+            for (const ThreadCounters &t : m.perThread)
+                ThreadCounters::forEachField(
+                    [&](const char *, auto g) { put(t.*g); });
+        } else {
+            put(m.*f);
+        }
+    });
+    return row;
 }
 
+/** The inverse of metricsToTsv: nullopt unless @p text is exactly one
+ * such row, every field wholly a number of its field's type. */
 std::optional<RunMetrics>
-metricsFromTsv(std::istringstream &is)
+metricsFromTsv(std::string_view text)
 {
+    const char *p = text.data();
+    const char *const end = p + text.size();
+    bool ok = true;
+    auto read = [&](auto &v) {
+        using T = std::remove_reference_t<decltype(v)>;
+        // from_chars takes no bool: read 0 or 1 as unsigned.
+        std::conditional_t<std::is_same_v<T, bool>, unsigned, T> x{};
+        ok = ok && p != end && *p == '\t';
+        if (!ok)
+            return;
+        const auto r = std::from_chars(p + 1, end, x);
+        ok = r.ec == std::errc() && (!std::is_same_v<T, bool> || x <= 1);
+        v = static_cast<T>(x);
+        p = r.ptr;
+    };
     RunMetrics m;
-    ThreadCounters sum;
-    if (!(is >> m.roiFinish >> m.threads >> sum.computeCycles
-             >> sum.csCycles >> sum.blockedHeldCycles
-             >> sum.blockedIdleCycles >> sum.acquisitions
-             >> sum.spinWins >> sum.sleepWins >> sum.retries
-             >> sum.sleeps >> m.packetsInjected >> m.flitsInjected
-             >> m.lockPacketsInjected >> m.avgPacketLatency
-             >> m.avgLockPacketLatency >> m.avgDataPacketLatency
-             >> m.p50PacketLatency >> m.p95PacketLatency
-             >> m.p99PacketLatency >> m.p50LockHandover
-             >> m.p95LockHandover >> m.p99LockHandover
-             >> sum.cohTransferCycles >> sum.cohArbitrationCycles
-             >> sum.cohBackoffCycles >> sum.cohSleepCycles
-             >> sum.cohGrantGapCycles >> m.windowsOpened
-             >> m.windowsClosed >> m.windowCycles))
-        // Lines from an older-layout cache file fail here and are
-        // simply treated as misses (the run is redone and re-stored).
+    RunMetrics::forEachField([&](const char *, auto f) {
+        if constexpr (isPerThreadField<decltype(f)>) {
+            std::uint64_t n = 0;
+            read(n);
+            for (std::uint64_t i = 0; i < n && ok; ++i) {
+                ThreadCounters &t = m.perThread.emplace_back();
+                ThreadCounters::forEachField(
+                    [&](const char *, auto g) { read(t.*g); });
+            }
+        } else {
+            read(m.*f);
+        }
+    });
+    if (!ok || p != end)
         return std::nullopt;
-    // Aggregates are stored as one synthetic per-thread entry; every
-    // derived percentage works off sums and m.threads.
-    m.perThread.push_back(sum);
     return m;
 }
 
@@ -187,11 +186,10 @@ parsePayload(const std::string &line)
             return std::nullopt;
         ++pos;
     }
-    std::istringstream is(line.substr(pos));
-    auto m = metricsFromTsv(is);
+    auto m = metricsFromTsv(std::string_view(line).substr(pos - 1));
     if (!m)
         return std::nullopt;
-    return std::make_pair(line.substr(0, pos - 1), *m);
+    return std::make_pair(line.substr(0, pos - 1), std::move(*m));
 }
 
 /** CRC32 stamp of a row payload (the "key \t metrics" text). */
@@ -211,7 +209,7 @@ formatRow(const std::string &payload)
 }
 
 /**
- * Validate one v2 journal row: 8 hex digits, a tab, then a payload
+ * Validate one journal row: 8 hex digits, a tab, then a payload
  * whose CRC32 matches the stamp. Returns the parsed payload or
  * nullopt for torn/corrupt rows.
  */
@@ -431,7 +429,7 @@ ResultCache::compactLocked()
     }
     std::string out = std::string(headerLine()) + '\n';
     for (const auto &k : keys)
-        out += formatRow(k + '\t' + metricsToTsv(mem_[k])) + '\n';
+        out += formatRow(k + metricsToTsv(mem_[k])) + '\n';
     const bool ok = writeAll(tfd, out);
     ::fsync(tfd);
     ::close(tfd);
@@ -498,7 +496,7 @@ ResultCache::storeLocked(const std::string &ks,
                          const RunMetrics &metrics)
 {
     mem_[ks] = metrics;
-    pending_.push_back(formatRow(ks + '\t' + metricsToTsv(metrics)));
+    pending_.push_back(formatRow(ks + metricsToTsv(metrics)));
     if (pending_.size() >= kFlushBatch)
         flushLocked();
 }

@@ -80,7 +80,9 @@ std::string runLabel(const BenchmarkProfile &profile,
                      const ExperimentConfig &exp, bool ocor_enabled);
 
 /**
- * Journaled, thread-safe memo of RunMetrics aggregates.
+ * Journaled, thread-safe memo of whole runs: a hit, from memory or
+ * from the journal, is `==` the RunMetrics of the run it stands for,
+ * per-thread counters and exact doubles included.
  *
  * Not copyable or movable (it owns a mutex, a file descriptor and
  * in-flight state); benches hold one instance and share it across

@@ -365,28 +365,12 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
     }
 
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        const std::string p = prefix + ".thread" + std::to_string(t);
+        const std::string p =
+            prefix + ".thread" + std::to_string(t) + ".";
         const ThreadCounters &tc = pcbs_[t]->counters;
-        reg.addScalar(p + ".compute_cycles", &tc.computeCycles);
-        reg.addScalar(p + ".cs_cycles", &tc.csCycles);
-        reg.addScalar(p + ".blocked_held_cycles",
-                      &tc.blockedHeldCycles);
-        reg.addScalar(p + ".blocked_idle_cycles",
-                      &tc.blockedIdleCycles);
-        reg.addScalar(p + ".acquisitions", &tc.acquisitions);
-        reg.addScalar(p + ".spin_wins", &tc.spinWins);
-        reg.addScalar(p + ".sleep_wins", &tc.sleepWins);
-        reg.addScalar(p + ".retries", &tc.retries);
-        reg.addScalar(p + ".sleeps", &tc.sleeps);
-        reg.addScalar(p + ".coh_transfer_cycles",
-                      &tc.cohTransferCycles);
-        reg.addScalar(p + ".coh_arbitration_cycles",
-                      &tc.cohArbitrationCycles);
-        reg.addScalar(p + ".coh_backoff_cycles",
-                      &tc.cohBackoffCycles);
-        reg.addScalar(p + ".coh_sleep_cycles", &tc.cohSleepCycles);
-        reg.addScalar(p + ".coh_grant_gap_cycles",
-                      &tc.cohGrantGapCycles);
+        ThreadCounters::forEachField([&](const char *name, auto f) {
+            reg.addScalar(p + name, &(tc.*f));
+        });
     }
 
     if (tracer_) {

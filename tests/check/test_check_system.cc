@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "../sim/same_run.hh"
 #include "check/checker_registry.hh"
 #include "noc/network_interface.hh"
 #include "noc/router.hh"
@@ -48,36 +49,6 @@ contendedPrograms(unsigned n, unsigned iters = 3)
         out.push_back(b.build());
     }
     return out;
-}
-
-void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.roiFinish, b.roiFinish);
-    EXPECT_EQ(a.packetsInjected, b.packetsInjected);
-    EXPECT_EQ(a.flitsInjected, b.flitsInjected);
-    EXPECT_EQ(a.lockPacketsInjected, b.lockPacketsInjected);
-    EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
-    EXPECT_EQ(a.avgLockPacketLatency, b.avgLockPacketLatency);
-    EXPECT_EQ(a.avgDataPacketLatency, b.avgDataPacketLatency);
-    EXPECT_EQ(a.p99PacketLatency, b.p99PacketLatency);
-    EXPECT_EQ(a.p99LockHandover, b.p99LockHandover);
-    ASSERT_EQ(a.perThread.size(), b.perThread.size());
-    for (std::size_t t = 0; t < a.perThread.size(); ++t) {
-        const ThreadCounters &x = a.perThread[t];
-        const ThreadCounters &y = b.perThread[t];
-        EXPECT_EQ(x.computeCycles, y.computeCycles) << "t" << t;
-        EXPECT_EQ(x.csCycles, y.csCycles) << "t" << t;
-        EXPECT_EQ(x.blockedHeldCycles, y.blockedHeldCycles)
-            << "t" << t;
-        EXPECT_EQ(x.blockedIdleCycles, y.blockedIdleCycles)
-            << "t" << t;
-        EXPECT_EQ(x.acquisitions, y.acquisitions) << "t" << t;
-        EXPECT_EQ(x.spinWins, y.spinWins) << "t" << t;
-        EXPECT_EQ(x.sleepWins, y.sleepWins) << "t" << t;
-        EXPECT_EQ(x.retries, y.retries) << "t" << t;
-        EXPECT_EQ(x.sleeps, y.sleeps) << "t" << t;
-    }
 }
 
 /** Collecting handler for seeded-violation tests. */
@@ -186,7 +157,7 @@ TEST(CheckSystem, CheckedRunIsBitIdenticalToUnchecked)
                  BgTrafficConfig{});
     RunMetrics mon = on.run();
 
-    expectSameMetrics(moff, mon);
+    EXPECT_TRUE(sameRun(moff, mon));
 }
 
 // --- seeded violations ----------------------------------------------

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/trace.hh"
+#include "same_run.hh"
 #include "sim/simulator.hh"
 
 using namespace ocor;
@@ -68,59 +69,6 @@ runWith(SystemConfig cfg, const BgTrafficConfig &bg, bool checked,
     return r;
 }
 
-/**
- * Assert two RunMetrics are field-exact: every integer counter equal,
- * every derived double bit-equal (both sides compute them from
- * identical integer state, so == is the right comparison — any drift
- * means the simulations diverged).
- */
-void
-expectFieldExact(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.roiFinish, b.roiFinish);
-    EXPECT_EQ(a.threads, b.threads);
-    ASSERT_EQ(a.perThread.size(), b.perThread.size());
-    for (std::size_t t = 0; t < a.perThread.size(); ++t) {
-        const ThreadCounters &x = a.perThread[t];
-        const ThreadCounters &y = b.perThread[t];
-        EXPECT_EQ(x.computeCycles, y.computeCycles) << "thread " << t;
-        EXPECT_EQ(x.csCycles, y.csCycles) << "thread " << t;
-        EXPECT_EQ(x.blockedHeldCycles, y.blockedHeldCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.blockedIdleCycles, y.blockedIdleCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.acquisitions, y.acquisitions) << "thread " << t;
-        EXPECT_EQ(x.spinWins, y.spinWins) << "thread " << t;
-        EXPECT_EQ(x.sleepWins, y.sleepWins) << "thread " << t;
-        EXPECT_EQ(x.retries, y.retries) << "thread " << t;
-        EXPECT_EQ(x.sleeps, y.sleeps) << "thread " << t;
-        EXPECT_EQ(x.cohTransferCycles, y.cohTransferCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.cohArbitrationCycles, y.cohArbitrationCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.cohBackoffCycles, y.cohBackoffCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.cohSleepCycles, y.cohSleepCycles)
-            << "thread " << t;
-        EXPECT_EQ(x.cohGrantGapCycles, y.cohGrantGapCycles)
-            << "thread " << t;
-    }
-    EXPECT_EQ(a.packetsInjected, b.packetsInjected);
-    EXPECT_EQ(a.flitsInjected, b.flitsInjected);
-    EXPECT_EQ(a.lockPacketsInjected, b.lockPacketsInjected);
-    EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
-    EXPECT_EQ(a.avgLockPacketLatency, b.avgLockPacketLatency);
-    EXPECT_EQ(a.avgDataPacketLatency, b.avgDataPacketLatency);
-    EXPECT_EQ(a.p50PacketLatency, b.p50PacketLatency);
-    EXPECT_EQ(a.p95PacketLatency, b.p95PacketLatency);
-    EXPECT_EQ(a.p99PacketLatency, b.p99PacketLatency);
-    EXPECT_EQ(a.p50LockHandover, b.p50LockHandover);
-    EXPECT_EQ(a.p95LockHandover, b.p95LockHandover);
-    EXPECT_EQ(a.p99LockHandover, b.p99LockHandover);
-    EXPECT_EQ(a.hangDetected, b.hangDetected);
-    EXPECT_EQ(a.cancelled, b.cancelled);
-}
-
 /** Two timelines agree sample for sample. */
 void
 expectSameTimeline(const Timeline &a, const Timeline &b)
@@ -150,7 +98,7 @@ expectSkippingIsExact(const SystemConfig &cfg,
         runWith(cfg, bg, true, iters, ledger, horizon);
     const LoopRun unchecked =
         runWith(cfg, bg, false, iters, ledger, horizon);
-    expectFieldExact(checked.m, unchecked.m);
+    EXPECT_TRUE(sameRun(checked.m, unchecked.m));
     ASSERT_EQ(checked.timeline.threads(), cfg.numThreads);
     ASSERT_LT(checked.m.roiFinish, horizon)
         << "the timeline must cover the whole run";

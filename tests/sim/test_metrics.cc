@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
+#include "same_run.hh"
 #include "sim/metrics.hh"
 
 using namespace ocor;
@@ -78,6 +82,69 @@ TEST(RunMetrics, EmptyIsAllZero)
     EXPECT_DOUBLE_EQ(m.cohPct(), 0.0);
     EXPECT_DOUBLE_EQ(m.spinWinPct(), 0.0);
     EXPECT_DOUBLE_EQ(m.csAccessRate(), 0.0);
+}
+
+TEST(RunMetrics, EveryFieldTakesPartInEquality)
+{
+    // Change one field at a time through the lists: each change must
+    // break ==, and the comparison helper must name that field.
+    const RunMetrics base = sampleMetrics();
+    ASSERT_TRUE(sameRun(base, base));
+    auto expectNamed = [&](const RunMetrics &m, const std::string &name) {
+        EXPECT_FALSE(m == base) << name;
+        const std::string diff = firstDifference(base, m);
+        EXPECT_EQ(diff.substr(0, diff.find(':')), name) << diff;
+    };
+    unsigned changed = 0;
+    RunMetrics::forEachField([&](const char *name, auto f) {
+        if constexpr (isPerThreadField<decltype(f)>) {
+            for (std::size_t t = 0; t < base.perThread.size(); ++t)
+                ThreadCounters::forEachField([&](const char *g_name,
+                                                 auto g) {
+                    RunMetrics m = base;
+                    m.perThread[t].*g += 1;
+                    expectNamed(m, std::string(name) + "[" +
+                                       std::to_string(t) + "]." +
+                                       g_name);
+                    ++changed;
+                });
+            RunMetrics m = base;
+            m.perThread.pop_back();
+            expectNamed(m, std::string(name) + " size");
+        } else {
+            RunMetrics m = base;
+            if constexpr (std::is_same_v<decltype(m.*f), bool &>)
+                m.*f = !(m.*f);
+            else
+                m.*f += 1;
+            expectNamed(m, name);
+        }
+        ++changed;
+    });
+    // 28 scalar fields, per_thread's length and 2 x 14 counters.
+    EXPECT_EQ(changed, 28u + 1u + 2u * 14u);
+}
+
+TEST(ThreadCounters, PlusEqualsAddsEveryCounter)
+{
+    ThreadCounters a, b, want;
+    std::uint64_t v = 1;
+    ThreadCounters::forEachField([&](const char *, auto f) {
+        a.*f = v;
+        b.*f = 10 * v;
+        want.*f = 11 * v;
+        ++v;
+    });
+    a += b;
+    EXPECT_EQ(a, want);
+
+    RunMetrics m;
+    m.perThread = {b, b, b};
+    ThreadCounters thrice;
+    thrice += b;
+    thrice += b;
+    thrice += b;
+    EXPECT_EQ(m.totals(), thrice);
 }
 
 TEST(Timeline, RecordAndQuery)

@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "golden_cases.hh"
@@ -77,48 +78,32 @@ runCase(const GoldenCase &gc, std::string &counts)
     return m;
 }
 
-/** Every RunMetrics field, doubles in exact hex form. */
+/** Every RunMetrics field in list order, doubles in exact hex form;
+ * each perThread entry's counters end with ';'. */
 std::string
 canonical(const RunMetrics &m)
 {
     std::string s;
     char buf[64];
-    auto u = [&](std::uint64_t v) {
-        std::snprintf(buf, sizeof buf, "%llu,",
-                      static_cast<unsigned long long>(v));
+    auto put = [&](auto v) {
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            std::snprintf(buf, sizeof buf, "%a,", v);
+        else
+            std::snprintf(buf, sizeof buf, "%llu,",
+                          static_cast<unsigned long long>(v));
         s += buf;
     };
-    auto d = [&](double v) {
-        std::snprintf(buf, sizeof buf, "%a,", v);
-        s += buf;
-    };
-    u(m.roiFinish);
-    u(m.threads);
-    for (const ThreadCounters &t : m.perThread) {
-        for (std::uint64_t v :
-             {t.computeCycles, t.csCycles, t.blockedHeldCycles,
-              t.blockedIdleCycles, t.acquisitions, t.spinWins,
-              t.sleepWins, t.retries, t.sleeps, t.cohTransferCycles,
-              t.cohArbitrationCycles, t.cohBackoffCycles,
-              t.cohSleepCycles, t.cohGrantGapCycles})
-            u(v);
-        s += ';';
-    }
-    for (std::uint64_t v :
-         {m.packetsInjected, m.flitsInjected, m.lockPacketsInjected,
-          m.fastpathPackets, m.windowsOpened, m.windowsClosed,
-          m.windowCycles, m.faultsInjected, m.flitsDropped,
-          m.flitsCorrupted, m.crcRejects, m.retransmissions,
-          m.duplicatesDropped, m.watchdogRecoveries, m.unrecoverable})
-        u(v);
-    for (double v :
-         {m.avgPacketLatency, m.avgLockPacketLatency,
-          m.avgDataPacketLatency, m.p50PacketLatency, m.p95PacketLatency,
-          m.p99PacketLatency, m.p50LockHandover, m.p95LockHandover,
-          m.p99LockHandover})
-        d(v);
-    u(m.hangDetected);
-    u(m.cancelled);
+    RunMetrics::forEachField([&](const char *, auto f) {
+        if constexpr (isPerThreadField<decltype(f)>) {
+            for (const ThreadCounters &t : m.perThread) {
+                ThreadCounters::forEachField(
+                    [&](const char *, auto g) { put(t.*g); });
+                s += ';';
+            }
+        } else {
+            put(m.*f);
+        }
+    });
     return s;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "same_run.hh"
 #include "sim/simulator.hh"
 
 using namespace ocor;
@@ -148,15 +149,7 @@ TEST(Observability, MetricsUnaffectedByTracingAndTelemetry)
                      BgTrafficConfig{}, opts);
     RunMetrics b = traced.run();
 
-    EXPECT_EQ(a.roiFinish, b.roiFinish);
-    EXPECT_EQ(a.packetsInjected, b.packetsInjected);
-    EXPECT_EQ(a.flitsInjected, b.flitsInjected);
-    EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
-    EXPECT_EQ(a.p50PacketLatency, b.p50PacketLatency);
-    EXPECT_EQ(a.p95PacketLatency, b.p95PacketLatency);
-    EXPECT_EQ(a.p99PacketLatency, b.p99PacketLatency);
-    EXPECT_EQ(a.p50LockHandover, b.p50LockHandover);
-    EXPECT_EQ(a.p99LockHandover, b.p99LockHandover);
+    EXPECT_TRUE(sameRun(a, b));
 }
 
 TEST(Observability, PercentilesPopulatedAndOrdered)

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "same_run.hh"
 #include "sim/parallel_runner.hh"
 
 using namespace ocor;
@@ -36,45 +37,6 @@ tinyProfiles()
             profileByName("botss")};
 }
 
-/** Field-by-field equality, exact doubles included: "bit-identical"
- * is the contract, not "statistically close". */
-void
-expectIdentical(const RunMetrics &a, const RunMetrics &b,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.roiFinish, b.roiFinish);
-    EXPECT_EQ(a.threads, b.threads);
-    ASSERT_EQ(a.perThread.size(), b.perThread.size());
-    for (std::size_t t = 0; t < a.perThread.size(); ++t) {
-        SCOPED_TRACE("thread " + std::to_string(t));
-        const ThreadCounters &x = a.perThread[t];
-        const ThreadCounters &y = b.perThread[t];
-        EXPECT_EQ(x.computeCycles, y.computeCycles);
-        EXPECT_EQ(x.csCycles, y.csCycles);
-        EXPECT_EQ(x.blockedHeldCycles, y.blockedHeldCycles);
-        EXPECT_EQ(x.blockedIdleCycles, y.blockedIdleCycles);
-        EXPECT_EQ(x.acquisitions, y.acquisitions);
-        EXPECT_EQ(x.spinWins, y.spinWins);
-        EXPECT_EQ(x.sleepWins, y.sleepWins);
-        EXPECT_EQ(x.retries, y.retries);
-        EXPECT_EQ(x.sleeps, y.sleeps);
-    }
-    EXPECT_EQ(a.packetsInjected, b.packetsInjected);
-    EXPECT_EQ(a.flitsInjected, b.flitsInjected);
-    EXPECT_EQ(a.lockPacketsInjected, b.lockPacketsInjected);
-    EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
-    EXPECT_EQ(a.avgLockPacketLatency, b.avgLockPacketLatency);
-    EXPECT_EQ(a.avgDataPacketLatency, b.avgDataPacketLatency);
-    EXPECT_EQ(a.p50PacketLatency, b.p50PacketLatency);
-    EXPECT_EQ(a.p95PacketLatency, b.p95PacketLatency);
-    EXPECT_EQ(a.p99PacketLatency, b.p99PacketLatency);
-    EXPECT_EQ(a.p50LockHandover, b.p50LockHandover);
-    EXPECT_EQ(a.p95LockHandover, b.p95LockHandover);
-    EXPECT_EQ(a.p99LockHandover, b.p99LockHandover);
-    EXPECT_EQ(a.hangDetected, b.hangDetected);
-}
-
 } // namespace
 
 TEST(ParallelRunner, SuiteBitIdenticalToSerial)
@@ -90,10 +52,10 @@ TEST(ParallelRunner, SuiteBitIdenticalToSerial)
         ASSERT_EQ(par.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(par[i].name, serial[i].name);
-            expectIdentical(par[i].base, serial[i].base,
-                            serial[i].name + " base");
-            expectIdentical(par[i].ocor, serial[i].ocor,
-                            serial[i].name + " ocor");
+            EXPECT_TRUE(sameRun(par[i].base, serial[i].base))
+                << serial[i].name << " base";
+            EXPECT_TRUE(sameRun(par[i].ocor, serial[i].ocor))
+                << serial[i].name << " ocor";
         }
     }
 }
@@ -117,8 +79,7 @@ TEST(ParallelRunner, ResultsComeBackInRequestOrder)
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         RunMetrics ref = runOnce(reqs[i].profile, reqs[i].exp,
                                  reqs[i].ocorEnabled);
-        expectIdentical(out[i], ref,
-                        "request " + std::to_string(i));
+        EXPECT_TRUE(sameRun(out[i], ref)) << "request " << i;
     }
 }
 

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "golden_cases.hh"
+#include "same_run.hh"
 #include "sim/simulator.hh"
 
 using namespace ocor;
@@ -29,76 +29,14 @@ using namespace ocor;
 namespace
 {
 
-/** A run's observable outcome: every RunMetrics field by name, and
- * every line of the System's stats-registry dump. */
+/** A run's observable outcome: its RunMetrics and every line of the
+ * System's stats-registry dump. */
 struct Outcome
 {
     unsigned strips = 0;
-    std::vector<std::pair<std::string, std::string>> fields;
+    RunMetrics m;
     std::vector<std::string> stats;
 };
-
-std::vector<std::pair<std::string, std::string>>
-fieldsOf(const RunMetrics &m)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    auto u = [&](const std::string &name, std::uint64_t v) {
-        out.emplace_back(name, std::to_string(v));
-    };
-    auto d = [&](const std::string &name, double v) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%a", v);
-        out.emplace_back(name, buf);
-    };
-    u("roiFinish", m.roiFinish);
-    u("threads", m.threads);
-    u("perThread.size", m.perThread.size());
-    for (std::size_t t = 0; t < m.perThread.size(); ++t) {
-        const ThreadCounters &c = m.perThread[t];
-        const std::string p = "thread" + std::to_string(t) + ".";
-        u(p + "computeCycles", c.computeCycles);
-        u(p + "csCycles", c.csCycles);
-        u(p + "blockedHeldCycles", c.blockedHeldCycles);
-        u(p + "blockedIdleCycles", c.blockedIdleCycles);
-        u(p + "acquisitions", c.acquisitions);
-        u(p + "spinWins", c.spinWins);
-        u(p + "sleepWins", c.sleepWins);
-        u(p + "retries", c.retries);
-        u(p + "sleeps", c.sleeps);
-        u(p + "cohTransferCycles", c.cohTransferCycles);
-        u(p + "cohArbitrationCycles", c.cohArbitrationCycles);
-        u(p + "cohBackoffCycles", c.cohBackoffCycles);
-        u(p + "cohSleepCycles", c.cohSleepCycles);
-        u(p + "cohGrantGapCycles", c.cohGrantGapCycles);
-    }
-    u("packetsInjected", m.packetsInjected);
-    u("flitsInjected", m.flitsInjected);
-    u("lockPacketsInjected", m.lockPacketsInjected);
-    u("fastpathPackets", m.fastpathPackets);
-    u("windowsOpened", m.windowsOpened);
-    u("windowsClosed", m.windowsClosed);
-    u("windowCycles", m.windowCycles);
-    d("avgPacketLatency", m.avgPacketLatency);
-    d("avgLockPacketLatency", m.avgLockPacketLatency);
-    d("avgDataPacketLatency", m.avgDataPacketLatency);
-    d("p50PacketLatency", m.p50PacketLatency);
-    d("p95PacketLatency", m.p95PacketLatency);
-    d("p99PacketLatency", m.p99PacketLatency);
-    d("p50LockHandover", m.p50LockHandover);
-    d("p95LockHandover", m.p95LockHandover);
-    d("p99LockHandover", m.p99LockHandover);
-    u("faultsInjected", m.faultsInjected);
-    u("flitsDropped", m.flitsDropped);
-    u("flitsCorrupted", m.flitsCorrupted);
-    u("crcRejects", m.crcRejects);
-    u("retransmissions", m.retransmissions);
-    u("duplicatesDropped", m.duplicatesDropped);
-    u("watchdogRecoveries", m.watchdogRecoveries);
-    u("unrecoverable", m.unrecoverable);
-    u("hangDetected", m.hangDetected);
-    u("cancelled", m.cancelled);
-    return out;
-}
 
 Outcome
 runOn(const GoldenCase &gc, unsigned strips)
@@ -108,7 +46,7 @@ runOn(const GoldenCase &gc, unsigned strips)
     sim.system().testPinStrips(strips);
     Outcome o;
     o.strips = sim.system().numStrips();
-    o.fields = fieldsOf(sim.run());
+    o.m = sim.run();
     StatsRegistry reg;
     sim.system().registerStats(reg);
     std::ostringstream dump;
@@ -132,9 +70,7 @@ expectStripInvariant(const GoldenCase &gc)
         // Checkers are shared by every node and force one strip.
         const bool checked = goldenInputs(gc).cfg.check.enabled();
         EXPECT_EQ(o.strips, checked ? 1u : std::min(k, gc.mesh.height));
-        ASSERT_EQ(o.fields.size(), one.fields.size());
-        for (std::size_t i = 0; i < o.fields.size(); ++i)
-            ASSERT_EQ(o.fields[i], one.fields[i]);
+        ASSERT_TRUE(sameRun(o.m, one.m));
         ASSERT_EQ(o.stats.size(), one.stats.size());
         for (std::size_t i = 0; i < o.stats.size(); ++i)
             ASSERT_EQ(o.stats[i], one.stats[i]);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/crc32.hh"
+#include "same_run.hh"
 #include "sim/result_cache.hh"
 
 using namespace ocor;
@@ -41,28 +42,27 @@ class ResultCacheTest : public ::testing::Test
         std::remove(path_.c_str());
     }
 
+    /** A run of 3 threads with distinct counters and doubles that
+     * 6 significant digits cannot hold: a row that kept sums, one
+     * entry or 6 digits would not read back equal. */
     RunMetrics
     sampleMetrics()
     {
         RunMetrics m;
         m.roiFinish = 12345;
-        m.threads = 16;
-        ThreadCounters c;
-        c.computeCycles = 1000;
-        c.csCycles = 200;
-        c.blockedHeldCycles = 300;
-        c.blockedIdleCycles = 400;
-        c.acquisitions = 48;
-        c.spinWins = 40;
-        c.sleepWins = 8;
-        c.retries = 99;
-        c.sleeps = 8;
-        m.perThread.push_back(c);
+        m.threads = 3;
+        std::uint64_t v = 100;
+        for (unsigned t = 0; t < m.threads; ++t) {
+            ThreadCounters c;
+            ThreadCounters::forEachField(
+                [&](const char *, auto f) { c.*f = v++; });
+            m.perThread.push_back(c);
+        }
         m.packetsInjected = 777;
         m.flitsInjected = 3000;
         m.lockPacketsInjected = 111;
-        m.avgPacketLatency = 31.5;
-        m.avgLockPacketLatency = 20.25;
+        m.avgPacketLatency = 205.51054870802051;
+        m.avgLockPacketLatency = 54.099337748344368;
         m.avgDataPacketLatency = 40.75;
         m.p50PacketLatency = 28.0;
         m.p95PacketLatency = 55.5;
@@ -98,35 +98,22 @@ TEST_F(ResultCacheTest, MissOnEmptyCache)
 
 TEST_F(ResultCacheTest, StoreThenLookupRoundTrips)
 {
-    ResultCache cache(path_);
-    RunMetrics m = sampleMetrics();
-    cache.store(sampleKey(), m);
-    auto hit = cache.lookup(sampleKey());
+    const RunMetrics m = sampleMetrics();
+    {
+        ResultCache cache(path_);
+        cache.store(sampleKey(), m);
+    } // destructor flushes the batched row
+    ResultCache reopened(path_);
+    auto hit = reopened.lookup(sampleKey());
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->roiFinish, m.roiFinish);
-    EXPECT_EQ(hit->threads, m.threads);
-    EXPECT_EQ(hit->totalCoh(), m.totalCoh());
-    EXPECT_EQ(hit->totalAcquisitions(), m.totalAcquisitions());
-    EXPECT_EQ(hit->totalSpinWins(), m.totalSpinWins());
-    EXPECT_EQ(hit->packetsInjected, m.packetsInjected);
-    EXPECT_DOUBLE_EQ(hit->avgLockPacketLatency,
-                     m.avgLockPacketLatency);
-    EXPECT_DOUBLE_EQ(hit->p50PacketLatency, m.p50PacketLatency);
-    EXPECT_DOUBLE_EQ(hit->p95PacketLatency, m.p95PacketLatency);
-    EXPECT_DOUBLE_EQ(hit->p99PacketLatency, m.p99PacketLatency);
-    EXPECT_DOUBLE_EQ(hit->p50LockHandover, m.p50LockHandover);
-    EXPECT_DOUBLE_EQ(hit->p95LockHandover, m.p95LockHandover);
-    EXPECT_DOUBLE_EQ(hit->p99LockHandover, m.p99LockHandover);
-    // Derived percentages survive the round trip.
-    EXPECT_NEAR(hit->cohPct(), m.cohPct(), 1e-9);
-    EXPECT_NEAR(hit->spinWinPct(), m.spinWinPct(), 1e-9);
+    EXPECT_TRUE(sameRun(*hit, m));
 }
 
 TEST_F(ResultCacheTest, PrePercentileSchemaLinesAreMisses)
 {
-    // Grow the on-disk schema, don't break on old files: a row
-    // written before the percentile columns existed fails to parse
-    // and is treated as a miss (the run is redone, not corrupted).
+    // A row with fewer fields than this version writes fails to
+    // parse and is treated as a miss (the run is redone, not
+    // corrupted).
     {
         ResultCache cache(path_);
         cache.store(sampleKey(), sampleMetrics());
@@ -282,8 +269,42 @@ TEST_F(ResultCacheTest, GetMemoizesAcrossInstances)
     ResultCache cache2(path_);
     RunMetrics again = cache2.get(p, exp, true);
     EXPECT_EQ(cache2.simulationsRun(), 0u); // pure disk hit
-    EXPECT_EQ(again.roiFinish, first.roiFinish);
-    EXPECT_EQ(again.totalCoh(), first.totalCoh());
+    EXPECT_TRUE(sameRun(again, first));
+}
+
+TEST_F(ResultCacheTest, JournalHitsEqualTheirRuns)
+{
+    // Real runs, ledger off and on, base and OCOR: each row read back
+    // from the reopened journal is the run that was stored.
+    const BenchmarkProfile p = profileByName("can");
+    std::vector<ExperimentConfig> exps;
+    for (bool ledger : {false, true}) {
+        ExperimentConfig exp;
+        exp.threads = 4;
+        exp.iterationsOverride = 2;
+        exp.seed = 5;
+        exp.cohLedger = ledger;
+        exps.push_back(exp);
+    }
+    std::vector<RunMetrics> fresh;
+    {
+        ResultCache cache(path_);
+        for (const ExperimentConfig &exp : exps)
+            for (bool ocor : {false, true})
+                fresh.push_back(cache.get(p, exp, ocor));
+        EXPECT_EQ(cache.simulationsRun(), 4u);
+    }
+    // The ledger runs carry cause counters, so the rows hold them.
+    EXPECT_GT(fresh[2].totals().cohTransferCycles, 0u);
+
+    ResultCache reopened(path_);
+    std::size_t i = 0;
+    for (const ExperimentConfig &exp : exps)
+        for (bool ocor : {false, true})
+            EXPECT_TRUE(sameRun(reopened.get(p, exp, ocor), fresh[i++]))
+                << "ledger " << exp.cohLedger << " ocor " << ocor;
+    EXPECT_EQ(reopened.simulationsRun(), 0u);
+    EXPECT_EQ(reopened.rowsLoaded(), 4u);
 }
 
 TEST_F(ResultCacheTest, MakeCacheKeyCapturesOcorOverride)

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "same_run.hh"
 #include "sim/simulator.hh"
 
 using namespace ocor;
@@ -78,9 +79,7 @@ TEST(Simulator, DeterministicAcrossRuns)
     Simulator b(cfg, contendedPrograms(4), bg);
     RunMetrics ma = a.run();
     RunMetrics mb = b.run();
-    EXPECT_EQ(ma.roiFinish, mb.roiFinish);
-    EXPECT_EQ(ma.packetsInjected, mb.packetsInjected);
-    EXPECT_EQ(ma.totalCoh(), mb.totalCoh());
+    EXPECT_TRUE(sameRun(ma, mb));
 }
 
 TEST(Simulator, SeedChangesOutcome)
