@@ -56,9 +56,11 @@
  * --telemetry-interval take a whole decimal integer that fits their
  * field, and anything malformed is a usage error. A sweep in which
  * any run passed its deadline still completes and exits 75
- * (EX_TEMPFAIL); rerunning it is the retry. Every simulation is
- * deterministic, so rerunning a failed bench reproduces its failure,
- * and panic and fatal messages name the failing run.
+ * (EX_TEMPFAIL); rerunning it is the retry. A run that hung or
+ * reached maxCycles is never printed either, and its sweep exits 1.
+ * Every simulation is deterministic, so rerunning a failed bench
+ * reproduces its failure, and panic and fatal messages name the
+ * failing run.
  */
 
 #ifndef OCOR_BENCH_BENCH_UTIL_HH
@@ -145,7 +147,7 @@ struct Options
     }
 };
 
-/** Exit code for a complete sweep in which some run passed its
+/** Exit code for a sweep whose only incomplete runs passed their
  * deadline. */
 constexpr int kExitTimedOut = 75; // EX_TEMPFAIL
 
@@ -294,33 +296,38 @@ parseOptions(int argc, char **argv)
 }
 
 /**
- * The bench exit code after a sweep: 0 for a clean sweep,
- * kExitTimedOut (75) when some run passed its deadline (each was
- * already named by a warning) but the sweep completed.
+ * The bench exit code after a sweep: 0 when every run was complete
+ * (isComplete), kExitTimedOut (75) when the only incomplete runs
+ * passed their deadline, and 1 when a run hung or reached maxCycles,
+ * which rerunning reproduces. The runner already named each
+ * incomplete run in a warning.
  */
 inline int
 sweepExitStatus(const ParallelRunner &runner)
 {
-    if (runner.timeouts() == 0)
+    const std::uint64_t incomplete = runner.incompleteRuns();
+    if (incomplete == 0)
         return 0;
+    const int code = incomplete > runner.timeouts() ? 1 : kExitTimedOut;
     std::fprintf(stderr,
-                 "sweep incomplete: %llu run(s) passed their deadline "
-                 "and report partial metrics (exit %d)\n",
+                 "sweep incomplete: %llu run(s) report partial metrics, "
+                 "%llu of them past their deadline (exit %d)\n",
+                 static_cast<unsigned long long>(incomplete),
                  static_cast<unsigned long long>(runner.timeouts()),
-                 kExitTimedOut);
-    return kExitTimedOut;
+                 code);
+    return code;
 }
 
 /**
- * @p results without the pairs that have a cancelled side. A run that
- * passed its deadline has partial metrics, and the runner has already
- * named it in a warning, so no table prints it.
+ * @p results without the pairs that have an incomplete side: its
+ * metrics are partial, and the runner has already named it in a
+ * warning, so no table prints it.
  */
 inline std::vector<BenchmarkResult>
 completePairs(std::vector<BenchmarkResult> results)
 {
     std::erase_if(results, [](const BenchmarkResult &r) {
-        return r.base.cancelled || r.ocor.cancelled;
+        return !isComplete(r.base) || !isComplete(r.ocor);
     });
     return results;
 }

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const auto &p = profiles[i];
         const RunMetrics &m = metrics[i];
-        if (m.cancelled)
+        if (!isComplete(m))
             continue; // partial metrics; the runner named the run
         std::printf("%-8s %-8s  %5.1f%%  %5.1f%%  |%s|\n",
                     p.name.c_str(), p.suite.c_str(), m.csPct(),

@@ -73,9 +73,8 @@ main(int argc, char **argv)
     std::printf("average gain: %+.1f points (paper: +33.1)\n",
                 meanOf(gain_sum, results.size()));
 
-    // Machine-readable COH summary for the regression tracker:
-    // run_benches.sh folds this into BENCH_sweep.json ("coh") and
-    // scripts/bench_compare.py diffs it against a baseline sweep.
+    // Machine-readable COH summary: scripts/paper_gate.py reads it
+    // for every committed seed and gates the headline means.
     {
         std::ofstream cj = openArtifact("coh_summary.json");
         cj << "{\n  \"programs\": {\n";

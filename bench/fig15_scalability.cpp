@@ -56,7 +56,7 @@ main(int argc, char **argv)
         std::printf("%-8s", name);
         for (unsigned threads [[maybe_unused]] : scales) {
             const BenchmarkResult &r = results[i++];
-            if (r.base.cancelled || r.ocor.cancelled) {
+            if (!isComplete(r.base) || !isComplete(r.ocor)) {
                 std::printf(" %8s", "--"); // partial metrics
                 continue;
             }

@@ -32,8 +32,8 @@ withOverride(const Options &opt, const OcorConfig &ocor)
 }
 
 /** Batch all (profile, override) combos through the pool; the
- * shared baseline runs are deduplicated by the cache. A pair with a
- * cancelled side has no value. */
+ * shared baseline runs are deduplicated by the cache. A pair with an
+ * incomplete side has no value. */
 std::vector<std::optional<double>>
 improvementsFor(ParallelRunner &runner,
                 const std::vector<BenchmarkProfile> &profiles,
@@ -44,7 +44,7 @@ improvementsFor(ParallelRunner &runner,
     std::vector<std::optional<double>> out;
     out.reserve(results.size());
     for (const auto &r : results) {
-        if (r.base.cancelled || r.ocor.cancelled)
+        if (!isComplete(r.base) || !isComplete(r.ocor))
             out.emplace_back();
         else
             out.emplace_back(r.cohImprovementPct());

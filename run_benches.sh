@@ -13,8 +13,6 @@
 #                     else the machine's hardware concurrency)
 #   --quick           forward --quick to every simulation bench
 #                     (16 threads, short runs; CI smoke mode)
-#   --compare-serial  first run the sweep with --jobs 1 --fresh, then
-#                     with --jobs N --fresh, and report the speedup
 #   --observe         turn the observability stack on for the sweep
 #                     (DESIGN.md §10): fig10 exports an event trace
 #                     (build/trace.json), a stats-registry dump
@@ -22,11 +20,6 @@
 #                     (build/telemetry.csv); table3 reports worker-pool
 #                     utilization, which is folded into
 #                     build/BENCH_sweep.json
-#   --baseline FILE   after the sweep, diff build/BENCH_sweep.json
-#                     against FILE (a previous sweep's JSON) with
-#                     scripts/bench_compare.py; a wall-clock, status
-#                     or COH regression fails the script (exit 1) and
-#                     the comparison lands in build/bench_compare.json
 #   anything else is forwarded verbatim to every simulation bench
 #   (e.g. --iters 8 --seed 3), after the curated per-bench flags so
 #   user flags win.
@@ -41,41 +34,26 @@
 # bench failed hard (or 75 if benches only degraded).
 set -euo pipefail
 SELF="$(readlink -f "$0")"
-ORIG_PWD="$PWD"
 cd "$(dirname "$SELF")/build"
 
 JOBS="${OCOR_JOBS:-$(nproc)}"
 QUICK=0
-COMPARE_SERIAL=0
 OBSERVE=0
-BASELINE=""
 EXTRA=()
 while [ $# -gt 0 ]; do
     case "$1" in
       --jobs) JOBS="$2"; shift 2 ;;
       --jobs=*) JOBS="${1#--jobs=}"; shift ;;
       --quick) QUICK=1; shift ;;
-      --compare-serial) COMPARE_SERIAL=1; shift ;;
       --observe) OBSERVE=1; shift ;;
-      --baseline) BASELINE="$2"; shift 2 ;;
-      --baseline=*) BASELINE="${1#--baseline=}"; shift ;;
       -h|--help)
-        sed -n '2,33p' "$SELF" | sed 's/^# \{0,1\}//'
+        # The comment block under the shebang line.
+        awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' \
+            "$SELF"
         exit 0 ;;
       *) EXTRA+=("$1"); shift ;;
     esac
 done
-
-if [ -n "$BASELINE" ]; then
-    case "$BASELINE" in
-      /*) ;;
-      *) BASELINE="$ORIG_PWD/$BASELINE" ;;
-    esac
-    if [ ! -f "$BASELINE" ]; then
-        echo "error: --baseline $BASELINE: no such file" >&2
-        exit 1
-    fi
-fi
 
 # Curated observability flags (only with --observe). fig10 is the
 # traced run; table3 owns the shared runner, so it reports the pool.
@@ -90,10 +68,6 @@ if [ "$OBSERVE" -eq 1 ]; then
 fi
 
 SWEEP_JSON="BENCH_sweep.json"
-# A stale COH summary from an earlier sweep must never be folded
-# into this sweep's JSON (fig11 rewrites it on every run).
-rm -f coh_summary.json
-RECORD=1
 ROWS=()
 FAILED=()
 DEGRADED=()
@@ -122,20 +96,15 @@ run_bench() { # run_bench <label> <cmd...>
           echo "error: $label failed (exit $status): $*" >&2 ;;
     esac
     echo "### $label: ${dt}s ($verdict)"
-    if [ "$RECORD" -eq 1 ]; then
-        ROWS+=("    {\"name\": \"$label\", \"seconds\": $dt,"\
+    ROWS+=("    {\"name\": \"$label\", \"seconds\": $dt,"\
 " \"status\": \"$verdict\", \"exit_code\": $status}")
-    fi
 }
 
-sweep() { # sweep <jobs> [extra sim flags...]
-    local jobs="$1"
-    shift
-    local sf=(--jobs "$jobs")
+sweep() {
+    local sf=(--jobs "$JOBS")
     if [ "$QUICK" -eq 1 ]; then
         sf+=(--quick)
     fi
-    sf+=("$@")
     run_bench fig02_criticality \
         ./bench/fig02_criticality "${sf[@]}" "${EXTRA[@]}"
     # fig05/fig08 are fixed single-scenario illustrations: no flags.
@@ -162,33 +131,10 @@ sweep() { # sweep <jobs> [extra sim flags...]
         "${EXTRA[@]}"
 }
 
-SERIAL_SECONDS=null
-if [ "$COMPARE_SERIAL" -eq 1 ]; then
-    echo "==== serial reference pass: --jobs 1 --fresh ===="
-    RECORD=0
-    t0=$(date +%s.%N)
-    sweep 1 --fresh
-    t1=$(date +%s.%N)
-    SERIAL_SECONDS=$(elapsed "$t0" "$t1")
-    RECORD=1
-    echo
-    echo "==== parallel pass: --jobs $JOBS --fresh ===="
-fi
-
 t0=$(date +%s.%N)
-if [ "$COMPARE_SERIAL" -eq 1 ]; then
-    sweep "$JOBS" --fresh
-else
-    sweep "$JOBS"
-fi
+sweep
 t1=$(date +%s.%N)
 TOTAL_SECONDS=$(elapsed "$t0" "$t1")
-
-SPEEDUP=null
-if [ "$COMPARE_SERIAL" -eq 1 ]; then
-    SPEEDUP=$(awk -v s="$SERIAL_SECONDS" -v p="$TOTAL_SECONDS" \
-        'BEGIN { printf "%.2f", s / p }')
-fi
 
 {
     echo "{"
@@ -210,9 +156,7 @@ fi
     echo "  ],"
     echo "  \"failed\": ${#FAILED[@]},"
     echo "  \"degraded\": ${#DEGRADED[@]},"
-    echo "  \"total_seconds\": $TOTAL_SECONDS,"
-    echo "  \"serial_total_seconds\": $SERIAL_SECONDS,"
-    echo "  \"speedup\": $SPEEDUP"
+    echo "  \"total_seconds\": $TOTAL_SECONDS"
     echo "}"
 } > "$SWEEP_JSON"
 
@@ -250,50 +194,11 @@ print("pool utilization folded into", sweep_path)
 PYEOF
 fi
 
-# Fold fig11's COH summary into the sweep JSON, keyed "coh", so a
-# baseline comparison covers result quality as well as wall clock.
-if [ -f coh_summary.json ] && command -v python3 > /dev/null; then
-    python3 - "$SWEEP_JSON" coh_summary.json <<'PYEOF'
-import json
-import sys
-
-sweep_path, coh_path = sys.argv[1], sys.argv[2]
-with open(sweep_path) as f:
-    sweep = json.load(f)
-with open(coh_path) as f:
-    sweep["coh"] = json.load(f)
-with open(sweep_path, "w") as f:
-    json.dump(sweep, f, indent=2)
-    f.write("\n")
-print("COH summary folded into", sweep_path)
-PYEOF
-fi
-
-# Extra bench_compare.py flags (e.g. looser wall-clock thresholds on
-# shared CI runners) come from $OCOR_BENCH_COMPARE_FLAGS.
-COMPARE_STATUS=0
-if [ -n "$BASELINE" ]; then
-    echo
-    # shellcheck disable=SC2086  # the flags variable is a word list
-    python3 "$(dirname "$SELF")/scripts/bench_compare.py" \
-        "$BASELINE" "$SWEEP_JSON" --out bench_compare.json \
-        ${OCOR_BENCH_COMPARE_FLAGS:-} \
-        || COMPARE_STATUS=$?
-fi
-
 echo
 echo "sweep finished in ${TOTAL_SECONDS}s" \
      "(jobs=$JOBS; timings: build/$SWEEP_JSON)"
-if [ "$COMPARE_SERIAL" -eq 1 ]; then
-    echo "serial reference: ${SERIAL_SECONDS}s -> speedup ${SPEEDUP}x"
-fi
 if [ "${#FAILED[@]}" -gt 0 ]; then
     echo "failed benches: ${FAILED[*]}" >&2
-    exit 1
-fi
-if [ "$COMPARE_STATUS" -ne 0 ]; then
-    echo "baseline comparison regressed" \
-         "(details: build/bench_compare.json)" >&2
     exit 1
 fi
 if [ "${#DEGRADED[@]}" -gt 0 ]; then

@@ -43,6 +43,13 @@ makeSystemConfig(const ExperimentConfig &exp, bool ocor_enabled)
     return cfg;
 }
 
+bool
+isComplete(const RunMetrics &m)
+{
+    return !m.cancelled && !m.hangDetected
+        && m.roiFinish < SystemConfig{}.maxCycles;
+}
+
 RunMetrics
 runOnce(const BenchmarkProfile &profile, const ExperimentConfig &exp,
         bool ocor_enabled, Simulator::Options opts)

@@ -70,6 +70,15 @@ struct ExperimentConfig
 SystemConfig makeSystemConfig(const ExperimentConfig &exp,
                               bool ocor_enabled);
 
+/**
+ * Whether @p m, a run of an experiment configuration, is complete:
+ * no deadline cancelled it, the forward-progress watchdog did not
+ * stop it, and every thread finished before the maxCycles horizon
+ * (SystemConfig's default, which makeSystemConfig keeps). Only a
+ * complete run is journaled or printed as a result.
+ */
+bool isComplete(const RunMetrics &m);
+
 /** Run one configuration of one benchmark. */
 RunMetrics runOnce(const BenchmarkProfile &profile,
                    const ExperimentConfig &exp, bool ocor_enabled,

@@ -47,12 +47,15 @@ ParallelRunner::runOne(const RunRequest &req)
         : runOnce(req.profile, req.exp, req.ocorEnabled, opts);
     const double secs =
         std::chrono::duration<double>(clock::now() - t0).count();
+    const bool complete = isComplete(m);
     {
         std::lock_guard<std::mutex> lk(statsMu_);
         runSeconds_.sample(secs);
         ++runsExecuted_;
         if (m.cancelled)
             ++timeouts_;
+        if (!complete)
+            ++incomplete_;
     }
     if (m.cancelled)
         ocor_warn("run [%s] passed its %.3gs deadline at cycle %llu; "
@@ -60,6 +63,13 @@ ParallelRunner::runOne(const RunRequest &req)
                   runLabel(req.profile, req.exp, req.ocorEnabled)
                       .c_str(),
                   budget, static_cast<unsigned long long>(m.roiFinish));
+    else if (!complete)
+        ocor_warn("run [%s] %s at cycle %llu; its metrics are partial",
+                  runLabel(req.profile, req.exp, req.ocorEnabled)
+                      .c_str(),
+                  m.hangDetected ? "stopped making progress"
+                                 : "reached maxCycles",
+                  static_cast<unsigned long long>(m.roiFinish));
     return m;
 }
 
@@ -82,6 +92,13 @@ ParallelRunner::timeouts() const
 {
     std::lock_guard<std::mutex> lk(statsMu_);
     return timeouts_;
+}
+
+std::uint64_t
+ParallelRunner::incompleteRuns() const
+{
+    std::lock_guard<std::mutex> lk(statsMu_);
+    return incomplete_;
 }
 
 double

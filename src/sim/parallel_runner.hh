@@ -91,6 +91,10 @@ class ParallelRunner
      * its partial metrics and counts too. */
     std::uint64_t timeouts() const;
 
+    /** Requests (lifetime total) whose metrics came back incomplete
+     * (isComplete): deadline stops, hangs and maxCycles stops. */
+    std::uint64_t incompleteRuns() const;
+
     /** Wall-clock seconds per simulated run (thread-safe). */
     SampleStat runSeconds() const;
 
@@ -123,6 +127,7 @@ class ParallelRunner
     SampleStat runSeconds_;
     std::uint64_t runsExecuted_ = 0;
     std::uint64_t timeouts_ = 0;
+    std::uint64_t incomplete_ = 0;
 };
 
 } // namespace ocor

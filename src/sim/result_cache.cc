@@ -545,10 +545,10 @@ ResultCache::get(const BenchmarkProfile &profile,
     simulationsRun_.fetch_add(1, std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lk(mu_);
-        // A cancelled (deadline-stopped) run is never cached: its
-        // metrics are partial. Losers of the in-flight race still
-        // receive them, flagged cancelled.
-        if (!m.cancelled)
+        // An incomplete run (deadline, hang, maxCycles) is never
+        // cached: its metrics are partial. Losers of the in-flight
+        // race still receive them.
+        if (isComplete(m))
             storeLocked(ks, m);
         inflight_.erase(ks);
     }

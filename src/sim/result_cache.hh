@@ -118,8 +118,9 @@ class ResultCache
      * threads concurrently: losers of the in-flight race block until
      * the winner's simulation finishes, so a key is never simulated
      * twice. @p opts is forwarded to the simulation on a miss (the
-     * runner passes its deadline through here); cancelled results
-     * are returned, to in-flight waiters too, but never stored.
+     * runner passes its deadline through here); incomplete runs
+     * (isComplete) are returned, to in-flight waiters too, but never
+     * stored.
      */
     RunMetrics get(const BenchmarkProfile &profile,
                    const ExperimentConfig &exp, bool ocor_enabled,
