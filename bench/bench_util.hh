@@ -23,20 +23,23 @@
  *                           cause (transfer / arbitration / backoff /
  *                           sleep / grant gap), per lock and thread;
  *                           ledger runs are cached separately
- *   --coh-breakdown         (table3_summary) render the per-program
+ *   --coh-breakdown         (table3_summary) print the per-program
  *                           COH cause split; implies --coh-ledger
- *                           and writes coh_breakdown.json
  *   --trace[=CATS]          enable event tracing for the categories
  *                           "lock", "noc", "sim" (comma-separated;
  *                           bare --trace means all)
- *   --trace-out FILE        trace destination (default trace.json;
- *                           a .csv suffix selects the CSV exporter)
+ *   --trace-out FILE        Chrome JSON trace destination (default
+ *                           trace.json)
  *   --trace-capacity N      trace ring size in records (default
  *                           2^19; size it above the run's emitted
  *                           count or the export is incomplete)
  *   --stats-json FILE       dump the hierarchical stats registry
- *   --telemetry-interval N  sample interval telemetry every N cycles
- *   --telemetry-out FILE    telemetry CSV (default telemetry.csv)
+ *
+ * fig10_profile is the one bench that exports a trace and dumps a
+ * run's own registry (its OCOR run). Every other bench accepts the
+ * --trace flags but ignores them, and its --stats-json carries the
+ * sweep aggregates: the runner's "runner.*" and the process-global
+ * "sim.wall.*".
  *
  * Correctness flags (see DESIGN.md §11):
  *   --check[=LIST]          enable the runtime invariant checkers
@@ -51,11 +54,11 @@
  *                    passes it stops with partial metrics, which are
  *                    never journaled
  *
- * Numeric values are parsed in full: --seed, --trace-capacity and
- * --telemetry-interval take a whole decimal integer that fits their
- * field, and anything malformed is a usage error. A sweep in which
- * any run passed its deadline still completes and exits 75
- * (EX_TEMPFAIL); rerunning it is the retry. A run that hung or
+ * Numeric values are parsed in full: --seed and --trace-capacity
+ * take a whole decimal integer that fits their field, and anything
+ * malformed is a usage error. A sweep in which any run passed its
+ * deadline still completes and exits 75 (EX_TEMPFAIL); rerunning it
+ * is the retry. A run that hung or
  * reached maxCycles is never printed either, and its sweep exits 1.
  * Every simulation is deterministic, so rerunning a failed bench
  * reproduces its failure, and panic and fatal messages name the
@@ -101,8 +104,6 @@ struct Options
     std::string traceOut = "trace.json";
     std::size_t traceCapacity = std::size_t{1} << 19; ///< ring slots
     std::string statsJson;      ///< "" = no stats dump
-    Cycle telemetryInterval = 0;
-    std::string telemetryOut = "telemetry.csv";
     bool cohLedger = false;     ///< --coh-ledger (DESIGN.md §14)
     bool cohBreakdown = false;  ///< --coh-breakdown (implies ledger)
 
@@ -177,8 +178,6 @@ usageError(const char *prog, const std::string &what)
                  "[--jobs N] [--trace[=CATS]] "
                  "[--trace-out FILE] [--trace-capacity N] "
                  "[--stats-json FILE] "
-                 "[--telemetry-interval N] "
-                 "[--telemetry-out FILE] "
                  "[--check[=LIST]] [--deadline SEC]\n",
                  what.c_str(), prog);
     std::exit(1);
@@ -210,8 +209,8 @@ parseOptions(int argc, char **argv)
                                         "not '" + n + "'");
             return *v;
         };
-        // --seed, --trace-capacity and --telemetry-interval take a
-        // whole decimal integer that fits their field.
+        // --seed and --trace-capacity take a whole decimal integer
+        // that fits their field.
         auto whole = [&]<typename T>(const std::string &n, T &out) {
             const auto v = parseNumber<T>(n);
             if (!v)
@@ -270,10 +269,6 @@ parseOptions(int argc, char **argv)
             whole(v, opt.traceCapacity);
         else if (valueOf("--stats-json", v))
             opt.statsJson = v;
-        else if (valueOf("--telemetry-interval", v))
-            whole(v, opt.telemetryInterval);
-        else if (valueOf("--telemetry-out", v))
-            opt.telemetryOut = v;
         else if (a == "--check")
             opt.checkList = "all"; // bare form: every checker
         else if (valueOf("--check", v))
@@ -337,16 +332,17 @@ meanOf(double sum, std::size_t n)
 
 /**
  * The shared cache (per-working-directory TSV). --fresh and --check
- * runs get a throwaway one instead, so nothing is reused or
- * polluted: a checked run exists for its checkers' verdict, and a
- * journal hit would run no checker. A -DOCOR_CHECK=ON build, which
- * arms every checker by default, still journals its unflagged runs.
+ * runs get an in-memory one (empty path) instead, so nothing is
+ * reused or polluted: a checked run exists for its checkers' verdict,
+ * and a journal hit would run no checker. A -DOCOR_CHECK=ON build,
+ * which arms every checker by default, still journals its unflagged
+ * runs.
  */
 inline ResultCache
 cacheFor(const Options &opt)
 {
     if (opt.fresh || opt.checking())
-        return ResultCache("/dev/null");
+        return ResultCache("");
     return ResultCache("ocor_results.tsv");
 }
 
@@ -384,20 +380,13 @@ dumpStatsJson(const Options &opt, ParallelRunner *runner)
                 opt.statsJson.c_str());
 }
 
-/**
- * Export @p tracer to @p path: the Chrome trace-event JSON backend
- * unless the file name ends in ".csv". Prints a one-line summary.
- */
+/** Export @p tracer to @p path as Chrome trace-event JSON and print
+ * a one-line summary. */
 inline void
 writeTrace(const Tracer &tracer, const std::string &path)
 {
     std::ofstream out = openArtifact(path);
-    const bool csv = path.size() >= 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (csv)
-        tracer.exportCsv(out);
-    else
-        tracer.exportChromeJson(out);
+    tracer.exportChromeJson(out);
     std::printf("trace: %llu events recorded (%llu overwritten) "
                 "-> %s\n",
                 static_cast<unsigned long long>(tracer.emitted()),

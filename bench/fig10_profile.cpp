@@ -33,10 +33,10 @@ constexpr Cycle kHorizon = 60000;
 
 /**
  * One timeline run. When @p observe is set the run carries the
- * observability flags: event tracing per --trace, interval telemetry
- * per --telemetry-interval, and a stats-registry dump per
- * --stats-json, all exported before the Simulator dies. Artifacts are
- * produced for the OCOR run only (the interesting one for Figure 10).
+ * observability flags: event tracing per --trace and a stats-registry
+ * dump per --stats-json, both exported before the Simulator dies.
+ * Artifacts are produced for the OCOR run only (the interesting one
+ * for Figure 10).
  */
 ProfileRun
 computeRun(const BenchmarkProfile &profile, const Options &opt,
@@ -63,7 +63,6 @@ computeRun(const BenchmarkProfile &profile, const Options &opt,
     sim_opts.timelineHorizon = kHorizon;
     sim_opts.timelineThreads = 16;
     if (observe) {
-        sim_opts.telemetryInterval = opt.telemetryInterval;
         // --coh-ledger surfaces the per-lock COH cause histograms
         // ("sim.coh.*") in this run's stats dump.
         sim_opts.cohLedger = opt.cohLedger;
@@ -90,14 +89,6 @@ computeRun(const BenchmarkProfile &profile, const Options &opt,
             reg.dumpJson(out);
             std::printf("stats: %zu entries -> %s\n", reg.size(),
                         opt.statsJson.c_str());
-        }
-        if (opt.telemetryInterval > 0) {
-            std::ofstream out = openArtifact(opt.telemetryOut);
-            sim.telemetry().exportCsv(out);
-            std::printf("telemetry: %zu samples x %zu rows -> %s\n",
-                        sim.telemetry().points(),
-                        sim.telemetry().rows().size(),
-                        opt.telemetryOut.c_str());
         }
     }
     return run;
@@ -166,8 +157,7 @@ main(int argc, char **argv)
            "original vs OCOR");
     BenchmarkProfile profile = profileByName("body");
 
-    const bool observe = opt.tracing() || !opt.statsJson.empty() ||
-        opt.telemetryInterval > 0;
+    const bool observe = opt.tracing() || !opt.statsJson.empty();
     if (observe) {
         // Observability artifacts print as they are written; run
         // serially so the exports interleave deterministically with

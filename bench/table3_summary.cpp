@@ -87,7 +87,7 @@ main(int argc, char **argv)
     // COH cause breakdown (--coh-breakdown, DESIGN.md §14): how each
     // program's competition overhead splits into transfer /
     // arbitration / backoff / sleep / grant-gap cycles, original vs
-    // OCOR. The rows also land in coh_breakdown.json for CI.
+    // OCOR.
     if (opt.cohBreakdown) {
         auto causes = [](const RunMetrics &m) {
             const ThreadCounters t = m.totals();
@@ -100,10 +100,7 @@ main(int argc, char **argv)
         std::printf("%-8s %-6s %12s %9s %9s %9s %9s %9s\n",
                     "program", "run", "COH cycles", "transfer",
                     "arbitr.", "backoff", "sleep", "grantgap");
-        std::ofstream cj = openArtifact("coh_breakdown.json");
-        cj << "[\n";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const BenchmarkResult &r = results[i];
+        for (const BenchmarkResult &r : results) {
             const RunMetrics *runs[2] = {&r.base, &r.ocor};
             const char *labels[2] = {"base", "ocor"};
             for (int k = 0; k < 2; ++k) {
@@ -122,21 +119,10 @@ main(int argc, char **argv)
                                 m.totalCoh()),
                             pct(c[0]), pct(c[1]), pct(c[2]),
                             pct(c[3]), pct(c[4]));
-                cj << "  {\"name\": \"" << r.name
-                   << "\", \"run\": \"" << labels[k]
-                   << "\", \"coh_cycles\": " << m.totalCoh();
-                for (std::size_t ci = 0; ci < kNumCohCauses; ++ci)
-                    cj << ", \"" << cohCauseName(
-                              static_cast<CohCause>(ci))
-                       << "\": " << c[ci];
-                cj << "}"
-                   << (i + 1 < results.size() || k == 0 ? "," : "")
-                   << "\n";
             }
         }
-        cj << "]\n";
-        std::printf("(-> coh_breakdown.json; causes sum to each "
-                    "run's COH by construction)\n");
+        std::printf("(causes sum to each run's COH by "
+                    "construction)\n");
     }
 
     dumpStatsJson(opt, &runner);

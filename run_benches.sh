@@ -14,16 +14,12 @@
 #                     else the machine's hardware concurrency)
 #   --quick           forward --quick to every simulation bench
 #                     (16 threads, short runs; CI smoke mode)
-#   --observe         turn the observability stack on for fig10
-#                     (DESIGN.md §10): it exports an event trace
-#                     (build/trace.json), a stats-registry dump
-#                     (build/stats.json) and interval telemetry
-#                     (build/telemetry.csv). The worker pool's figures
-#                     are runner.pool.* in any sweep bench's
-#                     --stats-json FILE
 #   anything else is forwarded verbatim to every simulation bench
 #   (e.g. --iters 8 --seed 3), after the curated per-bench flags so
-#   user flags win.
+#   user flags win. fig10_profile alone exports a trace and a run's
+#   stats registry (--trace, --stats-json; DESIGN.md §10); in every
+#   other bench --stats-json FILE dumps the sweep aggregates, with the
+#   worker pool's figures as runner.pool.*.
 #
 # Per-bench and total wall-clock times are printed and written as
 # machine-readable JSON to build/BENCH_sweep.json, together with a
@@ -39,14 +35,12 @@ cd "$(dirname "$SELF")/build"
 
 JOBS="${OCOR_JOBS:-$(nproc)}"
 QUICK=0
-OBSERVE=0
 EXTRA=()
 while [ $# -gt 0 ]; do
     case "$1" in
       --jobs) JOBS="$2"; shift 2 ;;
       --jobs=*) JOBS="${1#--jobs=}"; shift ;;
       --quick) QUICK=1; shift ;;
-      --observe) OBSERVE=1; shift ;;
       -h|--help)
         # The comment block under the shebang line.
         awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' \
@@ -55,16 +49,6 @@ while [ $# -gt 0 ]; do
       *) EXTRA+=("$1"); shift ;;
     esac
 done
-
-# Curated observability flags (only with --observe): fig10 is the
-# traced run.
-OBS_FIG10=()
-if [ "$OBSERVE" -eq 1 ]; then
-    OBS_FIG10=(--trace=lock,noc,sim --trace-out trace.json
-               --trace-capacity 2097152
-               --stats-json stats.json --telemetry-interval 200
-               --telemetry-out telemetry.csv --coh-ledger)
-fi
 
 SWEEP_JSON="BENCH_sweep.json"
 ROWS=()
@@ -110,8 +94,7 @@ sweep() {
     run_bench fig05_scenarios ./bench/fig05_scenarios
     run_bench fig08_scheduling ./bench/fig08_scheduling
     run_bench fig10_profile \
-        ./bench/fig10_profile "${sf[@]}" "${OBS_FIG10[@]}" \
-        "${EXTRA[@]}"
+        ./bench/fig10_profile "${sf[@]}" "${EXTRA[@]}"
     run_bench fig11_coh \
         ./bench/fig11_coh "${sf[@]}" "${EXTRA[@]}"
     run_bench fig12_characteristics \

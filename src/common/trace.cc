@@ -68,7 +68,6 @@ traceEvName(TraceEv ev)
       case TraceEv::RunBegin: return "RunBegin";
       case TraceEv::RunEnd: return "RunEnd";
       case TraceEv::WatchdogFired: return "WatchdogFired";
-      case TraceEv::TelemetrySample: return "TelemetrySample";
       default: return "?";
     }
 }
@@ -217,25 +216,6 @@ Tracer::exportChromeJson(std::ostream &os) const
         }
     }
     os << "\n]\n";
-}
-
-void
-Tracer::exportCsv(std::ostream &os) const
-{
-    os << "cycle,cat,event,node,thread,addr,pkt,a0,a1\n";
-    const std::vector<TraceRecord> recs = snapshot();
-    const auto ids = exportPktIds(recs);
-    for (const TraceRecord &r : recs) {
-        os << r.cycle << ',' << traceCatName(traceEvCat(r.ev)) << ','
-           << traceEvName(r.ev) << ',' << r.node << ',';
-        if (r.thread == invalidThread)
-            os << '-';
-        else
-            os << r.thread;
-        os << ',' << r.addr << ','
-           << (r.pkt != 0 ? ids.at(r.pkt) : 0) << ',' << r.a0 << ','
-           << r.a1 << '\n';
-    }
 }
 
 } // namespace ocor

@@ -14,12 +14,12 @@
  * two small payload words); wall-clock never enters a record, so two
  * runs of the same configuration export byte-identical traces
  * regardless of host scheduling. Live packet ids come from a
- * process-global allocator, so exporters renumber them densely in
- * first-appearance order to keep that guarantee.
+ * process-global allocator, so the exporter renumbers them densely
+ * in first-appearance order to keep that guarantee.
  *
- * Exporters: Chrome trace-event JSON (loads in Perfetto / about:
+ * Exporter: Chrome trace-event JSON (loads in Perfetto / about:
  * tracing; lock-protocol events appear per thread, NoC events per
- * node) and a compact CSV for ad-hoc scripting.
+ * node).
  */
 
 #ifndef OCOR_COMMON_TRACE_HH
@@ -40,7 +40,7 @@ enum class TraceCat : std::uint8_t
 {
     Lock, ///< lock-protocol events (acquire, RTR, sleep, wakeup, CS)
     Noc,  ///< network events (inject, VC alloc, SA grant, eject)
-    Sim,  ///< run phases (begin/end, watchdog, telemetry samples)
+    Sim,  ///< run phases (begin/end, watchdog)
     NumCats
 };
 
@@ -84,8 +84,7 @@ enum class TraceEv : std::uint8_t
     // --- simulation phases (cat Sim) --------------------------------
     RunBegin,         ///< Simulator::run entered
     RunEnd,           ///< run left the cycle loop; a0 = 1 on hang
-    WatchdogFired,    ///< forward-progress watchdog aborted the run
-    TelemetrySample   ///< interval telemetry snapshot taken
+    WatchdogFired     ///< forward-progress watchdog aborted the run
 };
 
 /** Name of an event type (stable; part of the export format). */
@@ -119,7 +118,7 @@ struct TraceConfig
     bool enabled() const { return categories != 0; }
 };
 
-/** Bounded ring buffer of trace records with export backends. */
+/** Bounded ring buffer of trace records with a JSON exporter. */
 class Tracer
 {
   public:
@@ -185,9 +184,6 @@ class Tracer
      * bars per thread.
      */
     void exportChromeJson(std::ostream &os) const;
-
-    /** Compact CSV: cycle,cat,event,node,thread,addr,pkt,a0,a1. */
-    void exportCsv(std::ostream &os) const;
 
   private:
     TraceConfig cfg_;

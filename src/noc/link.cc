@@ -57,7 +57,6 @@ Link::sendFlit(Flit flit, Cycle now)
         ocor_panic("Link: two flits sent in cycle %llu",
                    static_cast<unsigned long long>(now));
     lastFlitSend_ = now;
-    ++flitsCarried_;
     if (check_)
         check_->onLinkFlitSent();
 

@@ -175,10 +175,6 @@ class Link
     bool flitDue(Cycle now) const { return flitAt_ <= now; }
     bool creditDue(Cycle now) const { return creditAt_ <= now; }
 
-    /** Flits ever put on the wire: the utilization numerator sampled
-     * by interval telemetry. */
-    std::uint64_t flitsCarried() const { return flitsCarried_; }
-
   private:
     struct WireFlit
     {
@@ -213,7 +209,6 @@ class Link
     unsigned flitPort_ = 0;
     unsigned creditPort_ = 0;
     CheckerRegistry *check_ = nullptr;
-    std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
     /** Pending slots of a deferred link: at most one flit and one
      * credit per cycle, arriving at the stamped cycle (neverCycle =

@@ -139,7 +139,8 @@ class Network
     /** Hand every router, NI and link the invariant checker. */
     void setChecker(CheckerRegistry *c);
 
-    /** Link fan-out for interval telemetry. */
+    /** Every link of the mesh, NI links included (tests check that
+     * they drain). */
     unsigned numLinks() const
     {
         return static_cast<unsigned>(links_.size());

@@ -133,9 +133,9 @@ class Router
      */
     void testSwapVcFlits(unsigned port, unsigned v);
 
-    /** Flits in the input buffers at the end of cycle @p now (tests
-     * and telemetry): landed flits whose arrival is later are still
-     * on the wire. */
+    /** Flits in the input buffers at the end of cycle @p now (a test
+     * oracle): landed flits whose arrival is later are still on the
+     * wire. */
     unsigned occupancy(Cycle now) const;
 
     /** O(1) test for held flits or pending credits (wake scan

@@ -88,12 +88,7 @@ ResultCache::headerLine()
     return "#ocor-results v3";
 }
 
-ResultCache::ResultCache(std::string path) : path_(std::move(path))
-{
-    // An empty path (or the historical /dev/null convention used by
-    // --fresh) means "no journal": purely in-memory, nothing durable.
-    ephemeral_ = path_.empty() || path_ == "/dev/null";
-}
+ResultCache::ResultCache(std::string path) : path_(std::move(path)) {}
 
 ResultCache::~ResultCache()
 {
@@ -332,7 +327,7 @@ ResultCache::loadLocked() const
     if (loaded_)
         return;
     loaded_ = true;
-    if (ephemeral_)
+    if (path_.empty())
         return;
 
     // A flush renames a whole file into place, so a reader never sees
@@ -353,7 +348,7 @@ ResultCache::loadLocked() const
 void
 ResultCache::flushLocked()
 {
-    if (ephemeral_ || pending_ == 0) {
+    if (path_.empty() || pending_ == 0) {
         pending_ = 0;
         return;
     }

@@ -93,9 +93,9 @@ class ResultCache
     static const char *headerLine();
 
     /**
-     * @p path journal file. An empty path (or "/dev/null") selects a
-     * purely in-memory cache: no journal is read or written, which
-     * is what `--fresh` uses.
+     * @p path journal file. An empty path selects a purely in-memory
+     * cache: no journal is read or written, which is what `--fresh`
+     * and `--check` use.
      */
     explicit ResultCache(std::string path = "ocor_results.tsv");
 
@@ -171,7 +171,6 @@ class ResultCache
     static constexpr std::size_t kFlushBatch = 16;
 
     std::string path_;
-    bool ephemeral_ = false; ///< no journal (empty path, /dev/null)
 
     mutable std::mutex mu_;
     mutable bool loaded_ = false;

@@ -108,8 +108,6 @@ Simulator::Simulator(const SystemConfig &cfg,
             : std::min(opts_.timelineThreads, system_->numThreads());
         timeline_ = Timeline(t, opts_.timelineHorizon);
     }
-    if (opts_.telemetryInterval > 0)
-        telemetry_ = TelemetryRecorder(opts_.telemetryInterval);
     if (opts_.cohLedger) {
         ledger_ =
             std::make_unique<LockLedger>(system_->numThreads());
@@ -314,14 +312,6 @@ Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
         ++wall_.cyclesProcessed;
         if (ck)
             ck->onCycleEnd(now_);
-        if (telemetry_.due(now_)) {
-            telemetry_.sample(now_, *system_);
-            if (tr)
-                tr->record(TraceCat::Sim, TraceEv::TelemetrySample,
-                           now_, invalidNode, invalidThread, 0, 0,
-                           static_cast<std::uint32_t>(
-                               telemetry_.points()));
-        }
         if (system_->allFinished())
             break;
         // The wall-clock deadline and the forward-progress watchdog,
@@ -363,16 +353,14 @@ Simulator::runLoop(Tracer *tr, CheckerRegistry *ck)
             continue;
         }
 
-        // Jump to the earliest cycle anything is due: a component,
-        // the telemetry sampler or the next poll-stride cycle (so
-        // samples and polls land on the cycles a per-cycle loop
-        // would visit). Nothing ticks in between, so the span is
-        // charged in bulk; past the horizon it is charged up to
-        // maxCycles and the run stops there.
+        // Jump to the earliest cycle anything is due: a component or
+        // the next poll-stride cycle (so polls land on the cycles a
+        // per-cycle loop would visit). Nothing ticks in between, so
+        // the span is charged in bulk; past the horizon it is charged
+        // up to maxCycles and the run stops there.
         const auto s0 =
             opts_.profileWall ? sim_clock::now() : sim_clock::time_point{};
-        Cycle next =
-            std::min(system_->nextWake(now_), telemetry_.nextDue());
+        Cycle next = system_->nextWake(now_);
         if (stride_active)
             next = std::min(next, (now_ | kStrideMask) + 1);
         next = std::min(std::max(next, now_ + 1), cfg_.maxCycles);

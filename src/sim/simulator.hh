@@ -15,7 +15,6 @@
 #include "sim/config.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
-#include "sim/telemetry.hh"
 
 namespace ocor
 {
@@ -30,9 +29,6 @@ struct SimOptions
     Cycle timelineHorizon = 0;
     /** ...of the first M threads (0 = all). */
     unsigned timelineThreads = 0;
-
-    /** Sample interval telemetry every N cycles (0 = off). */
-    Cycle telemetryInterval = 0;
 
     /** Break run() wall time down by phase (tick vs accounting).
      * Adds two clock reads per cycle, so it is opt-in. */
@@ -108,7 +104,6 @@ class Simulator
 
     System &system() { return *system_; }
     const Timeline &timeline() const { return timeline_; }
-    const TelemetryRecorder &telemetry() const { return telemetry_; }
     const WallProfile &wallProfile() const { return wall_; }
 
     /** Per-thread lock-state dump captured when the forward-progress
@@ -129,10 +124,10 @@ class Simulator
   private:
     /**
      * The simulation loop: process a cycle (gated System::tick,
-     * accounting, checkers, telemetry, stop tests), then jump to the
-     * earliest of System::nextWake, the telemetry sampler and the
-     * watchdog/deadline poll stride, charging the skipped span in bulk.
-     * With checkers armed every cycle is processed.
+     * accounting, checkers, stop tests), then jump to the earlier of
+     * System::nextWake and the watchdog/deadline poll stride,
+     * charging the skipped span in bulk. With checkers armed every
+     * cycle is processed.
      */
     void runLoop(Tracer *tr, CheckerRegistry *ck);
 
@@ -170,7 +165,6 @@ class Simulator
     std::unique_ptr<System> system_;
     Options opts_;
     Timeline timeline_;
-    TelemetryRecorder telemetry_{0};
     WallProfile wall_;
     Cycle now_ = 0;
     bool hangDetected_ = false;

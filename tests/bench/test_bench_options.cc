@@ -2,8 +2,8 @@
  * @file
  * Tests for the benches' shared flag parser (bench/bench_util.hh):
  * --threads, --iters and --jobs take a whole positive decimal
- * integer; --seed, --trace-capacity and --telemetry-interval a whole
- * decimal integer that fits their field; --deadline a finite number
+ * integer; --seed and --trace-capacity a whole decimal integer that
+ * fits their field; --deadline a finite number
  * of seconds >= 0. Anything else is a usage error (exit 1) before
  * any simulation is built.
  */
@@ -57,8 +57,7 @@ TEST(BenchOptionsDeathTest, CountFlagsAcceptPositiveIntegers)
 
 TEST(BenchOptionsDeathTest, WholeNumberFlagsTakeOnlyWholeNumbersThatFit)
 {
-    for (const std::string flag :
-         {"--seed", "--trace-capacity", "--telemetry-interval"}) {
+    for (const std::string flag : {"--seed", "--trace-capacity"}) {
         for (const char *bad : {"-1", "abc", "4x", "", " 4", "+4",
                                 "1.5", "18446744073709551616"}) {
             EXPECT_EXIT(parse(flag, bad), testing::ExitedWithCode(1),
@@ -69,8 +68,6 @@ TEST(BenchOptionsDeathTest, WholeNumberFlagsTakeOnlyWholeNumbersThatFit)
     EXPECT_EQ(parse("--seed", "18446744073709551615").seed,
               18446744073709551615ull);
     EXPECT_EQ(parse("--trace-capacity", "4096").traceCapacity, 4096u);
-    EXPECT_EQ(parse("--telemetry-interval", "0").telemetryInterval,
-              0u);
 }
 
 TEST(BenchOptionsDeathTest, DeadlineTakesOnlyFiniteNonNegativeSeconds)
@@ -89,14 +86,12 @@ TEST(BenchOptionsDeathTest, DeadlineTakesOnlyFiniteNonNegativeSeconds)
 
 TEST(BenchOptions, CheckedRunsBypassTheJournal)
 {
-    // A journal hit runs no checker, so --check gets the throwaway
-    // cache, as --fresh does.
-    EXPECT_EQ(bench::cacheFor(parse("--check", nullptr)).path(),
-              "/dev/null");
+    // A journal hit runs no checker, so --check gets the in-memory
+    // cache (empty path), as --fresh does.
+    EXPECT_EQ(bench::cacheFor(parse("--check", nullptr)).path(), "");
     EXPECT_EQ(bench::cacheFor(parse("--check=mutex", nullptr)).path(),
-              "/dev/null");
-    EXPECT_EQ(bench::cacheFor(parse("--fresh", nullptr)).path(),
-              "/dev/null");
+              "");
+    EXPECT_EQ(bench::cacheFor(parse("--fresh", nullptr)).path(), "");
     EXPECT_EQ(bench::cacheFor(parse("--threads", "4")).path(),
               "ocor_results.tsv");
 }

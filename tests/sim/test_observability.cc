@@ -2,8 +2,9 @@
  * @file
  * End-to-end tests for the observability stack: event tracing from a
  * real simulated run, trace determinism (including traced runs racing
- * on a worker pool), tracing-off invariance of the metrics, interval
- * telemetry, wall-clock profiling and the System stats registry.
+ * on a worker pool), tracing-off invariance of the metrics, the trace
+ * agreeing with the stats registry, wall-clock profiling and the
+ * System stats registry.
  */
 
 #include <gtest/gtest.h>
@@ -143,7 +144,6 @@ TEST(Observability, MetricsUnaffectedByTracingAndTelemetry)
     SystemConfig traced_cfg = smallConfig();
     traced_cfg.trace.categories = parseTraceCats("all");
     SimOptions opts;
-    opts.telemetryInterval = 64;
     opts.profileWall = true;
     Simulator traced(traced_cfg, contendedPrograms(4),
                      BgTrafficConfig{}, opts);
@@ -169,32 +169,36 @@ TEST(Observability, PercentilesPopulatedAndOrdered)
 
 TEST(Observability, TelemetrySamplesOnTheInterval)
 {
-    constexpr Cycle kInterval = 100;
+    // The per-node NoC trace agrees with the stats the same run
+    // registers: each node's PktEject records are its NI's ejected
+    // packets, so long as the ring dropped nothing.
     SystemConfig cfg = smallConfig();
-    SimOptions opts;
-    opts.telemetryInterval = kInterval;
-    Simulator sim(cfg, contendedPrograms(4), BgTrafficConfig{}, opts);
-    RunMetrics m = sim.run();
+    cfg.trace.categories = parseTraceCats("noc");
+    cfg.trace.capacity = std::size_t{1} << 20;
+    Simulator sim(cfg, contendedPrograms(4), BgTrafficConfig{});
+    sim.run();
 
-    const TelemetryRecorder &tel = sim.telemetry();
-    EXPECT_TRUE(tel.enabled());
-    ASSERT_GT(tel.points(), 0u);
-    EXPECT_LE(tel.points(), m.roiFinish / kInterval + 1);
+    const Tracer *tr = sim.system().tracer();
+    ASSERT_NE(tr, nullptr);
+    ASSERT_EQ(tr->dropped(), 0u);
+    StatsRegistry reg;
+    sim.system().registerStats(reg);
 
-    // Every sample emits one row per router, per link and per thread.
-    Network &net = sim.system().network();
-    const std::size_t per_sample = net.mesh().numNodes()
-        + net.numLinks() + sim.system().numThreads();
-    EXPECT_EQ(tel.rows().size(), tel.points() * per_sample);
-
-    for (const TelemetryRow &r : tel.rows()) {
-        EXPECT_EQ(r.cycle % kInterval, 0u);
-        EXPECT_GE(r.value, 0.0);
+    const unsigned nodes = sim.system().network().mesh().numNodes();
+    std::vector<double> ejected(nodes, 0.0);
+    for (const TraceRecord &r : tr->snapshot())
+        if (r.ev == TraceEv::PktEject) {
+            ASSERT_LT(r.node, nodes);
+            ++ejected[r.node];
+        }
+    double total = 0.0;
+    for (unsigned n = 0; n < nodes; ++n) {
+        const std::string name =
+            "system.ni" + std::to_string(n) + ".packets_ejected";
+        EXPECT_EQ(ejected[n], reg.scalar(name)) << name;
+        total += ejected[n];
     }
-
-    std::ostringstream os;
-    tel.exportCsv(os);
-    EXPECT_EQ(os.str().rfind("cycle,kind,index,value\n", 0), 0u);
+    EXPECT_GT(total, 0.0);
 }
 
 TEST(Observability, WallProfileMeasuresTheRun)
